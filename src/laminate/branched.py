@@ -11,7 +11,6 @@ Haken decompositions into the counting certificates used downstream.
 """
 
 from fractions import Fraction
-from math import gcd
 
 from .cones import extreme_rays, hilbert_basis, positive_integer_point
 from .errors import InvalidSupport, NotCarried
@@ -43,13 +42,6 @@ class ChiFunctional:
     def value(self, v):
         return dot(self.coefficients, v)
 
-    def integer_row(self):
-        """The functional cleared to integer coefficients, with the scale."""
-        scale = 1
-        for c in self.coefficients:
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-        return tuple(int(c * scale) for c in self.coefficients), scale
-
 
 def chi_functional(tri):
     return ChiFunctional(tri)
@@ -58,10 +50,12 @@ def chi_functional(tri):
 class BranchedSurfaceModel:
     """
     A supported branch system over a triangulation.  Immutable; the
-    fundamental solutions are computed once on first use.
+    fundamental solutions are computed once on first use.  Every cone
+    computation of the model (fundamentals, full carrying, the zero-chi
+    locus) runs under the coefficient budget max_coeff_bits, when given.
     """
 
-    def __init__(self, tri, support, system=None):
+    def __init__(self, tri, support, system=None, max_coeff_bits=None):
         self.triangulation = tri
         self.support = frozenset(support)
         n = vector_length(tri)
@@ -84,32 +78,26 @@ class BranchedSurfaceModel:
         self.system = system if system is not None else matching_system(tri)
         self.cone = matching_cone(tri, self.support, self.system)
         self.chi = ChiFunctional(tri)
+        self.max_coeff_bits = max_coeff_bits
         self._fundamentals = None
-        self._rays = None
 
-    def fundamentals(self, max_coeff_bits=None):
+    def fundamentals(self):
         if self._fundamentals is None:
             self._fundamentals = tuple(
-                hilbert_basis(self.cone, max_coeff_bits=max_coeff_bits))
+                hilbert_basis(self.cone, max_coeff_bits=self.max_coeff_bits))
         return self._fundamentals
-
-    def rays(self, max_coeff_bits=None):
-        if self._rays is None:
-            self._rays = tuple(
-                extreme_rays(self.cone, max_coeff_bits=max_coeff_bits))
-        return self._rays
 
     @property
     def fully_carrying(self):
-        return positive_integer_point(self.cone) is not None
+        return positive_integer_point(
+            self.cone, max_coeff_bits=self.max_coeff_bits) is not None
 
     def carries(self, v):
         return self.cone.contains(v)
 
     def chi_augmented_cone(self):
         """The branch system with the equation chi = 0 adjoined."""
-        row, _ = self.chi.integer_row()
-        return self.cone.with_extra_rows([row])
+        return self.cone.with_extra_rows([self.chi.coefficients])
 
     def to_json_dict(self):
         funds = self.fundamentals()
@@ -123,9 +111,10 @@ class BranchedSurfaceModel:
         }
 
 
-def from_support(tri, support, system=None):
+def from_support(tri, support, system=None, max_coeff_bits=None):
     """Build a model; InvalidSupport if the quad/oct constraints fail."""
-    return BranchedSurfaceModel(tri, support, system=system)
+    return BranchedSurfaceModel(tri, support, system=system,
+                                max_coeff_bits=max_coeff_bits)
 
 
 def sub_branched_surface(model, v):
@@ -137,7 +126,8 @@ def sub_branched_surface(model, v):
         raise NotCarried("vector is not carried by the model")
     support = frozenset(j for j, x in enumerate(v) if x)
     return BranchedSurfaceModel(model.triangulation, support,
-                                system=model.system)
+                                system=model.system,
+                                max_coeff_bits=model.max_coeff_bits)
 
 
 class CarryVerdict:
@@ -227,14 +217,14 @@ def carries_nonneg_chi(model):
                         klein_double_is_torus=double_is_torus)
 
 
-def zero_chi_locus(model, max_coeff_bits=None):
+def zero_chi_locus(model):
     """
     The vertices of {x in cone : sum x = 1, chi(x) = 0}: the extreme rays
     of the chi-augmented branch system, normalized to the projective
     slice.  Empty exactly when no carried measured class has chi = 0.
     """
     rays = extreme_rays(model.chi_augmented_cone(),
-                        max_coeff_bits=max_coeff_bits)
+                        max_coeff_bits=model.max_coeff_bits)
     vertices = []
     for r in rays:
         s = sum(r)

@@ -155,7 +155,8 @@ def cmd_ns_build(args):
 
 def _model(args):
     tri = _load_triangulation(args)
-    return from_support(tri, _parse_support(args.support))
+    return from_support(tri, _parse_support(args.support),
+                        max_coeff_bits=args.max_coeff_bits)
 
 
 def cmd_bs_from_support(args):
@@ -171,7 +172,7 @@ def cmd_bs_verdict(args):
 
 def cmd_bs_zero_chi(args):
     model = _model(args)
-    vertices = zero_chi_locus(model, max_coeff_bits=args.max_coeff_bits)
+    vertices = zero_chi_locus(model)
     return {
         "support": sorted(model.support),
         "count": len(vertices),

@@ -13,7 +13,7 @@ identical outputs.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .errors import CoefficientBudgetExceeded, EmptyCone, InternalCheckFailed
 from .linalg import det, dot, rank
@@ -32,19 +32,19 @@ def primitive(vec):
 class RationalCone:
     """
     {x in R^dim : matrix . x = 0, x >= 0, x_i = 0 for i outside support}.
+
+    Rows may hold ints or Fractions; each row is scaled by the least common
+    multiple of its denominators to an integer row.
     """
 
     def __init__(self, matrix, dim, support=None):
         rows = []
         for row in matrix:
-            row = list(row)
             if len(row) != dim:
                 raise ValueError("row length %d != dim %d" % (len(row), dim))
-            denoms = [Fraction(x).denominator for x in row]
-            scale = 1
-            for d in denoms:
-                scale = scale * d // gcd(scale, d)
-            rows.append(tuple(int(Fraction(x) * scale) for x in row))
+            scale = lcm(*(x.denominator for x in row))
+            rows.append(tuple(x.numerator * (scale // x.denominator)
+                              for x in row))
         self.matrix = tuple(rows)
         self.dim = dim
         self.support = (frozenset(range(dim)) if support is None
@@ -57,9 +57,6 @@ class RationalCone:
         return RationalCone(list(self.matrix) + list(rows), self.dim,
                             self.support)
 
-    def restricted(self, support):
-        return RationalCone(self.matrix, self.dim, support)
-
     def contains(self, v):
         if len(v) != self.dim:
             return False
@@ -68,17 +65,6 @@ class RationalCone:
         if any(v[i] != 0 for i in range(self.dim) if i not in self.support):
             return False
         return all(dot(row, v) == 0 for row in self.matrix)
-
-    def to_json_dict(self):
-        return {
-            "matrix": [list(row) for row in self.matrix],
-            "dim": self.dim,
-            "support": sorted(self.support),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(data["matrix"], data["dim"], data.get("support"))
 
 
 def _check_budget(vectors, max_coeff_bits):

@@ -181,9 +181,15 @@ class AdmissibilityReport:
         self.almost_normal_errors = almost_normal_errors
 
     @property
+    def embeddable(self):
+        """The matching equations and the quad/oct constraint hold: the
+        precondition for rebuilding a surface, which unlike admissibility
+        allows octagon coordinates above one (parallel octagon copies)."""
+        return not (self.matching_failures or self.quad_violations)
+
+    @property
     def admissible(self):
-        return not (self.matching_failures or self.quad_violations
-                    or self.almost_normal_errors)
+        return self.embeddable and not self.almost_normal_errors
 
     def __bool__(self):
         return self.admissible
@@ -230,17 +236,6 @@ def is_admissible(tri, v, system=None):
     if any(x > 1 for (_, _, x) in octs):
         almost.append("an octagon coordinate exceeds 1")
     return AdmissibilityReport(matching_failures, quad_violations, almost)
-
-
-def satisfies_embedding_constraints(tri, v, system=None):
-    """
-    True when v satisfies the matching equations and the per-tetrahedron
-    quad/oct constraint.  This is the precondition for rebuilding a surface;
-    unlike full admissibility it allows octagon coordinates above one
-    (parallel octagon copies are still embeddable, just not almost normal).
-    """
-    report = is_admissible(tri, v, system=system)
-    return not (report.matching_failures or report.quad_violations)
 
 
 def edge_weights(tri, v):
@@ -347,18 +342,23 @@ def iter_orthant_supports(tri, include_octs=False):
             yield frozenset(support)
 
 
+def _orthant_union(tri, include_octs, solve, max_coeff_bits):
+    """The sorted union over the quad/oct orthants of solve(orthant cone)."""
+    system = matching_system(tri)
+    out = set()
+    for support in iter_orthant_supports(tri, include_octs):
+        cone = matching_cone(tri, support, system)
+        out.update(solve(cone, max_coeff_bits=max_coeff_bits))
+    return sorted(out)
+
+
 def vertex_solutions(tri, include_octs=False, max_coeff_bits=None):
     """
     Extreme rays of the admissible solution set: the union over the
     quad/oct orthants of the extreme rays of the restricted matching cone,
     in canonical primitive form, deduplicated and sorted.
     """
-    system = matching_system(tri)
-    out = set()
-    for support in iter_orthant_supports(tri, include_octs):
-        cone = matching_cone(tri, support, system)
-        out.update(extreme_rays(cone, max_coeff_bits=max_coeff_bits))
-    return sorted(out)
+    return _orthant_union(tri, include_octs, extreme_rays, max_coeff_bits)
 
 
 def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):
@@ -368,12 +368,7 @@ def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):
     admissible integer vector is a nonnegative integer combination of
     these (within its own orthant).
     """
-    system = matching_system(tri)
-    out = set()
-    for support in iter_orthant_supports(tri, include_octs):
-        cone = matching_cone(tri, support, system)
-        out.update(hilbert_basis(cone, max_coeff_bits=max_coeff_bits))
-    return sorted(out)
+    return _orthant_union(tri, include_octs, hilbert_basis, max_coeff_bits)
 
 
 def chi_functional_coefficients(tri):

@@ -23,9 +23,8 @@ across glued arcs with a parity union-find.
 from .errors import Inadmissible, InternalCheckFailed
 from .normal import (COORDS_PER_TET, QUAD_PAIRS, QUAD_TYPE_OF_EDGE,
                      arc_count, edge_weights, haken_sum, is_admissible,
-                     is_vertex_linking, satisfies_embedding_constraints,
-                     weight)
-from .triangulation import EDGES, edge_index
+                     is_vertex_linking, weight)
+from .triangulation import EDGES, ParityUnionFind, edge_index
 
 
 class _Disk:
@@ -214,40 +213,6 @@ def _build_tet_disks(tri, v, t, next_id):
     return disks, next_id, edge_points
 
 
-class _Parity:
-    """Union-find over disks with a transverse-orientation parity bit."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.parity = [0] * n
-        self.conflict = [False] * n
-
-    def find(self, x):
-        root, p = x, 0
-        while self.parent[root] != root:
-            p ^= self.parity[root]
-            root = self.parent[root]
-        node, q = x, p
-        while self.parent[node] != node:
-            nxt = self.parent[node]
-            nq = q ^ self.parity[node]
-            self.parity[node] = q
-            self.parent[node] = root
-            node, q = nxt, nq
-        return root, p
-
-    def union(self, x, y, rel):
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            if (px ^ py) != rel:
-                self.conflict[rx] = True
-            return
-        self.parent[ry] = rx
-        self.parity[ry] = px ^ py ^ rel
-        self.conflict[rx] = self.conflict[rx] or self.conflict[ry]
-
-
 def build_surface(tri, v, system=None):
     """
     Rebuild the surface of a coordinate vector.
@@ -257,10 +222,9 @@ def build_surface(tri, v, system=None):
     copies), so that integer solutions of branch systems can be rebuilt
     even when they are not almost normal.
     """
-    if not satisfies_embedding_constraints(tri, v, system=system):
-        report = is_admissible(tri, v, system=system)
-        raise Inadmissible("; ".join(report.messages()[:4]) or
-                           "vector fails embedding constraints")
+    report = is_admissible(tri, v, system=system)
+    if not report.embeddable:
+        raise Inadmissible("; ".join(report.messages()[:4]))
 
     disks = []
     next_id = 0
@@ -302,7 +266,8 @@ def build_surface(tri, v, system=None):
                 raise InternalCheckFailed("duplicate arc slot %s" % (slot,))
             arc_table[slot] = (d, key_a, key_b)
 
-    parity = _Parity(len(disks))
+    parity = ParityUnionFind(len(disks))
+    conflicts = []                # disks glued against their parity
     arc_pair_count = 0
     for (side1, side2, perm) in tri.face_classes:
         (t1, f1), (t2, f2) = side1, side2
@@ -345,9 +310,11 @@ def build_surface(tri, v, system=None):
                     raise InternalCheckFailed(
                         "orientation relation differs at the two ends of a "
                         "glued arc")
-                parity.union(d1.id, d2.id, rels[0])
+                if not parity.union(d1.id, d2.id, rels[0]):
+                    conflicts.append(d1.id)
 
     # Components, Euler characteristics, orientability.
+    one_sided = {parity.find(d)[0] for d in conflicts}
     groups = {}
     for d in disks:
         root, _ = parity.find(d.id)
@@ -365,7 +332,7 @@ def build_surface(tri, v, system=None):
         if arcs_in_component % 2:
             raise InternalCheckFailed("odd arc count in a component")
         chi = len(points) - arcs_in_component // 2 + len(group)
-        orientable = not parity.conflict[root]
+        orientable = root not in one_sided
         components.append(SurfaceComponent([d.id for d in group], chi,
                                            orientable))
         total_vertices |= points

@@ -58,37 +58,31 @@ def edge_index(a, b):
     return EDGE_INDEX[(a, b) if a < b else (b, a)]
 
 
-class _UnionFind:
-    """Union-find with an optional parity bit relative to the root."""
+class ParityUnionFind:
+    """
+    Union-find over 0..n-1 with a parity bit relative to the root, kept
+    list-indexed with path compression.  Tetrahedra, tetrahedron edges and
+    tetrahedron vertices are indexed t, 6t+e and 4t+v; surface disks by id.
+    """
 
-    def __init__(self, track_parity=False):
-        self.parent = {}
-        self.parity = {} if track_parity else None
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-            if self.parity is not None:
-                self.parity[x] = 0
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.parity = [0] * n
 
     def find(self, x):
-        # Returns (root, parity of x relative to root).
+        """(root of x, parity of x relative to that root)."""
+        parent, parity = self.parent, self.parity
         root, p = x, 0
-        while self.parent[root] != root:
-            if self.parity is not None:
-                p ^= self.parity[root]
-            root = self.parent[root]
-        # Path compression.
-        node = x
-        q = p
-        while self.parent[node] != node:
-            nxt = self.parent[node]
-            if self.parity is not None:
-                nq = q ^ self.parity[node]
-                self.parity[node] = q
-                q = nq
-            self.parent[node] = root
-            node = nxt
+        while parent[root] != root:
+            p ^= parity[root]
+            root = parent[root]
+        node, q = x, p
+        while parent[node] != node:
+            nxt = parent[node]
+            nq = q ^ parity[node]
+            parity[node] = q
+            parent[node] = root
+            node, q = nxt, nq
         return root, p
 
     def union(self, x, y, rel=0):
@@ -102,8 +96,7 @@ class _UnionFind:
         if rx == ry:
             return (px ^ py) == rel
         self.parent[ry] = rx
-        if self.parity is not None:
-            self.parity[ry] = px ^ py ^ rel
+        self.parity[ry] = px ^ py ^ rel
         return True
 
 
@@ -180,9 +173,7 @@ class Triangulation:
     def _build_orientation(self):
         # A gluing permutation must be orientation-reversing on the face,
         # i.e. odd, whenever the two tetrahedra carry the same orientation.
-        uf = _UnionFind(track_parity=True)
-        for t in range(self.tet_count):
-            uf.add(t)
+        uf = ParityUnionFind(self.tet_count)
         for (side1, side2, perm) in self.face_classes:
             rel = 0 if perm_sign(perm) == -1 else 1
             if not uf.union(side1[0], side2[0], rel):
@@ -194,10 +185,7 @@ class Triangulation:
             self.orientation.append(1 if p == 0 else -1)
 
     def _build_edge_classes(self):
-        uf = _UnionFind(track_parity=True)
-        for t in range(self.tet_count):
-            for e in range(6):
-                uf.add((t, e))
+        uf = ParityUnionFind(6 * self.tet_count)
         for (side1, side2, perm) in self.face_classes:
             (t1, f1), (t2, f2) = side1, side2
             verts = [v for v in range(4) if v != f1]
@@ -208,14 +196,14 @@ class Triangulation:
                     e1 = edge_index(a, b)
                     e2 = edge_index(ia, ib)
                     flip = 1 if ia > ib else 0
-                    if not uf.union((t1, e1), (t2, e2), flip):
+                    if not uf.union(6 * t1 + e1, 6 * t2 + e2, flip):
                         raise InvalidEdge(
                             "edge %s of tet %d is identified with itself "
                             "in reverse" % (EDGES[e1], t1))
         groups = {}
         for t in range(self.tet_count):
             for e in range(6):
-                root, parity = uf.find((t, e))
+                root, parity = uf.find(6 * t + e)
                 groups.setdefault(root, []).append((t, e, parity))
         # Deterministic indexing: classes ordered by least (t, e); within a
         # class, parity is re-expressed relative to that least incidence.
@@ -231,19 +219,16 @@ class Triangulation:
                 self.edge_class_of[(t, e)] = (idx, flipped)
 
     def _build_vertex_classes(self):
-        uf = _UnionFind()
-        for t in range(self.tet_count):
-            for v in range(4):
-                uf.add((t, v))
+        uf = ParityUnionFind(4 * self.tet_count)
         for (side1, side2, perm) in self.face_classes:
             (t1, f1), (t2, f2) = side1, side2
             for v in range(4):
                 if v != f1:
-                    uf.union((t1, v), (t2, perm[v]))
+                    uf.union(4 * t1 + v, 4 * t2 + perm[v])
         groups = {}
         for t in range(self.tet_count):
             for v in range(4):
-                root, _ = uf.find((t, v))
+                root, _ = uf.find(4 * t + v)
                 groups.setdefault(root, []).append((t, v))
         classes = sorted(groups.values(), key=min)
         self.vertex_classes = [sorted(g) for g in classes]

@@ -236,3 +236,19 @@ def test_max_coeff_bits_refusal(capsys):
                         "--max-coeff-bits", "1")
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "CoefficientBudgetExceeded"
+
+
+@pytest.mark.parametrize("argv", [
+    ("bs", "from-support"),
+    ("bs", "verdict"),
+    ("bs", "zero-chi"),
+    ("heegaard", "enumerate", "-g", "2"),
+])
+def test_model_commands_honour_max_coeff_bits(capsys, argv):
+    # The Hilbert basis of this support needs 3-bit coefficients.
+    code, out = run_cli(capsys, *argv,
+                        "--input", str(fixture_path("three_tet.tri")),
+                        "--support", "2,4,11,13,15,20,21,22,23,29",
+                        "--max-coeff-bits", "2")
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "CoefficientBudgetExceeded"

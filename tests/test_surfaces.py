@@ -159,13 +159,22 @@ def test_octagon_stacks_match_functional(three_tet):
 def test_inadmissible_vector_rejected(two_tet):
     v = [0] * vector_length(two_tet)
     v[quad_index(0, 0)] = 1
-    with pytest.raises(Inadmissible):
+    with pytest.raises(Inadmissible, match="matching equation"):
         build_surface(two_tet, tuple(v))
     w = [0] * vector_length(two_tet)
     w[quad_index(0, 0)] = 1
     w[quad_index(0, 1)] = 1
     with pytest.raises(Inadmissible):
         build_surface(two_tet, tuple(w))
+    # The matching equations hold but tetrahedron 0 gets two quad types:
+    # the sum of the vertex solutions e6 + e16 and e5 + e14.
+    u = [0] * vector_length(two_tet)
+    for j in (5, 6, 14, 16):
+        u[j] = 1
+    assert not any(matching_system(two_tet).residual(u))
+    with pytest.raises(Inadmissible,
+                       match="more than one quad/oct direction"):
+        build_surface(two_tet, tuple(u))
 
 
 def test_orientation_verdict_stable_under_relabelling(two_tet):

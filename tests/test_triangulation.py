@@ -2,7 +2,7 @@ import pytest
 
 from laminate.errors import (BadPermutation, DoubleGluing, NonOrientable,
                              NotClosedManifold, UnglueedFace)
-from laminate.triangulation import (Triangulation, _UnionFind,
+from laminate.triangulation import (ParityUnionFind, Triangulation,
                                     parse_triangulation)
 
 TWO_TET_TEXT = """\
@@ -98,13 +98,11 @@ def test_union_find_closure(triangulations):
 
 
 def test_union_find_parity_conflict_detected():
-    uf = _UnionFind(track_parity=True)
-    for x in "abc":
-        uf.add(x)
-    assert uf.union("a", "b", 1)
-    assert uf.union("b", "c", 1)
-    assert uf.union("a", "c", 0)      # consistent: 1 ^ 1 == 0
-    assert not uf.union("a", "c", 1)  # reversal detected
+    uf = ParityUnionFind(3)
+    assert uf.union(0, 1, 1)
+    assert uf.union(1, 2, 1)
+    assert uf.union(0, 2, 0)      # consistent: 1 ^ 1 == 0
+    assert not uf.union(0, 2, 1)  # reversal detected
 
 
 def test_round_trip_text(triangulations):
