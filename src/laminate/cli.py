@@ -4,7 +4,7 @@ Command-line interface.
 Every command reads its inputs, computes, and writes one JSON document
 with sorted keys to stdout (or --output).  Identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 input error, 2 refusal
-(for example UnboundedRefusal or an exceeded coefficient budget).
+(for example UnboundedRefusal or an exceeded coefficient or work budget).
 """
 
 import argparse

@@ -12,11 +12,16 @@ identical outputs.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
+from operator import mul
 
-from .errors import CoefficientBudgetExceeded, EmptyCone, InternalCheckFailed
-from .linalg import det, dot, rank
+from .errors import CoefficientBudgetExceeded, EmptyCone, WorkBudgetExceeded
+from .linalg import det, dot, pivot_columns, rank
+
+# The most multiplier tuples (delta^d per parallelepiped) the walk of one
+# Hilbert basis may cover.
+PARALLELEPIPED_POINT_CAP = 5_000_000
 
 
 def primitive(vec):
@@ -135,46 +140,32 @@ def extreme_rays(cone, max_coeff_bits=None):
     return sorted(rays)
 
 
-def _parallelepiped_points(rays, max_grid=5_000_000):
+def _parallelepiped_points(rays, pivots, delta):
     """
-    Integer points of the closed parallelepiped spanned by a linearly
-    independent list of integer rays.
+    The nonzero integer points of the half-open parallelepiped
+    {sum_j lam_j r_j : 0 <= lam_j < 1} of linearly independent integer
+    rays whose minor on the pivot coordinates has absolute value delta.
+    Every such point has each lam_j in (1/delta)Z, so it is
+    (sum_j k_j r_j) / delta for some k in {0..delta-1}^d.  The walk keeps
+    the k whose sum is 0 mod delta on the pivot coordinates, looking up the
+    last multiplier by the residue it cancels, and of those the k whose sum
+    is divisible by delta on every coordinate.
     """
-    d = len(rays)
-    n = len(rays[0])
-    # Pick d coordinate positions where the rays are invertible.
-    cols = list(zip(*rays))            # n rows of length d in column view
-    idx = []
-    chosen = []
-    for i in range(n):
-        trial = chosen + [cols[i]]
-        if rank(trial) == len(trial):
-            idx.append(i)
-            chosen.append(cols[i])
-            if len(idx) == d:
-                break
-    delta = abs(int(det([[rays[j][i] for j in range(d)] for i in idx])))
-    if delta == 0:
-        raise InternalCheckFailed("dependent rays in parallelepiped step")
-    if (delta + 1) ** d > max_grid:
-        raise InternalCheckFailed(
-            "parallelepiped grid of size %d^%d exceeds the desk-scale cap"
-            % (delta + 1, d))
+    *head, last = rays
+    on_pivots = [tuple(r[i] for r in head) for i in pivots]
+    columns = list(zip(*rays))
+    cancels = {}
+    for k in range(delta):
+        key = tuple(k * last[i] % delta for i in pivots)
+        cancels.setdefault(key, []).append(k)
     points = []
-    steps = [Fraction(k, delta) for k in range(delta + 1)]
-
-    def rec(j, acc):
-        if j == d:
-            if all(x.denominator == 1 for x in acc):
-                points.append(tuple(int(x) for x in acc))
-            return
-        for lam in steps:
-            if lam == 0:
-                rec(j + 1, acc)
-            else:
-                rec(j + 1, [x + lam * r for x, r in zip(acc, rays[j])])
-
-    rec(0, [Fraction(0)] * n)
+    for ks in product(range(delta), repeat=len(head)):
+        key = tuple(-sum(map(mul, ks, c)) % delta for c in on_pivots)
+        for k in cancels.get(key, ()):
+            full = ks + (k,)
+            total = [sum(map(mul, full, c)) for c in columns]
+            if any(full) and all(x % delta == 0 for x in total):
+                points.append(tuple(x // delta for x in total))
     return points
 
 
@@ -182,39 +173,39 @@ def hilbert_basis(cone, max_coeff_bits=None):
     """
     The minimal generating set of the monoid of integer points of the cone.
 
-    Generators are gathered from the extreme rays together with the lattice
-    points of the parallelepipeds of every maximal linearly independent
-    subset of rays (a Caratheodory cover of the cone), then reduced to the
-    irreducible elements.  Output sorted lexicographically.
+    The candidates are the extreme rays together with the nonzero integer
+    points of the half-open parallelepipeds of every linearly independent
+    d-subset of rays, d the rank of the cone: these subsets cover the cone,
+    and an irreducible point that is not a ray has every multiplier below 1
+    in a subset whose cone holds it.  The walk is refused
+    (WorkBudgetExceeded) before it starts when it would cover more than
+    PARALLELEPIPED_POINT_CAP grid points.  Candidates are reduced in order
+    of coordinate sum to the irreducible elements.  Output sorted
+    lexicographically.
     """
     rays = extreme_rays(cone, max_coeff_bits=max_coeff_bits)
-    if not rays:
-        return []
+    if len(rays) <= 1:
+        return rays
     d = rank(rays)
+    simplices = []
+    for sub in combinations(rays, d):
+        pivots = pivot_columns(sub)
+        if len(pivots) == d:
+            delta = abs(det([[r[i] for i in pivots] for r in sub]))
+            simplices.append((sub, pivots, delta))
+    walk = sum(delta ** d for _, _, delta in simplices)
+    if walk > PARALLELEPIPED_POINT_CAP:
+        raise WorkBudgetExceeded(
+            "the parallelepiped walk of a Hilbert basis covers %d grid "
+            "points (budget %d)" % (walk, PARALLELEPIPED_POINT_CAP))
     candidates = set(rays)
-    if d == 1:
-        reduced = sorted(candidates)
-    else:
-        for subset in combinations(range(len(rays)), d):
-            sub = [rays[i] for i in subset]
-            if rank(sub) < d:
-                continue
-            for p in _parallelepiped_points(sub):
-                if any(p):
-                    candidates.add(p)
-        _check_budget(candidates, max_coeff_bits)
-        ordered = sorted(candidates, key=lambda v: (sum(v), v))
-        reduced = []
-        for g in ordered:
-            dominated = False
-            for h in ordered:
-                if h is g or h == g:
-                    continue
-                if all(a <= b for a, b in zip(h, g)):
-                    dominated = True
-                    break
-            if not dominated:
-                reduced.append(g)
+    for sub, pivots, delta in simplices:
+        candidates.update(_parallelepiped_points(sub, pivots, delta))
+    _check_budget(candidates, max_coeff_bits)
+    reduced = []
+    for g in sorted(candidates, key=lambda v: (sum(v), v)):
+        if not any(all(a <= b for a, b in zip(h, g)) for h in reduced):
+            reduced.append(g)
     return sorted(reduced)
 
 
@@ -259,23 +250,21 @@ def positive_integer_point(cone, max_coeff_bits=None):
     return primitive(total)
 
 
-def decompose_over(point, basis, _memo=None):
+def decompose_over(point, basis):
     """
     Express an integer cone point as a nonnegative integer combination of
     the given basis, by depth-first search with memoization.  Returns the
     lexicographically least multiplicity tuple, or None.
     """
-    if _memo is None:
-        _memo = {}
-
+    memo = {}
     zero = tuple(0 for _ in point)
 
     def rec(residual, start):
         if residual == zero:
             return ()
         key = (residual, start)
-        if key in _memo:
-            return _memo[key]
+        if key in memo:
+            return memo[key]
         result = None
         for i in range(start, len(basis)):
             h = basis[i]
@@ -284,7 +273,7 @@ def decompose_over(point, basis, _memo=None):
                 if rest is not None:
                     result = (i,) + rest
                     break
-        _memo[key] = result
+        memo[key] = result
         return result
 
     picks = rec(tuple(point), 0)

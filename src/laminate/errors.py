@@ -76,6 +76,10 @@ class CoefficientBudgetExceeded(Refusal):
     """An intermediate integer outgrew the configured --max-coeff-bits."""
 
 
+class WorkBudgetExceeded(Refusal):
+    """A computation would visit more points than the fixed work budget."""
+
+
 # --- branched surfaces / finiteness ---
 
 class InvalidSupport(InputError):

@@ -1,64 +1,67 @@
 """
-Small exact linear algebra over the rationals (Fractions only, no floats).
-"""
+Small exact linear algebra over the integers (Python ints, no floats).
 
-from fractions import Fraction
+Rank, determinant and pivot columns all come from one fraction-free
+(Bareiss) elimination, so every intermediate entry is an integer minor of
+the input.
+"""
 
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def rank(rows):
-    """Rank of a matrix given as a list of row sequences (ints/Fractions)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
+def _bareiss(rows):
+    """
+    Fraction-free Gaussian elimination of an integer matrix given as a list
+    of row sequences.  Returns the column of each pivot of the echelon form
+    and the last pivot times the sign of the row swaps (1 when there is no
+    pivot).  When every row holds a pivot, the latter is the minor of the
+    rows on the pivot columns: for a square matrix, its determinant.
+    """
+    m = [list(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    prev = 1
+    sign = 1
     r = 0
     for col in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][col]
-        for i in range(r + 1, len(m)):
-            if m[i][col] != 0:
-                factor = m[i][col] / inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        r += 1
         if r == len(m):
             break
-    return r
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[col]
+        for i in range(r + 1, len(m)):
+            row = m[i]
+            a = row[col]
+            # Sylvester's identity makes every division exact, also when
+            # earlier columns were skipped for want of a pivot.
+            for j in range(col + 1, ncols):
+                row[j] = (p * row[j] - a * top[j]) // prev
+            row[col] = 0
+        prev = p
+        pivots.append(col)
+        r += 1
+    return pivots, sign * prev
+
+
+def pivot_columns(rows):
+    """The pivot columns of the echelon form: len(rows) of them exactly when
+    the rows are independent, and the minor on them is then nonzero."""
+    return _bareiss(rows)[0]
+
+
+def rank(rows):
+    """Rank of an integer matrix given as a list of row sequences."""
+    return len(_bareiss(rows)[0])
 
 
 def det(rows):
-    """Determinant of a square matrix, exact."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        result *= m[col][col]
-        inv = m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                factor = m[i][col] / inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
-    return sign * result
-
-
+    """Determinant of a square integer matrix, exact."""
+    pivots, minor = _bareiss(rows)
+    return minor if len(pivots) == len(rows) else 0

@@ -1,11 +1,17 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from laminate.bruteforce import extreme_ray_oracle, hilbert_oracle
 from laminate.cones import (RationalCone, decompose_over, extreme_rays,
                             hilbert_basis, maximize_linear,
                             positive_integer_point, primitive)
-from laminate.errors import CoefficientBudgetExceeded, EmptyCone
+from laminate.errors import (CoefficientBudgetExceeded, EmptyCone,
+                             WorkBudgetExceeded)
+from laminate.linalg import dot
 
 
 def test_extreme_rays_of_plane_cone():
@@ -120,6 +126,38 @@ def test_coefficient_budget():
     cone = RationalCone([(1000000, -1, 0)], 3)
     with pytest.raises(CoefficientBudgetExceeded):
         extreme_rays(cone, max_coeff_bits=8)
+
+
+def test_parallelepiped_walk_over_budget_is_refused():
+    # Rays (1, 3000, 0) and (1, 0, 3000): a 3000^2 walk.
+    with pytest.raises(WorkBudgetExceeded):
+        hilbert_basis(RationalCone([(3000, -1, -1)], 3))
+
+
+@st.composite
+def small_cones(draw):
+    ncols = draw(st.integers(3, 4))
+    nrows = draw(st.integers(1, 2))
+    return [tuple(draw(st.lists(st.integers(-3, 3), min_size=ncols,
+                                max_size=ncols)))
+            for _ in range(nrows)]
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_cones())
+def test_cone_engine_matches_oracles(rows):
+    n = len(rows[0])
+    cone = RationalCone(rows, n)
+    rays = extreme_rays(cone)
+    # Every Hilbert basis element is a ray or lies in a half-open
+    # parallelepiped of rays, so each coordinate is at most that of the
+    # sum of the rays.
+    bound = max((sum(col) for col in zip(*rays)), default=0)
+    assume((bound + 1) ** n <= 20_000)
+    points = [p for p in product(range(bound + 1), repeat=n)
+              if all(dot(row, p) == 0 for row in rows)]
+    assert rays == extreme_ray_oracle(points, rows, range(n))
+    assert hilbert_basis(cone) == hilbert_oracle(points)
 
 
 def test_decompose_over_reports_least_tuple():
