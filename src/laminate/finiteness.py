@@ -81,12 +81,17 @@ def enumerate_genus(model, genus):
         deficits.append(int(-c))
     target = 2 * genus - 2
 
+    # Acceptance depends only on the vector, and multiplicity tuples come
+    # in lexicographic order, so each vector is tested once, with its
+    # least tuple.
     found = {}
+    seen = set()
 
     def rec(idx, remaining, counts, acc):
         if remaining == 0:
             v = tuple(acc)
-            if v not in found and any(v):
+            if v not in seen and any(v):
+                seen.add(v)
                 if _accepts(model, v, genus):
                     found[v] = tuple(counts) + (0,) * (len(funds) - len(counts))
             return

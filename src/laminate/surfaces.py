@@ -1,8 +1,9 @@
 """
 Rebuilding the embedded surface of a coordinate vector as a cell complex.
 
-Every unit of every coordinate becomes one disk.  Parallel disks are
-ordered by their position along the edges of their tetrahedron:
+Every unit of every coordinate becomes one disk, numbered by tetrahedron,
+then by local coordinate index, then by copy.  Parallel disks are ordered
+by their position along the edges of their tetrahedron:
 
 - the k-th triangle of type i is the k-th disk from vertex i;
 - the k-th quad of type q is the k-th disk from the pair edge containing
@@ -13,30 +14,85 @@ ordered by their position along the edges of their tetrahedron:
 
 Boundary arcs in a face are ranked by distance from the corner they cut
 off, and a face gluing identifies equal-ranked arcs of equal arc type.
-Corner points on an edge are positioned along the edge; the builder
-asserts that the two ends of every glued arc land on the same points of
-the same edge classes, which exercises the entire frozen disk-type
-table.  Orientability is decided by propagating a transverse orientation
-across glued arcs with a parity union-find.
+Each disk corner is resolved once, when its disk is made, to its point
+(edge class, position along the class) and to whether the disk's
+reference side points along the class's direction.  Orientability is
+decided by propagating a transverse orientation across glued arcs with a
+parity union-find.  The builder asserts, raising InternalCheckFailed:
+
+- every tetrahedron edge sees as many points as its edge class;
+- no two arcs claim the same (tetrahedron, face, corner, rank) slot;
+- the arc counts on the two sides of every face gluing agree;
+- glued arcs end on corresponding edges, at the same points, with the
+  same orientation relation at both ends;
+- every component has an even number of arc sides;
+- the vertex count equals the weight and the disk count equals the
+  coordinate sum.
+
+The point check exercises the entire frozen disk-type table.
 """
 
 from .errors import Inadmissible, InternalCheckFailed
-from .normal import (COORDS_PER_TET, QUAD_PAIRS, QUAD_TYPE_OF_EDGE,
+from .normal import (COORDS_PER_TET, DISK_EDGE_WEIGHTS, QUAD_PAIRS,
                      arc_count, edge_weights, haken_sum, is_admissible,
                      is_vertex_linking, weight)
 from .triangulation import EDGES, ParityUnionFind, edge_index
 
 
-class _Disk:
-    __slots__ = ("id", "tet", "kind", "copy", "corners", "arcs")
+def _disk_template(kind):
+    """
+    The corners and boundary arcs of a disk of local coordinate index
+    kind, as (corners, arcs).  For copy k of n parallel copies, a disk
+    counts an offset (base, rev) as tris[base] + (n - 1 - k if rev else k),
+    where tris are the tetrahedron's triangle counts and tris[4] = 0.
 
-    def __init__(self, disk_id, tet, kind, copy):
-        self.id = disk_id
-        self.tet = tet
-        self.kind = kind          # local coordinate index 0..9
-        self.copy = copy
-        self.corners = {}         # (edge, near) -> (pos_from_low_end, side_a)
-        self.arcs = []            # (face, cutoff, rank, corner_key_a, corner_key_b)
+    - corner (4x + y, base, rev, toward_y): the point on edge xy at that
+      offset from vertex x; the disk's reference side points toward y if
+      toward_y, toward x otherwise;
+    - arc (face, cutoff, base, rev, a, b): the arc in face that cuts off
+      vertex cutoff, ranked by that offset, from corner a to corner b.
+    """
+    corners, index = [], {}
+
+    def corner(x, y, base, rev=False, toward_y=False):
+        index[(x, y)] = len(corners)
+        corners.append((4 * x + y, base, rev, toward_y))
+
+    if kind < 4:
+        for y in range(4):
+            if y != kind:
+                corner(kind, y, 4)
+        cuts = [(f, kind, 4, False) for f in range(4) if f != kind]
+    else:
+        half0, half1 = QUAD_PAIRS[(kind - 4) % 3]
+        for x in half0:
+            for y in half1:
+                corner(x, y, x)
+        if kind < 7:
+            cuts = [(f, w, w, w in half1) for f in range(4)
+                    for w in (half0 if f in half0 else half1) if w != f]
+        else:
+            # Axis corners on the half0 edge point toward their near
+            # vertex; on the half1 edge the half0 side lies away from it.
+            (a0, a1), (b0, b1) = half0, half1
+            corner(a0, a1, a0)
+            corner(a1, a0, a1)
+            corner(b0, b1, b0, True, True)
+            corner(b1, b0, b1, True, True)
+            cuts = [(f, w, w, w in half1) for f in range(4)
+                    for w in (half1 if f in half0 else half0)]
+    # An arc cutting off w ends at the corners near w: the corner counted
+    # from w where one is (triangle, octagon axis), else the edge's only one.
+    arcs = []
+    for f, w, base, rev in cuts:
+        a, b = [index[(w, z)] if (w, z) in index else index[(z, w)]
+                for z in range(4) if z not in (f, w)]
+        arcs.append((f, w, base, rev, a, b))
+    return tuple(corners), tuple(arcs)
+
+
+_DISK_TEMPLATES = tuple(_disk_template(kind)
+                        for kind in range(COORDS_PER_TET))
 
 
 class SurfaceComponent:
@@ -100,119 +156,6 @@ class NormalSurface:
         }
 
 
-def _tet_profile(v, t):
-    """(tri counts, quad type or None, quad count, oct type or None, count)."""
-    base = COORDS_PER_TET * t
-    tris = tuple(v[base + i] for i in range(4))
-    quad_type = quad_count = oct_type = oct_count = None
-    for q in range(3):
-        if v[base + 4 + q]:
-            quad_type, quad_count = q, v[base + 4 + q]
-        if v[base + 7 + q]:
-            oct_type, oct_count = q, v[base + 7 + q]
-    return tris, quad_type, quad_count, oct_type, oct_count
-
-
-def _build_tet_disks(tri, v, t, next_id):
-    """Construct the disks of tetrahedron t with corners and arcs."""
-    tris, quad_type, quad_count, oct_type, oct_count = _tet_profile(v, t)
-    disks = []
-
-    def edge_points(e):
-        # Total surface points on edge e of this tetrahedron.
-        u, w = EDGES[e]
-        total = tris[u] + tris[w]
-        if quad_type is not None and QUAD_TYPE_OF_EDGE[e] != quad_type:
-            total += quad_count
-        if oct_type is not None:
-            total += 2 * oct_count if QUAD_TYPE_OF_EDGE[e] == oct_type else oct_count
-        return total
-
-    def pos_from(e, x, offset):
-        # Position along edge e counted from endpoint x, re-expressed from
-        # the canonical low endpoint of e.
-        u, w = EDGES[e]
-        if x == u:
-            return offset
-        return edge_points(e) - 1 - offset
-
-    # Triangles: copy k is the k-th disk from vertex i.
-    for i in range(4):
-        for k in range(tris[i]):
-            d = _Disk(next_id, t, i, k)
-            for j in range(4):
-                if j == i:
-                    continue
-                e = edge_index(i, j)
-                d.corners[(e, None)] = (pos_from(e, i, k), i)
-            for f in range(4):
-                if f == i:
-                    continue
-                x, y = [z for z in range(4) if z not in (i, f)]
-                d.arcs.append((f, i, k,
-                               (edge_index(i, x), None),
-                               (edge_index(i, y), None)))
-            disks.append(d)
-            next_id += 1
-
-    # Quads: copy k is the k-th disk from the QUAD_PAIRS[q][0] edge.
-    if quad_type is not None:
-        half0, half1 = QUAD_PAIRS[quad_type]
-        for k in range(quad_count):
-            d = _Disk(next_id, t, 4 + quad_type, k)
-            for x in half0:
-                for y in half1:
-                    e = edge_index(x, y)
-                    offset = tris[x] + k
-                    d.corners[(e, None)] = (pos_from(e, x, offset), x)
-            for f in range(4):
-                w = [z for z in (half0 if f in half0 else half1) if z != f][0]
-                rank = tris[w] + (k if w in half0 else quad_count - 1 - k)
-                x, y = half1 if w in half0 else half0
-                d.arcs.append((f, w, rank,
-                               (edge_index(w, x), None),
-                               (edge_index(w, y), None)))
-            disks.append(d)
-            next_id += 1
-
-    # Octagons: copy k has the k-th smallest region on the half0 side.
-    if oct_type is not None:
-        half0, half1 = QUAD_PAIRS[oct_type]
-        for k in range(oct_count):
-            d = _Disk(next_id, t, 7 + oct_type, k)
-            a0, a1 = half0
-            b0, b1 = half1
-            ea, eb = edge_index(a0, a1), edge_index(b0, b1)
-            # Axis corners on the half0 edge point toward their near vertex;
-            # on the half1 edge the half0 side lies away from the near vertex.
-            d.corners[(ea, a0)] = (pos_from(ea, a0, tris[a0] + k), a0)
-            d.corners[(ea, a1)] = (pos_from(ea, a1, tris[a1] + k), a1)
-            d.corners[(eb, b0)] = (pos_from(eb, b0,
-                                            tris[b0] + oct_count - 1 - k), b1)
-            d.corners[(eb, b1)] = (pos_from(eb, b1,
-                                            tris[b1] + oct_count - 1 - k), b0)
-            for x in half0:
-                for y in half1:
-                    e = edge_index(x, y)
-                    d.corners[(e, None)] = (pos_from(e, x, tris[x] + k), x)
-            for f in range(4):
-                far = half1 if f in half0 else half0
-                for w in far:
-                    rank = tris[w] + (k if w in half0 else oct_count - 1 - k)
-                    ends = []
-                    for z in range(4):
-                        if z == f or z == w:
-                            continue
-                        e = edge_index(w, z)
-                        near = w if QUAD_TYPE_OF_EDGE[e] == oct_type else None
-                        ends.append((e, near))
-                    d.arcs.append((f, w, rank, ends[0], ends[1]))
-            disks.append(d)
-            next_id += 1
-
-    return disks, next_id, edge_points
-
-
 def build_surface(tri, v, system=None):
     """
     Rebuild the surface of a coordinate vector.
@@ -226,51 +169,54 @@ def build_surface(tri, v, system=None):
     if not report.embeddable:
         raise Inadmissible("; ".join(report.messages()[:4]))
 
-    disks = []
-    next_id = 0
-    edge_points_of_tet = {}
-    for t in range(tri.tet_count):
-        tet_disks, next_id, edge_points = _build_tet_disks(tri, v, t, next_id)
-        disks.extend(tet_disks)
-        edge_points_of_tet[t] = edge_points
-
-    # Geometric point of a disk corner: (edge class, position along class).
     class_weights = edge_weights(tri, v)
+    disk_points = []              # per disk: its corners' (class, position)
+    disk_arcs = []                # per disk: its number of boundary arcs
+    arc_table = {}                # (tet, face, cutoff, rank) -> disk, ends
+    for t in range(tri.tet_count):
+        counts = v[COORDS_PER_TET * t:COORDS_PER_TET * (t + 1)]
+        shift = list(counts[:4]) + [0]
+        # edge_ends[4x + y]: edge xy, its class, its point count, and
+        # whether x is where the class's direction starts.
+        edge_ends = [None] * 16
+        for e, (x, y) in enumerate(EDGES):
+            cls, flipped = tri.edge_class_of[(t, e)]
+            count = sum(c * w[e] for c, w in zip(counts, DISK_EDGE_WEIGHTS))
+            if count != class_weights[cls]:
+                raise InternalCheckFailed(
+                    "edge class %d sees %d points from tet %d but %d from "
+                    "its least incidence"
+                    % (cls, count, t, class_weights[cls]))
+            edge_ends[4 * x + y] = (e, cls, count, not flipped)
+            edge_ends[4 * y + x] = (e, cls, count, bool(flipped))
+        for kind, copies in enumerate(counts):
+            corner_plan, arc_plan = _DISK_TEMPLATES[kind]
+            for k in range(copies):
+                disk = len(disk_points)
+                ks = (k, copies - 1 - k)
+                points, ends = [], []
+                for pair, base, rev, toward_y in corner_plan:
+                    e, cls, count, start = edge_ends[pair]
+                    offset = shift[base] + ks[rev]
+                    point = (cls, offset if start else count - 1 - offset)
+                    points.append(point)
+                    # End: edge, point, reference side along the class.
+                    ends.append((e, point, toward_y == start))
+                for f, w, base, rev, a, b in arc_plan:
+                    slot = (t, f, w, shift[base] + ks[rev])
+                    if slot in arc_table:
+                        raise InternalCheckFailed(
+                            "duplicate arc slot %s" % (slot,))
+                    arc_table[slot] = (disk, ends[a], ends[b])
+                disk_points.append(points)
+                disk_arcs.append(len(arc_plan))
 
-    def corner_point(tet, corner_key, corner_value):
-        e = corner_key[0]
-        pos = corner_value[0]
-        cls, flipped = tri.edge_class_of[(tet, e)]
-        count = edge_points_of_tet[tet](e)
-        if count != class_weights[cls]:
-            raise InternalCheckFailed(
-                "edge class %d sees %d points from tet %d but %d from its "
-                "least incidence" % (cls, count, tet, class_weights[cls]))
-        return (cls, pos if not flipped else count - 1 - pos)
-
-    def corner_class_direction(tet, corner_key, corner_value):
-        # +1 when the disk's reference side points toward the class's
-        # reference direction, -1 otherwise.
-        e = corner_key[0]
-        toward = corner_value[1]
-        _, flipped = tri.edge_class_of[(tet, e)]
-        local = 1 if toward == EDGES[e][1] else -1
-        return -local if flipped else local
-
-    # Index arcs by (tet, face, cutoff corner, rank).
-    arc_table = {}
-    for d in disks:
-        for (f, w, rank, key_a, key_b) in d.arcs:
-            slot = (d.tet, f, w, rank)
-            if slot in arc_table:
-                raise InternalCheckFailed("duplicate arc slot %s" % (slot,))
-            arc_table[slot] = (d, key_a, key_b)
-
-    parity = ParityUnionFind(len(disks))
+    parity = ParityUnionFind(len(disk_points))
     conflicts = []                # disks glued against their parity
     arc_pair_count = 0
     for (side1, side2, perm) in tri.face_classes:
         (t1, f1), (t2, f2) = side1, side2
+        edge_map = [edge_index(perm[x], perm[y]) for x, y in EDGES]
         for w in range(4):
             if w == f1:
                 continue
@@ -281,67 +227,54 @@ def build_surface(tri, v, system=None):
                     "arc counts differ across face gluing %s -> %s" %
                     (side1, side2))
             for rank in range(n1):
-                d1, key1a, key1b = arc_table[(t1, f1, w, rank)]
-                d2, key2a, key2b = arc_table[(t2, f2, perm[w], rank)]
+                d1, end1a, end1b = arc_table[(t1, f1, w, rank)]
+                d2, end2a, end2b = arc_table[(t2, f2, perm[w], rank)]
                 arc_pair_count += 1
-                # Match the arc endpoints through the gluing permutation and
-                # check they are the same geometric points.
+                # Match the arc ends through the gluing permutation and
+                # check they are the same points.
                 rels = []
-                for key1 in (key1a, key1b):
-                    e1 = key1[0]
-                    u1, v1 = EDGES[e1]
-                    e2 = edge_index(perm[u1], perm[v1])
-                    key2 = key2a if key2a[0] == e2 else key2b
-                    if key2[0] != e2:
+                for e1, p1, along1 in (end1a, end1b):
+                    e2, p2, along2 = (end2a if end2a[0] == edge_map[e1]
+                                      else end2b)
+                    if e2 != edge_map[e1]:
                         raise InternalCheckFailed(
                             "glued arcs disagree on their edges")
-                    c1 = d1.corners[key1]
-                    c2 = d2.corners[key2]
-                    p1 = corner_point(t1, key1, c1)
-                    p2 = corner_point(t2, key2, c2)
                     if p1 != p2:
                         raise InternalCheckFailed(
                             "glued arc endpoints land on different points: "
                             "%s vs %s (tets %d,%d)" % (p1, p2, t1, t2))
-                    dir1 = corner_class_direction(t1, key1, c1)
-                    dir2 = corner_class_direction(t2, key2, c2)
-                    rels.append(0 if dir1 == dir2 else 1)
+                    rels.append(along1 != along2)
                 if rels[0] != rels[1]:
                     raise InternalCheckFailed(
                         "orientation relation differs at the two ends of a "
                         "glued arc")
-                if not parity.union(d1.id, d2.id, rels[0]):
-                    conflicts.append(d1.id)
+                if not parity.union(d1, d2, rels[0]):
+                    conflicts.append(d1)
 
-    # Components, Euler characteristics, orientability.
+    # Components, Euler characteristics, orientability.  Groups are made
+    # in disk order, so they come out sorted by their least disk.
     one_sided = {parity.find(d)[0] for d in conflicts}
     groups = {}
-    for d in disks:
-        root, _ = parity.find(d.id)
-        groups.setdefault(root, []).append(d)
+    for d in range(len(disk_points)):
+        groups.setdefault(parity.find(d)[0], []).append(d)
     total_vertices = set()
     components = []
     for root, group in groups.items():
-        group.sort(key=lambda d: d.id)
         points = set()
         arcs_in_component = 0
         for d in group:
-            arcs_in_component += len(d.arcs)
-            for key, value in d.corners.items():
-                points.add(corner_point(d.tet, key, value))
+            points.update(disk_points[d])
+            arcs_in_component += disk_arcs[d]
         if arcs_in_component % 2:
             raise InternalCheckFailed("odd arc count in a component")
         chi = len(points) - arcs_in_component // 2 + len(group)
-        orientable = root not in one_sided
-        components.append(SurfaceComponent([d.id for d in group], chi,
-                                           orientable))
+        components.append(SurfaceComponent(group, chi, root not in one_sided))
         total_vertices |= points
-    components.sort(key=lambda c: c.disk_ids[0])
 
     surface = NormalSurface(tri, tuple(v), components,
                             vertex_count=len(total_vertices),
                             arc_pair_count=arc_pair_count,
-                            disk_count=len(disks))
+                            disk_count=len(disk_points))
     if surface.vertex_count != weight(tri, v):
         raise InternalCheckFailed("vertex count differs from weight")
     if surface.disk_count != sum(v):

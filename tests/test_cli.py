@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,9 +168,12 @@ def test_byte_identical_across_processes():
     # Hash randomization must not leak into the output ordering.
     argv = [sys.executable, "-m", "laminate.cli", "ns", "fundamental",
             "--input", str(fixture_path("two_tet.tri")), "--almost-normal"]
+    # The child imports laminate from this checkout, installed or not.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for seed in ("0", "424242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run(argv, capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)

@@ -1,10 +1,12 @@
 import pytest
 
+from laminate import finiteness
 from laminate.errors import GenusTooSmall, UnboundedRefusal
 from laminate.finiteness import (GenusEnumeration, antichain_certificate,
                                  brute_force_genus_list, enumerate_genus)
 from laminate.normal import is_admissible, quad_index, vector_length
 from laminate.surfaces import build_surface
+from tests.conftest import load_model
 
 
 def test_refusal_when_carrying_nonnegative_chi(models):
@@ -79,6 +81,27 @@ def test_enumeration_soundness(models):
             for n, f in zip(counts, enumeration.fundamentals):
                 rebuilt = [a + n * b for a, b in zip(rebuilt, f)]
             assert tuple(rebuilt) == v
+
+
+def test_each_distinct_candidate_is_built_once(monkeypatch):
+    # With fundamentals (f, 2f) the sums 2f and 4f arise from several
+    # multiplicity tuples; each is rejected (parallel copies) and must be
+    # rebuilt no more than once per enumeration.
+    model = load_model("three_tet_normal_genus2.json")
+    (f,) = model.fundamentals()
+    monkeypatch.setattr(model, "fundamentals",
+                        lambda: (f, tuple(2 * x for x in f)))
+    built = []
+
+    def counting_build(tri, v, system=None):
+        built.append(v)
+        return build_surface(tri, v, system)
+
+    monkeypatch.setattr(finiteness, "build_surface", counting_build)
+    for genus, multiple in ((3, 2), (5, 4)):
+        built.clear()
+        assert enumerate_genus(model, genus).vectors == ()
+        assert built == [tuple(multiple * x for x in f)]
 
 
 def test_enumeration_stable_across_runs(models):

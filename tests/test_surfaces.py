@@ -1,14 +1,86 @@
+import copy
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from laminate.errors import Inadmissible
+from laminate.errors import Inadmissible, InternalCheckFailed
+from laminate.finiteness import enumerate_genus
 from laminate.linalg import dot
 from laminate.normal import (chi_functional_coefficients, matching_system,
                              quad_oct_profile, quad_index, tri_index,
                              vector_length, weight)
 from laminate.surfaces import build_surface, haken_sum
 from tests.test_normal import all_triangles_one
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "surfaces_golden.json"
+
+
+def _klein_bottle(two_tet):
+    kb = [0] * vector_length(two_tet)
+    kb[quad_index(0, 2)] = 1
+    kb[quad_index(1, 2)] = 1
+    return tuple(kb)
+
+
+def golden_cases(triangulations, fundamentals, plain_fundamentals, models):
+    """
+    The (fixture name, vector) list of the golden file, in order: every
+    fixture's fundamentals with and without octagons, their 2x-5x
+    multiples, the Haken sums of fundamental pairs within one orthant,
+    seeded random stacks of up to three fundamentals, the two_tet Klein
+    bottle and its double, and the genus-2 and genus-3 lists of the
+    three_tet models.
+    """
+    cases = []
+    rng = random.Random(2004)
+    for name, tri in triangulations.items():
+        funds = sorted(set(fundamentals[name]) | set(plain_fundamentals[name]))
+        cases += [(name, f) for f in funds]
+        cases += [(name, tuple(m * x for x in f))
+                  for m in range(2, 6) for f in funds]
+        for i, f in enumerate(funds):
+            for g in funds[i:]:
+                s = tuple(a + b for a, b in zip(f, g))
+                if all(len(quad_oct_profile(s, t)) <= 1
+                       for t in range(tri.tet_count)):
+                    cases.append((name, s))
+        for _ in range(10):
+            v = [0] * vector_length(tri)
+            for f in rng.sample(funds, k=min(3, len(funds))):
+                c = rng.randrange(6)
+                v = [a + c * b for a, b in zip(v, f)]
+            if any(v) and all(len(quad_oct_profile(v, t)) <= 1
+                              for t in range(tri.tet_count)):
+                cases.append((name, tuple(v)))
+    kb = _klein_bottle(triangulations["two_tet.tri"])
+    cases += [("two_tet.tri", kb), ("two_tet.tri", tuple(2 * x for x in kb))]
+    for name in ("three_tet_almost_normal.json",
+                 "three_tet_normal_genus2.json"):
+        for genus in (2, 3):
+            cases += [("three_tet.tri", v)
+                      for v in enumerate_genus(models[name], genus).vectors]
+    return cases
+
+
+def golden_record(tri, name, v):
+    surface = build_surface(tri, v)
+    return {"triangulation": name, "vector": list(v),
+            "surface": surface.to_json_dict(),
+            "disk_ids": [c.disk_ids for c in surface.components]}
+
+
+def test_builder_reproduces_golden_surfaces(triangulations, fundamentals,
+                                            plain_fundamentals, models):
+    golden = json.loads(GOLDEN.read_text())
+    cases = golden_cases(triangulations, fundamentals, plain_fundamentals,
+                         models)
+    assert [(g["triangulation"], tuple(g["vector"])) for g in golden] == cases
+    for g in golden:
+        name = g["triangulation"]
+        assert golden_record(triangulations[name], name,
+                             tuple(g["vector"])) == g
 
 
 def test_vertex_link_builds_sphere(triangulations):
@@ -156,6 +228,19 @@ def test_octagon_stacks_match_functional(three_tet):
         assert build_surface(three_tet, v).chi == dot(coeffs, v) == -2 * k
 
 
+@pytest.mark.parametrize("incidence", [(0, 0), (1, 2), (2, 5)])
+def test_inverted_edge_flip_fails_the_per_arc_check(three_tet, incidence):
+    # A builder that skips comparing the two ends of every glued arc would
+    # accept this corrupted edge orientation.
+    tri = copy.copy(three_tet)
+    tri.edge_class_of = dict(three_tet.edge_class_of)
+    cls, flipped = tri.edge_class_of[incidence]
+    tri.edge_class_of[incidence] = (cls, 1 - flipped)
+    with pytest.raises(InternalCheckFailed,
+                       match="glued arc endpoints land on different points"):
+        build_surface(tri, all_triangles_one(tri))
+
+
 def test_inadmissible_vector_rejected(two_tet):
     v = [0] * vector_length(two_tet)
     v[quad_index(0, 0)] = 1
@@ -180,10 +265,7 @@ def test_inadmissible_vector_rejected(two_tet):
 def test_orientation_verdict_stable_under_relabelling(two_tet):
     # The Klein bottle fundamentals are 1-sided however the propagation
     # is seeded; doubling them is orientable.
-    kb = [0] * vector_length(two_tet)
-    kb[quad_index(0, 2)] = 1
-    kb[quad_index(1, 2)] = 1
-    kb = tuple(kb)
+    kb = _klein_bottle(two_tet)
     surface = build_surface(two_tet, kb)
     assert surface.connected
     assert not surface.components[0].orientable
@@ -192,3 +274,21 @@ def test_orientation_verdict_stable_under_relabelling(two_tet):
     assert double.connected
     assert double.components[0].orientable
     assert double.components[0].genus_or_crosscap == 1
+
+
+if __name__ == "__main__":
+    # Rewrite the golden file from the builder on the path; run it as
+    # ``PYTHONPATH=src python3 -m tests.test_surfaces`` from the checkout.
+    from laminate.normal import fundamental_solutions
+    from tests.conftest import MODEL_NAMES, TRI_NAMES, load_model, \
+        load_triangulation
+    tris = {name: load_triangulation(name) for name in TRI_NAMES}
+    cases = golden_cases(
+        tris,
+        {n: fundamental_solutions(t, include_octs=True)
+         for n, t in tris.items()},
+        {n: fundamental_solutions(t) for n, t in tris.items()},
+        {name: load_model(name) for name in MODEL_NAMES})
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("[\n" + ",\n".join(
+        json.dumps(golden_record(tris[n], n, v)) for n, v in cases) + "\n]\n")
