@@ -88,56 +88,59 @@ def extreme_rays(cone, max_coeff_bits=None):
     The primitive extreme rays of a pointed cone, by double description.
 
     Starts from the unit rays of the supported orthant and intersects with
-    each equation in input row order.  Adjacency of rays is decided by the
-    standard combinatorial test on zero sets.  Output is sorted
-    lexicographically.
+    each equation in input row order.  Each row is read only at its nonzero
+    entries inside the support; a row with none there holds on every ray
+    and is skipped.  A ray's zero set is an int bitmask over the support
+    positions; the zero set of a combination of two rays is the meet of
+    theirs, since both are nonnegative.  Two rays are adjacent by the
+    standard combinatorial test: no third ray's zero set contains the meet
+    of theirs.  Output is sorted lexicographically.
     """
     support = sorted(cone.support)
-    rays = []
-    for j in support:
+    rows = []
+    for row in cone.matrix:
+        entries = [(j, row[j]) for j in support if row[j]]
+        if entries:
+            rows.append(entries)
+    # Each ray, in insertion order, with its zero set.
+    zero_sets = {}
+    full = (1 << len(support)) - 1
+    for p, j in enumerate(support):
         unit = [0] * cone.dim
         unit[j] = 1
-        rays.append(tuple(unit))
+        zero_sets[tuple(unit)] = full ^ (1 << p)
 
-    for row in cone.matrix:
-        values = {r: dot(row, r) for r in rays}
-        zero = [r for r in rays if values[r] == 0]
-        plus = [r for r in rays if values[r] > 0]
-        minus = [r for r in rays if values[r] < 0]
+    for entries in rows:
+        rays = list(zero_sets)
+        masks = list(zero_sets.values())
+        values = [sum([c * r[j] for j, c in entries]) for r in rays]
+        zero = [i for i, x in enumerate(values) if x == 0]
+        plus = [i for i, x in enumerate(values) if x > 0]
+        minus = [i for i, x in enumerate(values) if x < 0]
+        zero_sets = {rays[i]: masks[i] for i in zero}
         if not plus or not minus:
             # Rays violating the equation on either side are cut off.
-            rays = zero
             continue
 
-        zero_sets = {r: frozenset(j for j in support if r[j] == 0)
-                     for r in rays}
+        for ip in plus:
+            rp, vp, zp = rays[ip], values[ip], masks[ip]
+            for im in minus:
+                meet = zp & masks[im]
+                # rp and rm contain the meet; a third ray makes them
+                # non-adjacent.
+                holders = 0
+                for m in masks:
+                    if m & meet == meet:
+                        holders += 1
+                        if holders > 2:
+                            break
+                if holders == 2:
+                    vm = values[im]
+                    combo = [vp * b - vm * a for a, b in zip(rp, rays[im])]
+                    zero_sets[primitive(combo)] = meet
+        _check_budget(zero_sets, max_coeff_bits)
 
-        def adjacent(rp, rm):
-            meet = zero_sets[rp] & zero_sets[rm]
-            for other in rays:
-                if other is rp or other is rm:
-                    continue
-                if meet <= zero_sets[other]:
-                    return False
-            return True
-
-        new_rays = list(zero)
-        for rp in plus:
-            for rm in minus:
-                if adjacent(rp, rm):
-                    vp, vm = values[rp], values[rm]
-                    combo = tuple(vp * b - vm * a
-                                  for a, b in zip(rp, rm))
-                    new_rays.append(primitive(combo))
-        seen = set()
-        rays = []
-        for r in new_rays:
-            if r not in seen:
-                seen.add(r)
-                rays.append(r)
-        _check_budget(rays, max_coeff_bits)
-
-    return sorted(rays)
+    return sorted(zero_sets)
 
 
 def _parallelepiped_points(rays, pivots, delta):

@@ -132,7 +132,8 @@ class MatchingSystem:
     is (face_class_index, corner) where corner is the cut-off vertex on the
     class's first side.  Coefficients are +1 for side-1 contributions and
     -1 for side-2 contributions (they accumulate when both sides lie in the
-    same tetrahedron).
+    same tetrahedron).  Each row's nonzero (index, coefficient) pairs are
+    kept too, so a residual reads only those.
     """
 
     def __init__(self, tri):
@@ -140,6 +141,7 @@ class MatchingSystem:
         n = vector_length(tri)
         rows = []
         labels = []
+        entries = []
         for idx, (side1, side2, perm) in enumerate(tri.face_classes):
             (t1, f1), (t2, f2) = side1, side2
             for v in range(4):
@@ -152,11 +154,13 @@ class MatchingSystem:
                     row[COORDS_PER_TET * t2 + k] -= 1
                 rows.append(tuple(row))
                 labels.append((idx, v))
+                entries.append(tuple((j, c) for j, c in enumerate(row) if c))
         self.rows = tuple(rows)
         self.labels = tuple(labels)
+        self._entries = tuple(entries)
 
     def residual(self, v):
-        return tuple(sum(c * x for c, x in zip(row, v)) for row in self.rows)
+        return tuple(sum([c * v[j] for j, c in row]) for row in self._entries)
 
     def __len__(self):
         return len(self.rows)
@@ -318,14 +322,18 @@ def matching_cone(tri, support=None, system=None):
 
 def iter_orthant_supports(tri, include_octs=False):
     """
-    The supports covering the quad/oct constraint: all triangle
-    coordinates plus one choice of at most one quad (or, when requested,
-    octagon) direction per tetrahedron, with at most one octagon direction
-    overall.  Deterministic order.
+    The maximal supports allowed by the quad/oct constraint: all triangle
+    coordinates plus one quad direction in every tetrahedron, or, when
+    requested, one octagon direction in one tetrahedron and one quad
+    direction in each other: 3^n supports, or 3^n (1 + n) with octagons.
+    Every other allowed support, with some tetrahedron carrying neither a
+    quad nor an octagon, is a coordinate face of one of these, and a face's
+    extreme rays and Hilbert basis are among those of the larger cone.
+    Deterministic order.
     """
     n = tri.tet_count
     triangles = [tri_index(t, i) for t in range(n) for i in range(4)]
-    quad_choices = [None, 4, 5, 6]
+    quad_choices = [4, 5, 6]
     oct_placements = [None]
     if include_octs:
         oct_placements += [(t, k) for t in range(n) for k in (7, 8, 9)]
@@ -337,13 +345,12 @@ def iter_orthant_supports(tri, include_octs=False):
             if placement is not None:
                 support.add(COORDS_PER_TET * placement[0] + placement[1])
             for t, choice in zip(free_tets, combo):
-                if choice is not None:
-                    support.add(COORDS_PER_TET * t + choice)
+                support.add(COORDS_PER_TET * t + choice)
             yield frozenset(support)
 
 
 def _orthant_union(tri, include_octs, solve, max_coeff_bits):
-    """The sorted union over the quad/oct orthants of solve(orthant cone)."""
+    """The sorted union over the maximal quad/oct orthants of solve(cone)."""
     system = matching_system(tri)
     out = set()
     for support in iter_orthant_supports(tri, include_octs):
@@ -355,18 +362,18 @@ def _orthant_union(tri, include_octs, solve, max_coeff_bits):
 def vertex_solutions(tri, include_octs=False, max_coeff_bits=None):
     """
     Extreme rays of the admissible solution set: the union over the
-    quad/oct orthants of the extreme rays of the restricted matching cone,
-    in canonical primitive form, deduplicated and sorted.
+    maximal quad/oct orthants of the extreme rays of the restricted
+    matching cone, in canonical primitive form, deduplicated and sorted.
     """
     return _orthant_union(tri, include_octs, extreme_rays, max_coeff_bits)
 
 
 def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):
     """
-    Fundamental solutions of the admissible set: the union over quad/oct
-    orthants of the Hilbert bases of the restricted matching cones.  Every
-    admissible integer vector is a nonnegative integer combination of
-    these (within its own orthant).
+    Fundamental solutions of the admissible set: the union over the
+    maximal quad/oct orthants of the Hilbert bases of the restricted
+    matching cones.  Every admissible integer vector is a nonnegative
+    integer combination of these (within its own orthant).
     """
     return _orthant_union(tri, include_octs, hilbert_basis, max_coeff_bits)
 

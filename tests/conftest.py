@@ -1,10 +1,12 @@
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from laminate.branched import from_support
-from laminate.normal import fundamental_solutions, matching_system
+from laminate.normal import (COORDS_PER_TET, fundamental_solutions,
+                             matching_system, tri_index)
 from laminate.triangulation import parse_triangulation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -20,6 +22,32 @@ def fixture_path(name):
 
 def load_triangulation(name):
     return parse_triangulation(fixture_path(name).read_text())
+
+
+def every_orthant_support(tri, include_octs=False):
+    """
+    Every support allowed by the quad/oct constraint, in a fixed order: all
+    triangle coordinates plus at most one quad (or, when requested,
+    octagon) direction per tetrahedron, with at most one octagon overall.
+    This includes the coordinate faces that iter_orthant_supports leaves
+    out, where some tetrahedron carries neither a quad nor an octagon.
+    """
+    n = tri.tet_count
+    triangles = [tri_index(t, i) for t in range(n) for i in range(4)]
+    oct_placements = [None]
+    if include_octs:
+        oct_placements += [(t, k) for t in range(n) for k in (7, 8, 9)]
+    for placement in oct_placements:
+        free_tets = [t for t in range(n)
+                     if placement is None or t != placement[0]]
+        for combo in product([None, 4, 5, 6], repeat=len(free_tets)):
+            support = set(triangles)
+            if placement is not None:
+                support.add(COORDS_PER_TET * placement[0] + placement[1])
+            for t, choice in zip(free_tets, combo):
+                if choice is not None:
+                    support.add(COORDS_PER_TET * t + choice)
+            yield frozenset(support)
 
 
 def load_model(name):

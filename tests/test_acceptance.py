@@ -25,13 +25,13 @@ from laminate.finiteness import (antichain_certificate,
                                  brute_force_genus_list, enumerate_genus)
 from laminate.linalg import dot
 from laminate.normal import (chi_functional_coefficients, is_admissible,
-                             is_vertex_linking, iter_orthant_supports,
-                             matching_cone, matching_system, quad_oct_profile,
-                             tri_index, vector_length, weight)
+                             is_vertex_linking, matching_cone,
+                             matching_system, quad_oct_profile, tri_index,
+                             vector_length, weight)
 from laminate.surfaces import build_surface
 from laminate.traintracks import (cone_cover_check, figure_sp1_track,
                                   is_subtrack, split)
-from tests.conftest import fixture_path
+from tests.conftest import every_orthant_support, fixture_path
 
 ALL_NEGATIVE_MODELS = ("three_tet_almost_normal.json",
                        "three_tet_normal_genus2.json")
@@ -69,7 +69,7 @@ def test_criterion_2_haken_sum_additivity(triangulations, fundamentals):
     pairs_per_fixture = 1000
     for name, tri in triangulations.items():
         system = matching_system(tri)
-        orthants = list(iter_orthant_supports(tri, include_octs=True))
+        orthants = list(every_orthant_support(tri, include_octs=True))
         per_orthant = {}
         for support in orthants:
             per_orthant[support] = [f for f in fundamentals[name]
@@ -144,7 +144,7 @@ def test_criterion_4_polyhedral_oracle_equivalence(triangulations):
     for name, tri in triangulations.items():
         system = matching_system(tri)
         points = enumerate_quad_oct_solutions(tri, 8)
-        for support in iter_orthant_supports(tri, include_octs=True):
+        for support in every_orthant_support(tri, include_octs=True):
             orthants += 1
             cone = matching_cone(tri, support, system)
             restricted = [p for p in points if in_support(p, support)]

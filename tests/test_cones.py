@@ -160,6 +160,39 @@ def test_cone_engine_matches_oracles(rows):
     assert hilbert_basis(cone) == hilbert_oracle(points)
 
 
+@st.composite
+def supported_cones(draw):
+    """Rows, a random support, and one extra row that vanishes on it."""
+    # Sparse rows in {-1, 0, 1}, like matching equations, give cones with
+    # enough rays for non-adjacent pairs to occur.
+    n = draw(st.integers(4, 6))
+    rows = [tuple(draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)))
+            for _ in range(draw(st.integers(1, 3)))]
+    support = sorted(draw(st.sets(st.integers(0, n - 1), min_size=3)))
+    outside = tuple(0 if j in support else draw(st.integers(-3, 3))
+                    for j in range(n))
+    rows.insert(draw(st.integers(0, len(rows))), outside)
+    return rows, support
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(supported_cones())
+def test_cone_engine_matches_oracle_on_a_support(case):
+    rows, support = case
+    n = len(rows[0])
+    rays = extreme_rays(RationalCone(rows, n, support))
+    bound = max((sum(col) for col in zip(*rays)), default=0)
+    assume((bound + 1) ** len(support) <= 20_000)
+    points = []
+    for values in product(range(bound + 1), repeat=len(support)):
+        p = [0] * n
+        for j, x in zip(support, values):
+            p[j] = x
+        if all(dot(row, p) == 0 for row in rows):
+            points.append(tuple(p))
+    assert rays == extreme_ray_oracle(points, rows, support)
+
+
 def test_decompose_over_reports_least_tuple():
     basis = [(0, 2, 1), (1, 1, 1), (2, 0, 1)]
     counts = decompose_over((2, 2, 2), basis)

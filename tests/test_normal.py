@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from laminate.cones import extreme_rays, hilbert_basis
 from laminate.errors import IncompatibleQuads
 from laminate.normal import (ARC_DISKS, DISK_EDGE_WEIGHTS, edge_weights,
                              haken_sum, is_admissible, is_vertex_linking,
+                             iter_orthant_supports, matching_cone,
                              matching_system, oct_index, quad_index,
-                             tri_index, vertex_link_vector, vector_length,
-                             weight)
+                             tri_index, vertex_link_vector, vertex_solutions,
+                             vector_length, weight)
 from laminate.surfaces import build_surface
+from tests.conftest import every_orthant_support
 
 
 def all_triangles_one(tri):
@@ -189,3 +192,47 @@ def test_unequal_triangles_not_vertex_linking(one_tet):
     v[tri_index(0, 2)] = 1
     v[tri_index(0, 3)] = 1
     assert not is_vertex_linking(one_tet, tuple(v))
+
+
+@pytest.mark.parametrize("include_octs", [False, True])
+def test_maximal_orthant_count(triangulations, include_octs):
+    for tri in triangulations.values():
+        n = tri.tet_count
+        supports = list(iter_orthant_supports(tri, include_octs))
+        assert len(supports) == 3 ** n * ((1 + n) if include_octs else 1)
+        assert len(set(supports)) == len(supports)
+
+
+@pytest.mark.parametrize("include_octs", [False, True])
+def test_maximal_orthants_cover_every_orthant(triangulations, include_octs):
+    for tri in triangulations.values():
+        maximal = list(iter_orthant_supports(tri, include_octs))
+        for support in every_orthant_support(tri, include_octs):
+            assert any(support <= m for m in maximal)
+        for a in maximal:
+            assert not any(a < b for b in maximal)
+
+
+def _union_over_every_orthant(tri, include_octs, solve):
+    system = matching_system(tri)
+    out = set()
+    for support in every_orthant_support(tri, include_octs):
+        out.update(solve(matching_cone(tri, support, system)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("include_octs", [False, True])
+def test_maximal_orthants_give_every_vertex_solution(triangulations,
+                                                     include_octs):
+    for tri in triangulations.values():
+        assert vertex_solutions(tri, include_octs) == \
+            _union_over_every_orthant(tri, include_octs, extreme_rays)
+
+
+def test_maximal_orthants_give_every_fundamental_solution(
+        triangulations, fundamentals, plain_fundamentals):
+    for name, tri in triangulations.items():
+        assert plain_fundamentals[name] == \
+            _union_over_every_orthant(tri, False, hilbert_basis)
+        assert fundamentals[name] == \
+            _union_over_every_orthant(tri, True, hilbert_basis)
