@@ -12,7 +12,8 @@ Haken decompositions into the counting certificates used downstream.
 
 from fractions import Fraction
 
-from .cones import extreme_rays, hilbert_basis, positive_integer_point
+from .cones import (RationalCone, extreme_rays, hilbert_basis,
+                    positive_integer_point)
 from .errors import InvalidSupport, NotCarried
 from .linalg import dot
 from .normal import (COORDS_PER_TET, chi_functional_coefficients,
@@ -97,7 +98,8 @@ class BranchedSurfaceModel:
 
     def chi_augmented_cone(self):
         """The branch system with the equation chi = 0 adjoined."""
-        return self.cone.with_extra_rows([self.chi.coefficients])
+        return RationalCone(self.cone.matrix + (self.chi.coefficients,),
+                            self.cone.dim, self.cone.support)
 
     def to_json_dict(self):
         funds = self.fundamentals()

@@ -12,7 +12,7 @@ pairwise domination, so they can serve as oracles for it.
 from functools import lru_cache
 from itertools import product
 
-from .errors import InternalCheckFailed
+from .errors import WorkBudgetExceeded
 from .linalg import rank
 from .normal import ARC_DISKS, COORDS_PER_TET
 from .cones import primitive
@@ -21,7 +21,15 @@ from .cones import primitive
 ARC_TYPES = tuple((f, w) for f in range(4) for w in range(4) if w != f)
 ARC_SLOT = {fw: i for i, fw in enumerate(ARC_TYPES)}
 
+# Longer per-tetrahedron pattern lists are refused before they are built.
 _PATTERN_CAP = 2_000_000
+
+
+def _refuse_over_cap(count):
+    if count > _PATTERN_CAP:
+        raise WorkBudgetExceeded(
+            "brute force would list %d per-tetrahedron patterns (budget %d)"
+            % (count, _PATTERN_CAP))
 
 
 def _signature(pattern):
@@ -32,9 +40,7 @@ def _signature(pattern):
 def _support_patterns(local_support, bound):
     """(pattern, arc signature) pairs for entries <= bound on a local support."""
     coords = sorted(local_support)
-    if (bound + 1) ** len(coords) > _PATTERN_CAP:
-        raise InternalCheckFailed(
-            "per-tetrahedron pattern space too large for brute force")
+    _refuse_over_cap((bound + 1) ** len(coords))
     out = []
     for values in product(range(bound + 1), repeat=len(coords)):
         pattern = [0] * COORDS_PER_TET
@@ -52,12 +58,14 @@ def _quad_oct_patterns(bound, oct_cap):
     of at most one quad/oct direction, with entries <= bound and octagon
     entries additionally <= oct_cap.
     """
+    octs = min(bound, oct_cap)
+    _refuse_over_cap((bound + 1) ** 4 * (1 + 3 * bound + 3 * octs))
     out = []
     for tris in product(range(bound + 1), repeat=4):
         base = tuple(tris) + (0,) * 6
         out.append((base, _signature(base), False))
         for k in range(4, 10):
-            cap = bound if k < 7 else min(bound, oct_cap)
+            cap = bound if k < 7 else octs
             for val in range(1, cap + 1):
                 pattern = list(base)
                 pattern[k] = val

@@ -20,8 +20,9 @@ from .bruteforce import (enumerate_quad_oct_solutions, extreme_ray_oracle,
 from .cones import extreme_rays, hilbert_basis
 from .errors import InputError, LaminateError, Refusal
 from .finiteness import antichain_certificate, enumerate_genus
-from .normal import (is_admissible, is_vertex_linking, matching_cone,
-                     matching_system, iter_orthant_supports, parse_vector)
+# matching_cone, iter_orthant_supports: unused, kept for perfbench/spans.py.
+from .normal import (is_vertex_linking, iter_orthant_supports, matching_cone,
+                     matching_system, orthant_solutions, parse_vector)
 from .surfaces import build_surface
 from .traintracks import TrainTrack, cone_cover_check, is_subtrack, split
 from .triangulation import parse_triangulation
@@ -95,60 +96,49 @@ def cmd_tri_info(args):
     }
 
 
-def _solution_listing(args, use_hilbert):
+def _solution_listing(args, key, solve, oracle):
     tri = _load_triangulation(args)
-    system = matching_system(tri)
+    points = (enumerate_quad_oct_solutions(tri, args.bound) if args.bound
+              else None)
     merged = set()
-    verified = None
-    oracle_points = None
-    if args.bound:
-        oracle_points = enumerate_quad_oct_solutions(tri, args.bound)
-        verified = True
-    for support in iter_orthant_supports(tri, args.almost_normal):
-        cone = matching_cone(tri, support, system)
-        if use_hilbert:
-            found = hilbert_basis(cone, max_coeff_bits=args.max_coeff_bits)
-        else:
-            found = extreme_rays(cone, max_coeff_bits=args.max_coeff_bits)
+    agrees = True
+    for cone, found in orthant_solutions(tri, args.almost_normal, solve,
+                                         args.max_coeff_bits):
         merged.update(found)
-        if oracle_points is not None:
-            points = [p for p in oracle_points if in_support(p, support)]
-            if use_hilbert:
-                oracle = hilbert_oracle(points)
-            else:
-                oracle = extreme_ray_oracle(points, system.rows, support)
-            if oracle != sorted(found):
-                verified = False
+        if points is not None:
+            inside = [p for p in points if in_support(p, cone.support)]
+            agrees &= oracle(inside, cone) == sorted(found)
     solutions = sorted(merged)
-    key = "fundamental_solutions" if use_hilbert else "vertex_solutions"
     payload = {
         "count": len(solutions),
         key: [list(v) for v in solutions],
         "almost_normal": bool(args.almost_normal),
     }
-    if verified is not None:
+    if points is not None:
         payload["oracle_bound"] = args.bound
-        payload["oracle_agrees"] = verified
+        payload["oracle_agrees"] = agrees
     return payload
 
 
 def cmd_ns_vertex(args):
-    return _solution_listing(args, use_hilbert=False)
+    return _solution_listing(
+        args, "vertex_solutions", extreme_rays,
+        lambda points, cone: extreme_ray_oracle(points, cone.matrix,
+                                                cone.support))
 
 
 def cmd_ns_fundamental(args):
-    return _solution_listing(args, use_hilbert=True)
+    return _solution_listing(args, "fundamental_solutions", hilbert_basis,
+                             lambda points, cone: hilbert_oracle(points))
 
 
 def cmd_ns_build(args):
     tri = _load_triangulation(args)
-    system = matching_system(tri)
     v = parse_vector(args.vector, tri)
-    report = is_admissible(tri, v, system)
-    surface = build_surface(tri, v, system)
+    surface = build_surface(tri, v)
     payload = surface.to_json_dict()
-    payload["admissible"] = report.admissible
-    payload["admissibility_messages"] = report.messages()
+    payload["admissible"] = surface.admissibility.admissible
+    payload["admissibility_messages"] = surface.admissibility.messages()
     payload["vertex_linking"] = is_vertex_linking(tri, v)
     return payload
 

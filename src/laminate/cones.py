@@ -58,10 +58,6 @@ class RationalCone:
             if not (0 <= i < dim):
                 raise ValueError("support index %d out of range" % i)
 
-    def with_extra_rows(self, rows):
-        return RationalCone(list(self.matrix) + list(rows), self.dim,
-                            self.support)
-
     def contains(self, v):
         if len(v) != self.dim:
             return False

@@ -105,10 +105,6 @@ def vector_length(tri):
     return COORDS_PER_TET * tri.tet_count
 
 
-def zero_vector(tri):
-    return (0,) * vector_length(tri)
-
-
 def quad_oct_profile(v, t):
     """
     The quad/oct usage of tetrahedron t in vector v: a list of local disk
@@ -226,8 +222,7 @@ def is_admissible(tri, v, system=None):
     if system is None:
         system = matching_system(tri)
     matching_failures = []
-    for row, label, value in zip(system.rows, system.labels,
-                                 system.residual(v)):
+    for label, value in zip(system.labels, system.residual(v)):
         if value != 0:
             matching_failures.append((label[0], label[1], value))
     quad_violations = [t for t in range(tri.tet_count)
@@ -349,14 +344,15 @@ def iter_orthant_supports(tri, include_octs=False):
             yield frozenset(support)
 
 
-def _orthant_union(tri, include_octs, solve, max_coeff_bits):
-    """The sorted union over the maximal quad/oct orthants of solve(cone)."""
+def orthant_solutions(tri, include_octs, solve, max_coeff_bits=None):
+    """
+    Each maximal quad/oct orthant's matching cone together with
+    solve(cone), in the order of iter_orthant_supports.
+    """
     system = matching_system(tri)
-    out = set()
     for support in iter_orthant_supports(tri, include_octs):
         cone = matching_cone(tri, support, system)
-        out.update(solve(cone, max_coeff_bits=max_coeff_bits))
-    return sorted(out)
+        yield cone, solve(cone, max_coeff_bits=max_coeff_bits)
 
 
 def vertex_solutions(tri, include_octs=False, max_coeff_bits=None):
@@ -365,7 +361,8 @@ def vertex_solutions(tri, include_octs=False, max_coeff_bits=None):
     maximal quad/oct orthants of the extreme rays of the restricted
     matching cone, in canonical primitive form, deduplicated and sorted.
     """
-    return _orthant_union(tri, include_octs, extreme_rays, max_coeff_bits)
+    return sorted({v for _, found in orthant_solutions(
+        tri, include_octs, extreme_rays, max_coeff_bits) for v in found})
 
 
 def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):
@@ -375,7 +372,8 @@ def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):
     matching cones.  Every admissible integer vector is a nonnegative
     integer combination of these (within its own orthant).
     """
-    return _orthant_union(tri, include_octs, hilbert_basis, max_coeff_bits)
+    return sorted({v for _, found in orthant_solutions(
+        tri, include_octs, hilbert_basis, max_coeff_bits) for v in found})
 
 
 def chi_functional_coefficients(tri):

@@ -125,17 +125,18 @@ class SurfaceComponent:
 class NormalSurface:
     """
     The cell complex of an embeddable coordinate vector, with components,
-    Euler characteristics, orientability and genus data.
+    Euler characteristics, orientability, genus and admissibility data.
     """
 
     def __init__(self, tri, vector, components, vertex_count, arc_pair_count,
-                 disk_count):
+                 disk_count, admissibility):
         self.triangulation = tri
         self.vector = vector
         self.components = components
         self.vertex_count = vertex_count
         self.arc_pair_count = arc_pair_count
         self.disk_count = disk_count
+        self.admissibility = admissibility
 
     @property
     def chi(self):
@@ -274,7 +275,7 @@ def build_surface(tri, v, system=None):
     surface = NormalSurface(tri, tuple(v), components,
                             vertex_count=len(total_vertices),
                             arc_pair_count=arc_pair_count,
-                            disk_count=len(disk_points))
+                            disk_count=len(disk_points), admissibility=report)
     if surface.vertex_count != weight(tri, v):
         raise InternalCheckFailed("vertex count differs from weight")
     if surface.disk_count != sum(v):

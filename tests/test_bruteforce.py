@@ -1,9 +1,12 @@
 from itertools import product
 
+import pytest
+
 from laminate.bruteforce import (enumerate_admissible,
                                  enumerate_quad_oct_solutions,
                                  enumerate_solutions, extreme_ray_oracle,
                                  hilbert_oracle, in_support)
+from laminate.errors import WorkBudgetExceeded
 from laminate.normal import (is_admissible, matching_system, quad_oct_profile,
                              vector_length)
 
@@ -55,3 +58,12 @@ def test_oracles_on_synthetic_cone():
               if a + b == 2 * c]
     assert extreme_ray_oracle(points, rows, range(3)) == [(0, 2, 1), (2, 0, 1)]
     assert hilbert_oracle(points) == [(0, 2, 1), (1, 1, 1), (2, 0, 1)]
+
+
+def test_pattern_lists_over_the_cap_are_refused(one_tet):
+    # 5^10 patterns on the full support, (1001^4)(6001) with quads/octs:
+    # both over the cap, refused before any pattern is built.
+    with pytest.raises(WorkBudgetExceeded):
+        enumerate_solutions(one_tet, 4, range(vector_length(one_tet)))
+    with pytest.raises(WorkBudgetExceeded):
+        enumerate_quad_oct_solutions(one_tet, 1000)

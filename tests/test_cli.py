@@ -6,8 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import laminate.cli
 from laminate.cli import main
 from tests.conftest import fixture_path
+
+LISTING_GOLDEN = (Path(__file__).resolve().parent / "data"
+                  / "cli_listing_golden.json")
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +54,38 @@ def test_ns_vertex_with_oracle(capsys):
     payload = json.loads(out)
     assert payload["oracle_agrees"] is True
     assert payload["count"] == len(payload["vertex_solutions"])
+
+
+@pytest.mark.parametrize("solver", ["extreme_rays", "hilbert_basis"])
+def test_oracle_catches_a_dropped_solution(capsys, monkeypatch, solver):
+    original = getattr(laminate.cli, solver)
+    monkeypatch.setattr(laminate.cli, solver,
+                        lambda cone, max_coeff_bits=None:
+                        original(cone, max_coeff_bits)[1:])
+    command = "vertex" if solver == "extreme_rays" else "fundamental"
+    code, out = run_cli(capsys, "ns", command,
+                        "--input", str(fixture_path("one_tet.tri")),
+                        "--bound", "4")
+    assert code == 0
+    assert json.loads(out)["oracle_agrees"] is False
+
+
+def test_oracle_bound_over_the_pattern_cap_is_refused(capsys):
+    code, out = run_cli(capsys, "ns", "vertex",
+                        "--input", str(fixture_path("one_tet.tri")),
+                        "--bound", "1000")
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "WorkBudgetExceeded"
+
+
+@pytest.mark.parametrize("case", json.loads(LISTING_GOLDEN.read_text()),
+                         ids=lambda case: " ".join(case["argv"]))
+def test_solution_listing_matches_golden(capsys, case):
+    # Recorded while the CLI still ran its own orthant loop; the listing
+    # through normal.orthant_solutions must reproduce it byte for byte.
+    argv = [str(fixture_path(a)) if a.endswith(".tri") else a
+            for a in case["argv"]]
+    assert run_cli(capsys, *argv) == (case["code"], case["stdout"])
 
 
 def test_ns_fundamental(capsys):
@@ -216,6 +252,18 @@ def test_commands_do_not_mutate_inputs(capsys):
     before = path.read_bytes()
     run_cli(capsys, "ns", "fundamental", "--input", str(path))
     assert path.read_bytes() == before
+
+
+def test_ns_build_reports_inadmissible_embeddable_vector(capsys):
+    code, out = run_cli(capsys, "ns", "build",
+                        "--input", str(fixture_path("one_tet.tri")),
+                        "--vector", "0,0,0,0,0,0,0,2,0,0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["admissible"] is False
+    assert payload["admissibility_messages"] == [
+        "an octagon coordinate exceeds 1"]
+    assert payload["disk_count"] == 2
 
 
 def test_ns_build_rejects_non_matching_vector(capsys):
