@@ -24,8 +24,8 @@ from .surfaces import NormalSurface, build_surface
 from .cones import (RationalCone, extreme_rays, hilbert_basis,
                     maximize_linear, positive_integer_point, decompose_over)
 from .branched import (BranchedSurfaceModel, from_support,
-                       sub_branched_surface, sector_chi, chi_functional,
-                       carries_nonneg_chi, zero_chi_locus)
+                       sub_branched_surface, carries_nonneg_chi,
+                       zero_chi_locus)
 from .finiteness import (GenusEnumeration, enumerate_genus,
                          antichain_certificate, brute_force_genus_list)
 from .traintracks import (TrainTrack, split, is_subtrack, cone_cover_check,
@@ -41,7 +41,7 @@ __all__ = [
     "RationalCone", "extreme_rays", "hilbert_basis", "maximize_linear",
     "positive_integer_point", "decompose_over",
     "BranchedSurfaceModel", "from_support", "sub_branched_surface",
-    "sector_chi", "chi_functional", "carries_nonneg_chi", "zero_chi_locus",
+    "carries_nonneg_chi", "zero_chi_locus",
     "GenusEnumeration", "enumerate_genus", "antichain_certificate",
     "brute_force_genus_list",
     "TrainTrack", "split", "is_subtrack", "cone_cover_check",

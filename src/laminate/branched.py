@@ -21,14 +21,6 @@ from .normal import (COORDS_PER_TET, chi_functional_coefficients,
 from .surfaces import build_surface
 
 
-def sector_chi(chi_top, corners):
-    """
-    The branched-surface sector Euler characteristic: the topological
-    Euler characteristic minus a quarter per corner.
-    """
-    return Fraction(chi_top) - Fraction(corners, 4)
-
-
 class ChiFunctional:
     """
     The linear functional whose value on any vector satisfying the
@@ -42,10 +34,6 @@ class ChiFunctional:
 
     def value(self, v):
         return dot(self.coefficients, v)
-
-
-def chi_functional(tri):
-    return ChiFunctional(tri)
 
 
 class BranchedSurfaceModel:

@@ -3,13 +3,14 @@ Brute-force lattice enumeration oracles.
 
 These enumerate every integer solution of the matching equations within a
 coordinate bound, by listing per-tetrahedron coordinate patterns and
-joining them across face gluings.  They are deliberately independent of
-the double description engine in cones.py: extremality is decided by an
-exact rank computation on the active coordinate set and irreducibility by
-pairwise domination, so they can serve as oracles for it.
+joining them across face gluings.  One lister, _patterns, builds every
+pattern list anew on each call, and a pattern's arc signature is the sum
+of its disks' arc columns.  They are deliberately independent of the
+double description engine in cones.py: extremality is decided by an
+exact rank computation on the active coordinate set and irreducibility
+by pairwise domination, so they can serve as oracles for it.
 """
 
-from functools import lru_cache
 from itertools import product
 
 from .errors import WorkBudgetExceeded
@@ -20,6 +21,12 @@ from .cones import primitive
 # Fixed order of the 12 arc types of a tetrahedron.
 ARC_TYPES = tuple((f, w) for f in range(4) for w in range(4) if w != f)
 ARC_SLOT = {fw: i for i, fw in enumerate(ARC_TYPES)}
+
+# The arc-type slots of each local disk index: 3 for a triangle, 4 for a
+# quad, 8 for an octagon.
+DISK_ARC_SLOTS = tuple(
+    tuple(ARC_SLOT[fw] for fw in ARC_TYPES if k in ARC_DISKS[fw])
+    for k in range(COORDS_PER_TET))
 
 # Longer per-tetrahedron pattern lists are refused before they are built.
 _PATTERN_CAP = 2_000_000
@@ -32,53 +39,48 @@ def _refuse_over_cap(count):
             % (count, _PATTERN_CAP))
 
 
-def _signature(pattern):
-    return tuple(sum(pattern[k] for k in ARC_DISKS[fw]) for fw in ARC_TYPES)
-
-
-@lru_cache(maxsize=None)
-def _support_patterns(local_support, bound):
-    """(pattern, arc signature) pairs for entries <= bound on a local support."""
-    coords = sorted(local_support)
-    _refuse_over_cap((bound + 1) ** len(coords))
+def _patterns(box, bound, choices=()):
+    """
+    (pattern, arc signature) pairs.  The local coordinates in box range
+    over 0..bound and the rest are zero; each such pattern is listed
+    alone, then once with each (coordinate, value) of choices added.
+    """
+    box = sorted(box)
+    _refuse_over_cap((bound + 1) ** len(box) * (1 + len(choices)))
     out = []
-    for values in product(range(bound + 1), repeat=len(coords)):
+    for values in product(range(bound + 1), repeat=len(box)):
         pattern = [0] * COORDS_PER_TET
-        for c, x in zip(coords, values):
-            pattern[c] = x
-        pattern = tuple(pattern)
-        out.append((pattern, _signature(pattern)))
+        sig = [0] * len(ARC_TYPES)
+        for k, x in zip(box, values):
+            pattern[k] = x
+            for slot in DISK_ARC_SLOTS[k]:
+                sig[slot] += x
+        out.append((tuple(pattern), tuple(sig)))
+        for k, x in choices:
+            extra, added = pattern[:], sig[:]
+            extra[k] = x
+            for slot in DISK_ARC_SLOTS[k]:
+                added[slot] += x
+            out.append((tuple(extra), tuple(added)))
     return out
 
 
-@lru_cache(maxsize=None)
 def _quad_oct_patterns(bound, oct_cap):
     """
-    (pattern, signature, has_oct) triples over all per-tetrahedron choices
-    of at most one quad/oct direction, with entries <= bound and octagon
-    entries additionally <= oct_cap.
+    Every per-tetrahedron pattern with at most one quad/oct direction,
+    entries <= bound and octagon entries additionally <= oct_cap.
     """
     octs = min(bound, oct_cap)
-    _refuse_over_cap((bound + 1) ** 4 * (1 + 3 * bound + 3 * octs))
-    out = []
-    for tris in product(range(bound + 1), repeat=4):
-        base = tuple(tris) + (0,) * 6
-        out.append((base, _signature(base), False))
-        for k in range(4, 10):
-            cap = bound if k < 7 else octs
-            for val in range(1, cap + 1):
-                pattern = list(base)
-                pattern[k] = val
-                pattern = tuple(pattern)
-                out.append((pattern, _signature(pattern), k >= 7))
-    return out
+    return _patterns(range(4), bound,
+                     [(k, x) for k in range(4, 10)
+                      for x in range(1, (bound if k < 7 else octs) + 1)])
 
 
 def _join(tri, pattern_lists, max_octs=None):
     """
-    Assemble per-tetrahedron (pattern, signature, has_oct) lists into
-    global vectors satisfying every matching equation.  When max_octs is
-    given, at most that many chosen patterns may carry an octagon.
+    Assemble per-tetrahedron (pattern, signature) lists into global
+    vectors satisfying every matching equation.  When max_octs is given,
+    at most that many chosen patterns may carry an octagon.
     """
     n = tri.tet_count
     self_classes = [[] for _ in range(n)]
@@ -99,11 +101,12 @@ def _join(tri, pattern_lists, max_octs=None):
                        for (f1, f2, perm) in self_classes[t]
                        for w in range(4) if w != f1]
         groups = {}
-        for (pattern, sig, has_oct) in pattern_lists[t]:
+        for entry in pattern_lists[t]:
+            sig = entry[1]
             if any(sig[a] != sig[b] for a, b in self_checks):
                 continue
             key = tuple(sig[s] for s in own_slots)
-            groups.setdefault(key, []).append((pattern, sig, has_oct))
+            groups.setdefault(key, []).append(entry)
         grouped.append(groups)
 
     partner_slots = []
@@ -118,16 +121,17 @@ def _join(tri, pattern_lists, max_octs=None):
     def rec(t, octs):
         if t == n:
             vec = []
-            for (pattern, _sig, _has) in assignment:
+            for (pattern, _sig) in assignment:
                 vec.extend(pattern)
             results.append(tuple(vec))
             return
         key = tuple(assignment[t1][1][slot] for (t1, slot) in partner_slots[t])
         for entry in grouped[t].get(key, ()):
-            if entry[2] and max_octs is not None and octs >= max_octs:
+            has_oct = max_octs is not None and any(entry[0][7:])
+            if has_oct and octs >= max_octs:
                 continue
             assignment[t] = entry
-            rec(t + 1, octs + (1 if entry[2] else 0))
+            rec(t + 1, octs + has_oct)
         assignment[t] = None
 
     rec(0, 0)
@@ -140,14 +144,11 @@ def enumerate_solutions(tri, bound, support):
     coordinate set, satisfying all matching equations.  Includes the zero
     vector.  Deterministic order.
     """
-    locals_ = [set() for _ in range(tri.tet_count)]
-    for j in support:
-        locals_[j // COORDS_PER_TET].add(j % COORDS_PER_TET)
-    pattern_lists = []
-    for t in range(tri.tet_count):
-        entries = _support_patterns(frozenset(locals_[t]), bound)
-        pattern_lists.append([(p, s, False) for (p, s) in entries])
-    return _join(tri, pattern_lists)
+    boxes = [frozenset(j % COORDS_PER_TET for j in support
+                       if j // COORDS_PER_TET == t)
+             for t in range(tri.tet_count)]
+    lists = {box: _patterns(box, bound) for box in dict.fromkeys(boxes)}
+    return _join(tri, [lists[box] for box in boxes])
 
 
 def enumerate_quad_oct_solutions(tri, bound):

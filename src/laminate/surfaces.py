@@ -34,8 +34,7 @@ The point check exercises the entire frozen disk-type table.
 
 from .errors import Inadmissible, InternalCheckFailed
 from .normal import (COORDS_PER_TET, DISK_EDGE_WEIGHTS, QUAD_PAIRS,
-                     arc_count, edge_weights, haken_sum, is_admissible,
-                     is_vertex_linking, weight)
+                     arc_count, edge_weights, is_admissible, weight)
 from .triangulation import EDGES, ParityUnionFind, edge_index
 
 
@@ -283,5 +282,4 @@ def build_surface(tri, v, system=None):
     return surface
 
 
-__all__ = ["build_surface", "NormalSurface", "SurfaceComponent",
-           "haken_sum", "is_vertex_linking"]
+__all__ = ["build_surface", "NormalSurface", "SurfaceComponent"]

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from laminate.branched import (carries_nonneg_chi, chi_functional,
-                               from_support, sector_chi, sub_branched_surface,
+from laminate.branched import (ChiFunctional, carries_nonneg_chi,
+                               from_support, sub_branched_surface,
                                zero_chi_locus)
 from laminate.cones import maximize_linear, positive_integer_point
 from laminate.errors import InvalidSupport, NotCarried
@@ -17,13 +17,6 @@ from tests.test_normal import all_triangles_one
 def triangle_support(tri):
     return frozenset(tri_index(t, i) for t in range(tri.tet_count)
                      for i in range(4))
-
-
-def test_sector_chi_values():
-    assert sector_chi(1, 0) == 1          # disk
-    assert sector_chi(0, 0) == 0          # annulus
-    assert sector_chi(1, 1) == Fraction(3, 4)   # monogon
-    assert sector_chi(1, 4) == 0          # square sector
 
 
 def test_triangle_support_fully_carries_vertex_link(two_tet):
@@ -78,7 +71,7 @@ def test_sub_branched_surface(two_tet, models):
 
 def test_chi_functional_on_vertex_links(triangulations):
     for tri in triangulations.values():
-        functional = chi_functional(tri)
+        functional = ChiFunctional(tri)
         link = all_triangles_one(tri)
         assert functional.value(link) == 2 * tri.vertex_count
         assert functional.value(tuple(2 * x for x in link)) == \
@@ -87,7 +80,7 @@ def test_chi_functional_on_vertex_links(triangulations):
 
 def test_chi_functional_equals_cell_complex(triangulations, fundamentals):
     for name, tri in triangulations.items():
-        functional = chi_functional(tri)
+        functional = ChiFunctional(tri)
         for f in fundamentals[name]:
             assert functional.value(f) == build_surface(tri, f).chi
 

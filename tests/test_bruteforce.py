@@ -1,14 +1,16 @@
+import hashlib
 from itertools import product
 
 import pytest
 
-from laminate.bruteforce import (enumerate_admissible,
+from laminate.bruteforce import (ARC_TYPES, _patterns, _quad_oct_patterns,
+                                 enumerate_admissible,
                                  enumerate_quad_oct_solutions,
                                  enumerate_solutions, extreme_ray_oracle,
                                  hilbert_oracle, in_support)
 from laminate.errors import WorkBudgetExceeded
-from laminate.normal import (is_admissible, matching_system, quad_oct_profile,
-                             vector_length)
+from laminate.normal import (arc_count, is_admissible, matching_system,
+                             quad_oct_profile, vector_length)
 
 
 def test_join_matches_naive_enumeration(one_tet):
@@ -67,3 +69,31 @@ def test_pattern_lists_over_the_cap_are_refused(one_tet):
         enumerate_solutions(one_tet, 4, range(vector_length(one_tet)))
     with pytest.raises(WorkBudgetExceeded):
         enumerate_quad_oct_solutions(one_tet, 1000)
+
+
+def test_additive_signatures_equal_arc_counts():
+    # Each signature is summed from disk columns; arc_count recomputes it
+    # from the pattern alone.  The two local supports mix triangles with a
+    # quad and with an octagon.
+    lists = [_quad_oct_patterns(3, 3), _quad_oct_patterns(3, 1),
+             _patterns({0, 1, 2, 3, 5}, 3), _patterns({0, 2, 3, 8}, 3)]
+    for entries in lists:
+        for pattern, sig in entries:
+            assert sig == tuple(arc_count(pattern, 0, f, w)
+                                for f, w in ARC_TYPES)
+
+
+def _digest(vectors):
+    return hashlib.sha256(repr(vectors).encode()).hexdigest()
+
+
+def test_enumeration_lists_are_pinned(two_tet, three_tet):
+    # sha256 of repr() of each list, in order, as recorded before the
+    # pattern listers were merged into one.
+    support = {6, 16} | {10 * t + i for t in range(2) for i in range(4)}
+    assert _digest(enumerate_quad_oct_solutions(two_tet, 3)) == (
+        "e366841210744faf6f62268c9019ca9e561f102e211eea7c99a0a4b0dec2f1b2")
+    assert _digest(enumerate_admissible(three_tet, 3)) == (
+        "b101383e0aadcd766651796ea29dcbe3afc09bace5d2f5420ccb33c2a435d857")
+    assert _digest(enumerate_solutions(two_tet, 3, support)) == (
+        "57fa5dd22a5288fd5c772d5f7774814258bfd8b29e7e24f1debc2537bdd8491e")

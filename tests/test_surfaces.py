@@ -8,10 +8,10 @@ import pytest
 from laminate.errors import Inadmissible, InternalCheckFailed
 from laminate.finiteness import enumerate_genus
 from laminate.linalg import dot
-from laminate.normal import (chi_functional_coefficients, matching_system,
-                             quad_oct_profile, quad_index, tri_index,
-                             vector_length, weight)
-from laminate.surfaces import build_surface, haken_sum
+from laminate.normal import (chi_functional_coefficients, haken_sum,
+                             matching_system, quad_oct_profile, quad_index,
+                             tri_index, vector_length, weight)
+from laminate.surfaces import build_surface
 from tests.test_normal import all_triangles_one
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "surfaces_golden.json"
