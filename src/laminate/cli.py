@@ -16,13 +16,15 @@ from fractions import Fraction
 from . import __version__
 from .branched import carries_nonneg_chi, from_support, zero_chi_locus
 from .bruteforce import (enumerate_quad_oct_solutions, extreme_ray_oracle,
-                         hilbert_oracle, in_support)
+                         hilbert_oracle)
+# extreme_rays, hilbert_basis, matching_cone, iter_orthant_supports: unused,
+# kept for perfbench/spans.py.
 from .cones import extreme_rays, hilbert_basis
 from .errors import InputError, LaminateError, Refusal
 from .finiteness import antichain_certificate, enumerate_genus
-# matching_cone, iter_orthant_supports: unused, kept for perfbench/spans.py.
-from .normal import (is_vertex_linking, iter_orthant_supports, matching_cone,
-                     matching_system, orthant_solutions, parse_vector)
+from .normal import (COORDS_PER_TET, fundamental_solutions, is_vertex_linking,
+                     iter_orthant_supports, matching_cone, matching_system,
+                     parse_vector, vector_length, vertex_solutions)
 from .surfaces import build_surface
 from .traintracks import TrainTrack, cone_cover_check, is_subtrack, split
 from .triangulation import parse_triangulation
@@ -98,38 +100,37 @@ def cmd_tri_info(args):
 
 def _solution_listing(args, key, solve, oracle):
     tri = _load_triangulation(args)
-    points = (enumerate_quad_oct_solutions(tri, args.bound) if args.bound
-              else None)
-    merged = set()
-    agrees = True
-    for cone, found in orthant_solutions(tri, args.almost_normal, solve,
-                                         args.max_coeff_bits):
-        merged.update(found)
-        if points is not None:
-            inside = [p for p in points if in_support(p, cone.support)]
-            agrees &= oracle(inside, cone) == sorted(found)
-    solutions = sorted(merged)
+    solutions = solve(tri, args.almost_normal, args.max_coeff_bits)
     payload = {
         "count": len(solutions),
         key: [list(v) for v in solutions],
         "almost_normal": bool(args.almost_normal),
     }
-    if points is not None:
+    if args.bound:
+        # The admissible points: whether a point is an extreme ray or
+        # irreducible depends only on its own support, so one check over
+        # them all agrees exactly when every maximal orthant's check does.
+        max_octs = 1 if args.almost_normal else 0
+        octagons = [j for j in range(vector_length(tri))
+                    if j % COORDS_PER_TET >= 7]
+        points = [p for p in enumerate_quad_oct_solutions(tri, args.bound)
+                  if sum(1 for j in octagons if p[j]) <= max_octs]
         payload["oracle_bound"] = args.bound
-        payload["oracle_agrees"] = agrees
+        payload["oracle_agrees"] = oracle(tri, points) == solutions
     return payload
 
 
 def cmd_ns_vertex(args):
     return _solution_listing(
-        args, "vertex_solutions", extreme_rays,
-        lambda points, cone: extreme_ray_oracle(points, cone.matrix,
-                                                cone.support))
+        args, "vertex_solutions", vertex_solutions,
+        lambda tri, points: extreme_ray_oracle(
+            points, matching_system(tri).rows, range(vector_length(tri))))
 
 
 def cmd_ns_fundamental(args):
-    return _solution_listing(args, "fundamental_solutions", hilbert_basis,
-                             lambda points, cone: hilbert_oracle(points))
+    return _solution_listing(args, "fundamental_solutions",
+                             fundamental_solutions,
+                             lambda tri, points: hilbert_oracle(points))
 
 
 def cmd_ns_build(args):

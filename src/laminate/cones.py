@@ -23,6 +23,9 @@ from .linalg import det, dot, pivot_columns, rank
 # Hilbert basis may cover.
 PARALLELEPIPED_POINT_CAP = 5_000_000
 
+# The most (plus, minus) ray pairs one double description row may combine.
+DD_PAIR_CAP = 10_000_000
+
 
 def primitive(vec):
     """Divide an integer vector by the gcd of its entries."""
@@ -79,9 +82,11 @@ def _check_budget(vectors, max_coeff_bits):
                     % (abs(x).bit_length(), max_coeff_bits))
 
 
-def extreme_rays(cone, max_coeff_bits=None):
+def extreme_rays(cone, max_coeff_bits=None, exclusive=()):
     """
-    The primitive extreme rays of a pointed cone, by double description.
+    The primitive extreme rays of a pointed cone, by double description,
+    kept to the rays nonzero on at most one coordinate of each group in
+    ``exclusive`` (a tuple of coordinate groups).
 
     Starts from the unit rays of the supported orthant and intersects with
     each equation in input row order.  Each row is read only at its nonzero
@@ -90,7 +95,13 @@ def extreme_rays(cone, max_coeff_bits=None):
     positions; the zero set of a combination of two rays is the meet of
     theirs, since both are nonnegative.  Two rays are adjacent by the
     standard combinatorial test: no third ray's zero set contains the meet
-    of theirs.  Output is sorted lexicographically.
+    of theirs.  A pair whose combined support uses two coordinates of one
+    group is skipped before that test (Burton's filtered double
+    description), and the test stays exact: a ray whose zero set contains
+    the meet has its support inside the pair's, so it is kept too.  A row
+    that would combine more than DD_PAIR_CAP pairs is refused
+    (WorkBudgetExceeded) before its pairs are formed.  Output is sorted
+    lexicographically.
     """
     support = sorted(cone.support)
     rows = []
@@ -98,6 +109,12 @@ def extreme_rays(cone, max_coeff_bits=None):
         entries = [(j, row[j]) for j in support if row[j]]
         if entries:
             rows.append(entries)
+    position = {j: p for p, j in enumerate(support)}
+    groups = []
+    for group in exclusive:
+        bits = [1 << position[j] for j in group if j in position]
+        if len(bits) > 1:
+            groups.append(sum(bits))
     # Each ray, in insertion order, with its zero set.
     zero_sets = {}
     full = (1 << len(support)) - 1
@@ -117,10 +134,27 @@ def extreme_rays(cone, max_coeff_bits=None):
         if not plus or not minus:
             # Rays violating the equation on either side are cut off.
             continue
+        if len(plus) * len(minus) > DD_PAIR_CAP:
+            raise WorkBudgetExceeded(
+                "a double description row combines %d ray pairs (budget %d)"
+                % (len(plus) * len(minus), DD_PAIR_CAP))
+        # The coordinates a minus ray rules out: the others of each group
+        # it uses.
+        clashes = []
+        for im in minus:
+            used = full ^ masks[im]
+            clash = 0
+            for g in groups:
+                if used & g:
+                    clash |= g & ~used
+            clashes.append(clash)
 
         for ip in plus:
             rp, vp, zp = rays[ip], values[ip], masks[ip]
-            for im in minus:
+            used = full ^ zp
+            for im, clash in zip(minus, clashes):
+                if used & clash:
+                    continue
                 meet = zp & masks[im]
                 # rp and rm contain the meet; a third ray makes them
                 # non-adjacent.

@@ -344,25 +344,35 @@ def iter_orthant_supports(tri, include_octs=False):
             yield frozenset(support)
 
 
-def orthant_solutions(tri, include_octs, solve, max_coeff_bits=None):
-    """
-    Each maximal quad/oct orthant's matching cone together with
-    solve(cone), in the order of iter_orthant_supports.
-    """
-    system = matching_system(tri)
-    for support in iter_orthant_supports(tri, include_octs):
-        cone = matching_cone(tri, support, system)
-        yield cone, solve(cone, max_coeff_bits=max_coeff_bits)
-
-
 def vertex_solutions(tri, include_octs=False, max_coeff_bits=None):
     """
-    Extreme rays of the admissible solution set: the union over the
-    maximal quad/oct orthants of the extreme rays of the restricted
-    matching cone, in canonical primitive form, deduplicated and sorted.
+    Extreme rays of the admissible solution set, in canonical primitive
+    form, deduplicated and sorted: the union of the extreme rays of the
+    maximal quad/oct orthants' matching cones, found by 3n + 1 filtered
+    double descriptions in place of one per orthant.  One run covers the
+    triangle and quad coordinates, keeping at most one quad per
+    tetrahedron; with octagons, one more run per octagon coordinate adds
+    it to its tetrahedron's quads as one more exclusive choice.  Each
+    orthant cone is a face of a run's cone, so a run's admissible
+    extreme rays are exactly the union of its orthants'.
     """
-    return sorted({v for _, found in orthant_solutions(
-        tri, include_octs, extreme_rays, max_coeff_bits) for v in found})
+    n = tri.tet_count
+    system = matching_system(tri)
+    base = [tri_index(t, i) for t in range(n) for i in range(4)]
+    base += [quad_index(t, q) for t in range(n) for q in range(3)]
+    quads = [tuple(quad_index(t, q) for q in range(3)) for t in range(n)]
+    runs = [(None, None)]
+    if include_octs:
+        runs += [(t, oct_index(t, q)) for t in range(n) for q in range(3)]
+    out = set()
+    for t, octagon in runs:
+        support = base if octagon is None else base + [octagon]
+        groups = list(quads)
+        if octagon is not None:
+            groups[t] += (octagon,)
+        out.update(extreme_rays(matching_cone(tri, support, system),
+                                max_coeff_bits, tuple(groups)))
+    return sorted(out)
 
 
 def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):
@@ -371,9 +381,26 @@ def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):
     maximal quad/oct orthants of the Hilbert bases of the restricted
     matching cones.  Every admissible integer vector is a nonnegative
     integer combination of these (within its own orthant).
+
+    Each orthant cone is the face of the nonnegative matching cone
+    spanned by the vertex solutions it supports.  A face inside another
+    is a face of it, whose Hilbert basis is the larger one's cut to it, so
+    one Hilbert basis is computed per distinct maximal face, on the
+    coordinates its rays use.
     """
-    return sorted({v for _, found in orthant_solutions(
-        tri, include_octs, hilbert_basis, max_coeff_bits) for v in found})
+    system = matching_system(tri)
+    rays = vertex_solutions(tri, include_octs, max_coeff_bits)
+    supports = [frozenset(j for j, x in enumerate(r) if x) for r in rays]
+    faces = list(dict.fromkeys(
+        frozenset(i for i, s in enumerate(supports) if s <= orthant)
+        for orthant in iter_orthant_supports(tri, include_octs)))
+    out = set()
+    for face in faces:
+        if not any(face < other for other in faces):
+            used = frozenset().union(*(supports[i] for i in face))
+            out.update(hilbert_basis(matching_cone(tri, used, system),
+                                     max_coeff_bits))
+    return sorted(out)
 
 
 def chi_functional_coefficients(tri):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import laminate.cli
+import laminate.cones
 from laminate.cli import main
 from tests.conftest import fixture_path
 
@@ -56,18 +57,27 @@ def test_ns_vertex_with_oracle(capsys):
     assert payload["count"] == len(payload["vertex_solutions"])
 
 
-@pytest.mark.parametrize("solver", ["extreme_rays", "hilbert_basis"])
+@pytest.mark.parametrize("solver", ["vertex_solutions",
+                                    "fundamental_solutions"])
 def test_oracle_catches_a_dropped_solution(capsys, monkeypatch, solver):
     original = getattr(laminate.cli, solver)
     monkeypatch.setattr(laminate.cli, solver,
-                        lambda cone, max_coeff_bits=None:
-                        original(cone, max_coeff_bits)[1:])
-    command = "vertex" if solver == "extreme_rays" else "fundamental"
+                        lambda tri, include_octs, max_coeff_bits:
+                        original(tri, include_octs, max_coeff_bits)[1:])
+    command = "vertex" if solver == "vertex_solutions" else "fundamental"
     code, out = run_cli(capsys, "ns", command,
                         "--input", str(fixture_path("one_tet.tri")),
                         "--bound", "4")
     assert code == 0
     assert json.loads(out)["oracle_agrees"] is False
+
+
+def test_double_description_pair_cap_is_refused(capsys, monkeypatch):
+    monkeypatch.setattr(laminate.cones, "DD_PAIR_CAP", 1)
+    code, out = run_cli(capsys, "ns", "vertex",
+                        "--input", str(fixture_path("two_tet.tri")))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "WorkBudgetExceeded"
 
 
 def test_oracle_bound_over_the_pattern_cap_is_refused(capsys):
@@ -82,7 +92,8 @@ def test_oracle_bound_over_the_pattern_cap_is_refused(capsys):
                          ids=lambda case: " ".join(case["argv"]))
 def test_solution_listing_matches_golden(capsys, case):
     # Recorded while the CLI still ran its own orthant loop; the listing
-    # through normal.orthant_solutions must reproduce it byte for byte.
+    # through vertex_solutions and fundamental_solutions, with one oracle
+    # check over all admissible points, must reproduce it byte for byte.
     argv = [str(fixture_path(a)) if a.endswith(".tri") else a
             for a in case["argv"]]
     assert run_cli(capsys, *argv) == (case["code"], case["stdout"])

@@ -193,6 +193,32 @@ def test_cone_engine_matches_oracle_on_a_support(case):
     assert rays == extreme_ray_oracle(points, rows, support)
 
 
+@st.composite
+def grouped_cones(draw):
+    """Sparse rows and disjoint coordinate groups of two to four."""
+    n = draw(st.integers(6, 9))
+    rows = [tuple(draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)))
+            for _ in range(draw(st.integers(2, 5)))]
+    order = draw(st.permutations(range(n)))
+    groups = []
+    start = draw(st.integers(0, 2))
+    while start + 2 <= n:
+        size = draw(st.integers(2, 4))
+        groups.append(tuple(order[start:start + size]))
+        start += size + draw(st.integers(0, 1))
+    return rows, tuple(groups)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(grouped_cones())
+def test_exclusive_groups_keep_the_admissible_extreme_rays(case):
+    rows, groups = case
+    cone = RationalCone(rows, len(rows[0]))
+    admissible = [r for r in extreme_rays(cone)
+                  if all(sum(1 for j in g if r[j]) <= 1 for g in groups)]
+    assert extreme_rays(cone, exclusive=groups) == admissible
+
+
 def test_decompose_over_reports_least_tuple():
     basis = [(0, 2, 1), (1, 1, 1), (2, 0, 1)]
     counts = decompose_over((2, 2, 2), basis)

@@ -1,17 +1,23 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from laminate.cones import extreme_rays, hilbert_basis
-from laminate.errors import IncompatibleQuads
+from laminate.errors import IncompatibleQuads, LaminateError
 from laminate.normal import (ARC_DISKS, DISK_EDGE_WEIGHTS, edge_weights,
-                             haken_sum, is_admissible, is_vertex_linking,
-                             iter_orthant_supports, matching_cone,
-                             matching_system, oct_index, quad_index,
-                             tri_index, vertex_link_vector, vertex_solutions,
-                             vector_length, weight)
+                             fundamental_solutions, haken_sum, is_admissible,
+                             is_vertex_linking, iter_orthant_supports,
+                             matching_cone, matching_system, oct_index,
+                             quad_index, tri_index, vertex_link_vector,
+                             vertex_solutions, vector_length, weight)
 from laminate.surfaces import build_surface
+from laminate.triangulation import parse_triangulation
 from tests.conftest import every_orthant_support
+
+SOLUTIONS_GOLDEN = (Path(__file__).resolve().parent / "data"
+                    / "solutions_golden.json")
 
 
 def all_triangles_one(tri):
@@ -236,3 +242,27 @@ def test_maximal_orthants_give_every_fundamental_solution(
             _union_over_every_orthant(tri, False, hilbert_basis)
         assert fundamentals[name] == \
             _union_over_every_orthant(tri, True, hilbert_basis)
+
+
+def _golden_solution_cases():
+    for entry in json.loads(SOLUTIONS_GOLDEN.read_text()):
+        for case in entry["cases"]:
+            octs = " octs" if case["include_octs"] else ""
+            name = "%s %s%s %s" % (entry["name"], case["function"], octs,
+                                   case["max_coeff_bits"])
+            yield pytest.param(entry["triangulation"], case, id=name)
+
+
+@pytest.mark.parametrize("text, case", _golden_solution_cases())
+def test_solutions_match_golden(text, case):
+    # Recorded while every maximal orthant ran its own double description:
+    # answers and budget refusals must be reproduced exactly.
+    solve = {"vertex_solutions": vertex_solutions,
+             "fundamental_solutions": fundamental_solutions}[case["function"]]
+    try:
+        got = {"solutions": [list(v) for v in solve(
+            parse_triangulation(text), case["include_octs"],
+            case["max_coeff_bits"])]}
+    except LaminateError as e:
+        got = {"refusal": {"kind": type(e).__name__, "message": str(e)}}
+    assert got == {k: case[k] for k in ("solutions", "refusal") if k in case}
