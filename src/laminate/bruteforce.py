@@ -116,26 +116,29 @@ def _join(tri, pattern_lists, max_octs=None):
                               for w in range(4) if w != f1])
 
     results = []
-    assignment = [None] * n
-
-    def rec(t, octs):
-        if t == n:
-            vec = []
-            for (pattern, _sig) in assignment:
-                vec.extend(pattern)
-            results.append(tuple(vec))
-            return
-        key = tuple(assignment[t1][1][slot] for (t1, slot) in partner_slots[t])
-        for entry in grouped[t].get(key, ()):
-            has_oct = max_octs is not None and any(entry[0][7:])
-            if has_oct and octs >= max_octs:
-                continue
-            assignment[t] = entry
-            rec(t + 1, octs + has_oct)
-        assignment[t] = None
-
-    rec(0, 0)
+    _assign(0, 0, grouped, partner_slots, max_octs, [None] * n, results)
     return results
+
+
+def _assign(t, octs, grouped, partner_slots, max_octs, assignment, results):
+    """Append to results every vector completing the (pattern, signature)
+    entries chosen for the tetrahedra before t, of which octs carry an
+    octagon, in the order of the grouped lists."""
+    if t == len(grouped):
+        vec = []
+        for (pattern, _sig) in assignment:
+            vec.extend(pattern)
+        results.append(tuple(vec))
+        return
+    key = tuple(assignment[t1][1][slot] for (t1, slot) in partner_slots[t])
+    for entry in grouped[t].get(key, ()):
+        has_oct = max_octs is not None and any(entry[0][7:])
+        if has_oct and octs >= max_octs:
+            continue
+        assignment[t] = entry
+        _assign(t + 1, octs + has_oct, grouped, partner_slots, max_octs,
+                assignment, results)
+    assignment[t] = None
 
 
 def enumerate_solutions(tri, bound, support):

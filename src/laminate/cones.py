@@ -211,8 +211,9 @@ def hilbert_basis(cone, max_coeff_bits=None):
     d-subset of rays, d the rank of the cone: these subsets cover the cone,
     and an irreducible point that is not a ray has every multiplier below 1
     in a subset whose cone holds it.  The walk is refused
-    (WorkBudgetExceeded) before it starts when it would cover more than
-    PARALLELEPIPED_POINT_CAP grid points.  Candidates are reduced in order
+    (WorkBudgetExceeded) before it starts, as soon as the subsets scanned
+    so far would have it cover more than PARALLELEPIPED_POINT_CAP grid
+    points.  Candidates are reduced in order
     of coordinate sum to the irreducible elements.  Output sorted
     lexicographically.
     """
@@ -221,16 +222,17 @@ def hilbert_basis(cone, max_coeff_bits=None):
         return rays
     d = rank(rays)
     simplices = []
+    walk = 0
     for sub in combinations(rays, d):
         pivots = pivot_columns(sub)
         if len(pivots) == d:
             delta = abs(det([[r[i] for i in pivots] for r in sub]))
             simplices.append((sub, pivots, delta))
-    walk = sum(delta ** d for _, _, delta in simplices)
-    if walk > PARALLELEPIPED_POINT_CAP:
-        raise WorkBudgetExceeded(
-            "the parallelepiped walk of a Hilbert basis covers %d grid "
-            "points (budget %d)" % (walk, PARALLELEPIPED_POINT_CAP))
+            walk += delta ** d
+            if walk > PARALLELEPIPED_POINT_CAP:
+                raise WorkBudgetExceeded(
+                    "the parallelepiped walk of a Hilbert basis covers more "
+                    "than %d grid points" % PARALLELEPIPED_POINT_CAP)
     candidates = set(rays)
     for sub, pivots, delta in simplices:
         candidates.update(_parallelepiped_points(sub, pivots, delta))
@@ -283,33 +285,34 @@ def positive_integer_point(cone, max_coeff_bits=None):
     return primitive(total)
 
 
+def _least_picks(residual, start, basis, memo):
+    """The lexicographically least nondecreasing index tuple of basis
+    elements from start onward summing to residual, or None."""
+    if not any(residual):
+        return ()
+    key = (residual, start)
+    if key in memo:
+        return memo[key]
+    result = None
+    for i in range(start, len(basis)):
+        h = basis[i]
+        if all(a <= b for a, b in zip(h, residual)):
+            rest = _least_picks(tuple(b - a for a, b in zip(h, residual)), i,
+                                basis, memo)
+            if rest is not None:
+                result = (i,) + rest
+                break
+    memo[key] = result
+    return result
+
+
 def decompose_over(point, basis):
     """
     Express an integer cone point as a nonnegative integer combination of
     the given basis, by depth-first search with memoization.  Returns the
     lexicographically least multiplicity tuple, or None.
     """
-    memo = {}
-    zero = tuple(0 for _ in point)
-
-    def rec(residual, start):
-        if residual == zero:
-            return ()
-        key = (residual, start)
-        if key in memo:
-            return memo[key]
-        result = None
-        for i in range(start, len(basis)):
-            h = basis[i]
-            if all(a <= b for a, b in zip(h, residual)):
-                rest = rec(tuple(b - a for a, b in zip(h, residual)), i)
-                if rest is not None:
-                    result = (i,) + rest
-                    break
-        memo[key] = result
-        return result
-
-    picks = rec(tuple(point), 0)
+    picks = _least_picks(tuple(point), 0, basis, {})
     if picks is None:
         return None
     counts = [0] * len(basis)

@@ -15,7 +15,7 @@ surface, which the all-negative verdict rules out.
 from .branched import carries_nonneg_chi
 from .bruteforce import enumerate_solutions
 from .errors import GenusTooSmall, InternalCheckFailed, UnboundedRefusal
-from .surfaces import build_surface
+from .surfaces import build_surface, surface_topology
 
 
 class GenusEnumeration:
@@ -43,16 +43,40 @@ class GenusEnumeration:
 
 def _accepts(model, v, genus):
     """The common surface filter: almost-normal weight, connectivity,
-    orientability, genus."""
+    orientability, genus.  Connectivity and orientability come from
+    surface_topology first, so only a connected orientable candidate has
+    its cell complex built, which must agree."""
     if model.oct_sector is not None and v[model.oct_sector] != 1:
         return False
-    surface = build_surface(model.triangulation, v, model.system)
-    if not surface.connected:
+    tri = model.triangulation
+    if surface_topology(tri, v, model.system) != (1, True):
         return False
-    component = surface.components[0]
-    if not component.orientable:
-        return False
-    return component.genus_or_crosscap == genus
+    surface = build_surface(tri, v, model.system)
+    if not (surface.connected and surface.components[0].orientable):
+        raise InternalCheckFailed(
+            "the cell complex of %s is not the connected orientable surface "
+            "that surface_topology reports" % (v,))
+    return surface.components[0].genus_or_crosscap == genus
+
+
+def _sums(funds, deficits, idx, remaining, counts, acc):
+    """
+    (multiplicity tuple, vector) for every way to spend exactly
+    ``remaining`` of chi deficit on fundamentals idx onward, with the
+    multiplicities of those before fixed at counts and their sum at acc,
+    in lexicographic order of the tuples.
+    """
+    if remaining == 0:
+        yield counts + (0,) * (len(funds) - len(counts)), acc
+        return
+    if idx == len(funds):
+        return
+    step = deficits[idx]
+    for n in range(remaining // step + 1):
+        nxt = acc if n == 0 else tuple(a + n * b
+                                       for a, b in zip(acc, funds[idx]))
+        yield from _sums(funds, deficits, idx + 1, remaining - n * step,
+                         counts + (n,), nxt)
 
 
 def enumerate_genus(model, genus):
@@ -86,30 +110,13 @@ def enumerate_genus(model, genus):
     # least tuple.
     found = {}
     seen = set()
-
-    def rec(idx, remaining, counts, acc):
-        if remaining == 0:
-            v = tuple(acc)
+    if target >= 0:
+        for counts, v in _sums(funds, deficits, 0, target, (),
+                               (0,) * len(funds[0]) if funds else ()):
             if v not in seen and any(v):
                 seen.add(v)
                 if _accepts(model, v, genus):
-                    found[v] = tuple(counts) + (0,) * (len(funds) - len(counts))
-            return
-        if idx == len(funds):
-            return
-        step = deficits[idx]
-        max_n = remaining // step
-        for n in range(max_n + 1):
-            counts.append(n)
-            if n == 0:
-                rec(idx + 1, remaining, counts, acc)
-            else:
-                nxt = [a + n * b for a, b in zip(acc, funds[idx])]
-                rec(idx + 1, remaining - n * step, counts, nxt)
-            counts.pop()
-
-    if target >= 0:
-        rec(0, target, [], [0] * len(funds[0]) if funds else [])
+                    found[v] = counts
     vectors = sorted(found)
     return GenusEnumeration(model, genus, vectors,
                             {v: found[v] for v in vectors}, funds)

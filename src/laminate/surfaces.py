@@ -30,9 +30,16 @@ parity union-find.  The builder asserts, raising InternalCheckFailed:
   coordinate sum.
 
 The point check exercises the entire frozen disk-type table.
+
+surface_topology answers only the number of components and whether they
+are all orientable, from the same numbering and the same checks, made
+once per range of parallel arcs instead of once per arc; the genus
+filter calls it before it builds anything.  Both refuse a vector of more
+than SURFACE_DISK_CAP disks (WorkBudgetExceeded) before any per-disk
+state is allocated.
 """
 
-from .errors import Inadmissible, InternalCheckFailed
+from .errors import Inadmissible, InternalCheckFailed, WorkBudgetExceeded
 from .normal import (COORDS_PER_TET, DISK_EDGE_WEIGHTS, QUAD_PAIRS,
                      arc_count, edge_weights, is_admissible, weight)
 from .triangulation import EDGES, ParityUnionFind, edge_index
@@ -156,6 +163,42 @@ class NormalSurface:
         }
 
 
+# The most disks a surface is rebuilt from; a vector with a larger
+# coordinate sum is refused before any per-disk list is made.
+SURFACE_DISK_CAP = 200_000
+
+
+def _check_rebuildable(tri, v, system):
+    """The admissibility report of an embeddable vector within the disk
+    cap; raises Inadmissible or WorkBudgetExceeded otherwise."""
+    report = is_admissible(tri, v, system=system)
+    if not report.embeddable:
+        raise Inadmissible("; ".join(report.messages()[:4]))
+    if sum(v) > SURFACE_DISK_CAP:
+        raise WorkBudgetExceeded("the surface has %d disks (budget %d)"
+                                 % (sum(v), SURFACE_DISK_CAP))
+    return report
+
+
+def _edge_ends(tri, t, counts, class_weights):
+    """
+    Per ordered vertex pair 4x + y of tetrahedron t: edge xy, its class,
+    its point count, and whether x is where the class's direction starts.
+    Raises InternalCheckFailed when the count differs from the class's.
+    """
+    edge_ends = [None] * 16
+    for e, (x, y) in enumerate(EDGES):
+        cls, flipped = tri.edge_class_of[(t, e)]
+        count = sum(c * w[e] for c, w in zip(counts, DISK_EDGE_WEIGHTS))
+        if count != class_weights[cls]:
+            raise InternalCheckFailed(
+                "edge class %d sees %d points from tet %d but %d from "
+                "its least incidence" % (cls, count, t, class_weights[cls]))
+        edge_ends[4 * x + y] = (e, cls, count, not flipped)
+        edge_ends[4 * y + x] = (e, cls, count, bool(flipped))
+    return edge_ends
+
+
 def build_surface(tri, v, system=None):
     """
     Rebuild the surface of a coordinate vector.
@@ -163,11 +206,10 @@ def build_surface(tri, v, system=None):
     The vector must satisfy the matching equations and the quad/oct
     constraint; octagon coordinates above 1 are allowed (parallel octagon
     copies), so that integer solutions of branch systems can be rebuilt
-    even when they are not almost normal.
+    even when they are not almost normal.  A vector of more than
+    SURFACE_DISK_CAP disks is refused (WorkBudgetExceeded).
     """
-    report = is_admissible(tri, v, system=system)
-    if not report.embeddable:
-        raise Inadmissible("; ".join(report.messages()[:4]))
+    report = _check_rebuildable(tri, v, system)
 
     class_weights = edge_weights(tri, v)
     disk_points = []              # per disk: its corners' (class, position)
@@ -176,19 +218,7 @@ def build_surface(tri, v, system=None):
     for t in range(tri.tet_count):
         counts = v[COORDS_PER_TET * t:COORDS_PER_TET * (t + 1)]
         shift = list(counts[:4]) + [0]
-        # edge_ends[4x + y]: edge xy, its class, its point count, and
-        # whether x is where the class's direction starts.
-        edge_ends = [None] * 16
-        for e, (x, y) in enumerate(EDGES):
-            cls, flipped = tri.edge_class_of[(t, e)]
-            count = sum(c * w[e] for c, w in zip(counts, DISK_EDGE_WEIGHTS))
-            if count != class_weights[cls]:
-                raise InternalCheckFailed(
-                    "edge class %d sees %d points from tet %d but %d from "
-                    "its least incidence"
-                    % (cls, count, t, class_weights[cls]))
-            edge_ends[4 * x + y] = (e, cls, count, not flipped)
-            edge_ends[4 * y + x] = (e, cls, count, bool(flipped))
+        edge_ends = _edge_ends(tri, t, counts, class_weights)
         for kind, copies in enumerate(counts):
             corner_plan, arc_plan = _DISK_TEMPLATES[kind]
             for k in range(copies):
@@ -282,4 +312,107 @@ def build_surface(tri, v, system=None):
     return surface
 
 
-__all__ = ["build_surface", "NormalSurface", "SurfaceComponent"]
+def surface_topology(tri, v, system=None):
+    """
+    (components, orientable) of the surface of a coordinate vector: its
+    number of connected components, and whether every one of them is
+    orientable, found without building the cell complex.
+
+    Disks are numbered as in build_surface.  The arcs of one face of a
+    tetrahedron that cut off one corner come in at most two pieces,
+    ranges of ranks filled by parallel copies of one disk kind: the
+    triangles of the cutoff type, then the tetrahedron's quad or octagon.
+    A face gluing matches equal ranks, so where a piece of each side
+    overlap, one affine map takes a range of disks to a range of disks,
+    with one orientation relation for the whole overlap.  Each glued pair
+    of disks is united in a parity union-find.  The checks of
+    build_surface on edge point counts, arc counts, glued edges, glued
+    points and orientation relations are made once per overlap (points at
+    its first and last rank, which fix them in between) and raise
+    InternalCheckFailed.  Inadmissible vectors and vectors over
+    SURFACE_DISK_CAP disks are refused as by build_surface.
+    """
+    _check_rebuildable(tri, v, system)
+    class_weights = edge_weights(tri, v)
+    # (tet, face, cutoff) -> pieces in rank order, each (first rank, end
+    # rank, disk at the first rank, disk step per rank, ends), an end
+    # being (edge, reference side along the class, class, position at
+    # the first rank, position step per rank).
+    pieces = {}
+    disk = 0
+    for t in range(tri.tet_count):
+        counts = v[COORDS_PER_TET * t:COORDS_PER_TET * (t + 1)]
+        shift = list(counts[:4]) + [0]
+        edge_ends = _edge_ends(tri, t, counts, class_weights)
+        for kind, copies in enumerate(counts):
+            if not copies:
+                continue
+            corner_plan, arc_plan = _DISK_TEMPLATES[kind]
+            for f, w, base, rev, a, b in arc_plan:
+                first = copies - 1 if rev else 0      # copy at the first rank
+                ends = []
+                for pair, cbase, crev, toward_y in (corner_plan[a],
+                                                    corner_plan[b]):
+                    e, cls, count, start = edge_ends[pair]
+                    offset = shift[cbase] + (copies - 1 - first if crev
+                                             else first)
+                    step = -1 if rev != crev else 1
+                    if not start:
+                        offset, step = count - 1 - offset, -step
+                    ends.append((e, toward_y == start, cls, offset, step))
+                lo = shift[base]
+                pieces.setdefault((t, f, w), []).append(
+                    (lo, lo + copies, disk + first, -1 if rev else 1, ends))
+            disk += copies
+
+    parity = ParityUnionFind(disk)
+    orientable = True
+    for (side1, side2, perm) in tri.face_classes:
+        (t1, f1), (t2, f2) = side1, side2
+        edge_map = [edge_index(perm[x], perm[y]) for x, y in EDGES]
+        for w in range(4):
+            if w == f1:
+                continue
+            one = pieces.get((t1, f1, w), ())
+            two = pieces.get((t2, f2, perm[w]), ())
+            if (one[-1][1] if one else 0) != (two[-1][1] if two else 0):
+                raise InternalCheckFailed(
+                    "arc counts differ across face gluing %s -> %s" %
+                    (side1, side2))
+            i = j = lo = 0
+            while i < len(one):
+                lo1, hi1, d1, s1, ends1 = one[i]
+                lo2, hi2, d2, s2, ends2 = two[j]
+                hi = min(hi1, hi2)
+                rels = []
+                for e1, along1, cls1, p1, q1 in ends1:
+                    match = [end for end in ends2 if end[0] == edge_map[e1]]
+                    if not match:
+                        raise InternalCheckFailed(
+                            "glued arcs disagree on their edges")
+                    _, along2, cls2, p2, q2 = match[0]
+                    for r in (lo, hi - 1):
+                        if (cls1, p1 + q1 * (r - lo1)) != \
+                                (cls2, p2 + q2 * (r - lo2)):
+                            raise InternalCheckFailed(
+                                "glued arc endpoints land on different "
+                                "points (tets %d,%d)" % (t1, t2))
+                    rels.append(along1 != along2)
+                if rels[0] != rels[1]:
+                    raise InternalCheckFailed(
+                        "orientation relation differs at the two ends of a "
+                        "glued arc")
+                x, y = d1 + s1 * (lo - lo1), d2 + s2 * (lo - lo2)
+                for _ in range(hi - lo):
+                    if not parity.union(x, y, rels[0]):
+                        orientable = False
+                    x += s1
+                    y += s2
+                i += hi1 == hi
+                j += hi2 == hi
+                lo = hi
+    return parity.classes, orientable
+
+
+__all__ = ["build_surface", "surface_topology", "NormalSurface",
+           "SurfaceComponent"]

@@ -63,15 +63,20 @@ class ParityUnionFind:
     Union-find over 0..n-1 with a parity bit relative to the root, kept
     list-indexed with path compression.  Tetrahedra, tetrahedron edges and
     tetrahedron vertices are indexed t, 6t+e and 4t+v; surface disks by id.
+    ``classes`` counts the classes.
     """
 
     def __init__(self, n):
         self.parent = list(range(n))
         self.parity = [0] * n
+        self.classes = n
 
     def find(self, x):
         """(root of x, parity of x relative to that root)."""
         parent, parity = self.parent, self.parity
+        up = parent[x]
+        if parent[up] == up:      # x is a root (parity 0) or its child
+            return up, parity[x]
         root, p = x, 0
         while parent[root] != root:
             p ^= parity[root]
@@ -97,6 +102,7 @@ class ParityUnionFind:
             return (px ^ py) == rel
         self.parent[ry] = rx
         self.parity[ry] = px ^ py ^ rel
+        self.classes -= 1
         return True
 
 

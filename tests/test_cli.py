@@ -285,6 +285,17 @@ def test_ns_build_rejects_non_matching_vector(capsys):
     assert json.loads(out)["error"]["kind"] == "Inadmissible"
 
 
+def test_ns_build_over_the_disk_cap_is_refused(capsys):
+    # The README's vertex link of two_tet, 10^9 times over: refused before
+    # a single disk is allocated.
+    vector = ",".join((["1000000000"] * 4 + ["0"] * 6) * 2)
+    code, out = run_cli(capsys, "ns", "build",
+                        "--input", str(fixture_path("two_tet.tri")),
+                        "--vector", vector)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "WorkBudgetExceeded"
+
+
 def test_ns_build_rejects_malformed_vector(capsys):
     code, out = run_cli(capsys, "ns", "build",
                         "--input", str(fixture_path("one_tet.tri")),

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from laminate import cones
 from laminate.bruteforce import extreme_ray_oracle, hilbert_oracle
 from laminate.cones import (RationalCone, decompose_over, extreme_rays,
                             hilbert_basis, maximize_linear,
                             positive_integer_point, primitive)
 from laminate.errors import (CoefficientBudgetExceeded, EmptyCone,
                              WorkBudgetExceeded)
-from laminate.linalg import dot
+from laminate.linalg import det, dot
 
 
 def test_extreme_rays_of_plane_cone():
@@ -132,6 +133,21 @@ def test_parallelepiped_walk_over_budget_is_refused():
     # Rays (1, 3000, 0) and (1, 0, 3000): a 3000^2 walk.
     with pytest.raises(WorkBudgetExceeded):
         hilbert_basis(RationalCone([(3000, -1, -1)], 3))
+
+
+def test_parallelepiped_walk_is_refused_during_the_subset_scan(monkeypatch):
+    # Four rays of rank 3, every 3-subset independent with minor 200: the
+    # first subset alone is a 200^3 walk, so the scan stops there.
+    calls = []
+
+    def counting_det(matrix):
+        calls.append(matrix)
+        return det(matrix)
+
+    monkeypatch.setattr(cones, "det", counting_det)
+    with pytest.raises(WorkBudgetExceeded, match="covers more than"):
+        hilbert_basis(RationalCone([(200, 200, -1, -1)], 4))
+    assert len(calls) == 1
 
 
 @st.composite

@@ -1,12 +1,16 @@
+import gc
+
 import pytest
 
 from laminate import finiteness
+from laminate.bruteforce import enumerate_quad_oct_solutions
+from laminate.cones import decompose_over
 from laminate.errors import GenusTooSmall, UnboundedRefusal
 from laminate.finiteness import (GenusEnumeration, antichain_certificate,
                                  brute_force_genus_list, enumerate_genus)
 from laminate.normal import is_admissible, quad_index, vector_length
-from laminate.surfaces import build_surface
-from tests.conftest import load_model
+from laminate.surfaces import build_surface, surface_topology
+from tests.conftest import load_model, load_triangulation
 
 
 def test_refusal_when_carrying_nonnegative_chi(models):
@@ -86,22 +90,29 @@ def test_enumeration_soundness(models):
 def test_each_distinct_candidate_is_built_once(monkeypatch):
     # With fundamentals (f, 2f) the sums 2f and 4f arise from several
     # multiplicity tuples; each is rejected (parallel copies) and must be
-    # rebuilt no more than once per enumeration.
+    # tested no more than once per enumeration, by surface_topology alone:
+    # a rejected candidate never gets a cell complex.
     model = load_model("three_tet_normal_genus2.json")
     (f,) = model.fundamentals()
     monkeypatch.setattr(model, "fundamentals",
                         lambda: (f, tuple(2 * x for x in f)))
-    built = []
+    tested, built = [], []
+
+    def counting_topology(tri, v, system=None):
+        tested.append(v)
+        return surface_topology(tri, v, system)
 
     def counting_build(tri, v, system=None):
         built.append(v)
         return build_surface(tri, v, system)
 
+    monkeypatch.setattr(finiteness, "surface_topology", counting_topology)
     monkeypatch.setattr(finiteness, "build_surface", counting_build)
     for genus, multiple in ((3, 2), (5, 4)):
-        built.clear()
+        tested.clear()
         assert enumerate_genus(model, genus).vectors == ()
-        assert built == [tuple(multiple * x for x in f)]
+        assert tested == [tuple(multiple * x for x in f)]
+        assert built == []
 
 
 def test_enumeration_stable_across_runs(models):
@@ -179,3 +190,27 @@ def test_antichain_failure_path(models):
     assert result.difference_normal is True
     surface = build_surface(model.triangulation, result.difference)
     assert surface.chi == 0
+
+
+@pytest.mark.parametrize("name", ["enumerate_genus", "decompose_over",
+                                  "enumerate_quad_oct_solutions"])
+def test_recursion_leaves_no_garbage(name):
+    # Each recursion's state (the seen set, the memo, the grouped pattern
+    # lists) is freed when the call returns, not left in a reference
+    # cycle for the cyclic collector.
+    model = load_model("three_tet_normal_genus2.json")
+    two_tet = load_triangulation("two_tet.tri")
+    call = {
+        "enumerate_genus": lambda: enumerate_genus(model, 3),
+        "decompose_over": lambda: decompose_over((2, 2), [(1, 0), (0, 1)]),
+        "enumerate_quad_oct_solutions":
+            lambda: enumerate_quad_oct_solutions(two_tet, 2),
+    }[name]
+    call()                        # fills the model's lazy caches
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -4,6 +4,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laminate.errors import Inadmissible, InternalCheckFailed
 from laminate.finiteness import enumerate_genus
@@ -11,8 +13,9 @@ from laminate.linalg import dot
 from laminate.normal import (chi_functional_coefficients, haken_sum,
                              matching_system, quad_oct_profile, quad_index,
                              tri_index, vector_length, weight)
-from laminate.surfaces import build_surface
-from tests.test_normal import all_triangles_one
+from laminate.surfaces import build_surface, surface_topology
+from laminate.triangulation import parse_triangulation
+from tests.test_normal import SOLUTIONS_GOLDEN, all_triangles_one
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "surfaces_golden.json"
 
@@ -81,6 +84,53 @@ def test_builder_reproduces_golden_surfaces(triangulations, fundamentals,
         name = g["triangulation"]
         assert golden_record(triangulations[name], name,
                              tuple(g["vector"])) == g
+
+
+def test_topology_agrees_with_golden_surfaces(triangulations):
+    for g in json.loads(GOLDEN.read_text()):
+        tri = triangulations[g["triangulation"]]
+        surface = g["surface"]
+        assert surface_topology(tri, tuple(g["vector"])) == (
+            len(surface["components"]),
+            all(c["orientable"] for c in surface["components"]))
+
+
+def _vertex_solution_census():
+    """(triangulation, vertex solutions with octagons) of every entry of
+    the solutions golden file: the three fixtures and six census picks
+    of 3 and 4 tetrahedra."""
+    out = []
+    for entry in json.loads(SOLUTIONS_GOLDEN.read_text()):
+        (case,) = [c for c in entry["cases"]
+                   if c["function"] == "vertex_solutions"
+                   and c["include_octs"] and c["max_coeff_bits"] is None]
+        out.append((parse_triangulation(entry["triangulation"]),
+                    [tuple(r) for r in case["solutions"]]))
+    return out
+
+
+VERTEX_SOLUTION_CENSUS = _vertex_solution_census()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_topology_agrees_with_builder_on_random_sums(data):
+    # A nonnegative combination of vertex solutions; a term that would
+    # give some tetrahedron a second quad/oct direction is skipped.
+    tri, rays = data.draw(st.sampled_from(VERTEX_SOLUTION_CENSUS))
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(rays),
+                                         st.integers(1, 3)),
+                               min_size=1, max_size=4))
+    v = (0,) * vector_length(tri)
+    for ray, n in terms:
+        w = tuple(a + n * b for a, b in zip(v, ray))
+        if all(len(quad_oct_profile(w, t)) <= 1
+               for t in range(tri.tet_count)):
+            v = w
+    surface = build_surface(tri, v)
+    assert surface_topology(tri, v) == (
+        len(surface.components),
+        all(c.orientable for c in surface.components))
 
 
 def test_vertex_link_builds_sphere(triangulations):
@@ -228,17 +278,33 @@ def test_octagon_stacks_match_functional(three_tet):
         assert build_surface(three_tet, v).chi == dot(coeffs, v) == -2 * k
 
 
+def _flip_edge(tri, incidence):
+    """A copy of tri with one edge incidence's orientation inverted."""
+    tri = copy.copy(tri)
+    tri.edge_class_of = dict(tri.edge_class_of)
+    cls, flipped = tri.edge_class_of[incidence]
+    tri.edge_class_of[incidence] = (cls, 1 - flipped)
+    return tri
+
+
 @pytest.mark.parametrize("incidence", [(0, 0), (1, 2), (2, 5)])
 def test_inverted_edge_flip_fails_the_per_arc_check(three_tet, incidence):
     # A builder that skips comparing the two ends of every glued arc would
     # accept this corrupted edge orientation.
-    tri = copy.copy(three_tet)
-    tri.edge_class_of = dict(three_tet.edge_class_of)
-    cls, flipped = tri.edge_class_of[incidence]
-    tri.edge_class_of[incidence] = (cls, 1 - flipped)
+    tri = _flip_edge(three_tet, incidence)
     with pytest.raises(InternalCheckFailed,
                        match="glued arc endpoints land on different points"):
         build_surface(tri, all_triangles_one(tri))
+
+
+@pytest.mark.parametrize("incidence", [(0, 0), (1, 2), (2, 5)])
+def test_inverted_edge_flip_fails_the_topology_point_check(three_tet,
+                                                           incidence):
+    # The same corruption, caught at the first or last rank of a range.
+    tri = _flip_edge(three_tet, incidence)
+    with pytest.raises(InternalCheckFailed,
+                       match="glued arc endpoints land on different points"):
+        surface_topology(tri, all_triangles_one(tri))
 
 
 def test_inadmissible_vector_rejected(two_tet):
