@@ -39,7 +39,8 @@ class ChiFunctional:
 class BranchedSurfaceModel:
     """
     A supported branch system over a triangulation.  Immutable; the
-    fundamental solutions are computed once on first use.  Every cone
+    extreme rays of its cone, the fundamental solutions and the chi
+    verdict are each computed once, on first use.  Every cone
     computation of the model (fundamentals, full carrying, the zero-chi
     locus) runs under the coefficient budget max_coeff_bits, when given.
     """
@@ -68,18 +69,28 @@ class BranchedSurfaceModel:
         self.cone = matching_cone(tri, self.support, self.system)
         self.chi = ChiFunctional(tri)
         self.max_coeff_bits = max_coeff_bits
+        self._rays = None
         self._fundamentals = None
+        self._verdict = None
+
+    def _extreme_rays(self):
+        if self._rays is None:
+            self._rays = extreme_rays(self.cone,
+                                      max_coeff_bits=self.max_coeff_bits)
+        return self._rays
 
     def fundamentals(self):
         if self._fundamentals is None:
             self._fundamentals = tuple(
-                hilbert_basis(self.cone, max_coeff_bits=self.max_coeff_bits))
+                hilbert_basis(self.cone, max_coeff_bits=self.max_coeff_bits,
+                              rays=self._extreme_rays()))
         return self._fundamentals
 
     @property
     def fully_carrying(self):
         return positive_integer_point(
-            self.cone, max_coeff_bits=self.max_coeff_bits) is not None
+            self.cone, max_coeff_bits=self.max_coeff_bits,
+            rays=self._extreme_rays()) is not None
 
     def carries(self, v):
         return self.cone.contains(v)
@@ -165,8 +176,15 @@ def carries_nonneg_chi(model):
     For the chi = 0 verdict a connected orientable chi = 0 witness (a
     torus) is searched among the chi = 0 fundamentals and their pairwise
     sums; a Klein bottle witness is reported as such together with
-    whether its double is a torus.
+    whether its double is a torus.  The verdict is kept on the model, so
+    it is decided once per model.
     """
+    if model._verdict is None:
+        model._verdict = _verdict(model)
+    return model._verdict
+
+
+def _verdict(model):
     tri = model.triangulation
     funds = model.fundamentals()
     chis = [model.chi.value(f) for f in funds]

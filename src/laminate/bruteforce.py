@@ -3,9 +3,10 @@ Brute-force lattice enumeration oracles.
 
 These enumerate every integer solution of the matching equations within a
 coordinate bound, by listing per-tetrahedron coordinate patterns and
-joining them across face gluings.  One lister, _patterns, builds every
-pattern list anew on each call, and a pattern's arc signature is the sum
-of its disks' arc columns.  They are deliberately independent of the
+joining them across face gluings.  One lister, _patterns, streams the
+patterns anew on each call, a pattern's arc signature is the sum of its
+disks' arc columns, and the join keeps only the patterns that pass their
+tetrahedron's self-gluing checks.  They are deliberately independent of the
 double description engine in cones.py: extremality is decided by an
 exact rank computation on the active coordinate set and irreducibility
 by pairwise domination, so they can serve as oracles for it.
@@ -41,13 +42,18 @@ def _refuse_over_cap(count):
 
 def _patterns(box, bound, choices=()):
     """
-    (pattern, arc signature) pairs.  The local coordinates in box range
-    over 0..bound and the rest are zero; each such pattern is listed
-    alone, then once with each (coordinate, value) of choices added.
+    A stream of (pattern, arc signature) pairs.  The local coordinates in
+    box range over 0..bound and the rest are zero; each such pattern is
+    listed alone, then once with each (coordinate, value) of choices
+    added.  Over _PATTERN_CAP patterns are refused here, before the
+    stream starts.
     """
     box = sorted(box)
     _refuse_over_cap((bound + 1) ** len(box) * (1 + len(choices)))
-    out = []
+    return _pattern_stream(box, bound, choices)
+
+
+def _pattern_stream(box, bound, choices):
     for values in product(range(bound + 1), repeat=len(box)):
         pattern = [0] * COORDS_PER_TET
         sig = [0] * len(ARC_TYPES)
@@ -55,14 +61,13 @@ def _patterns(box, bound, choices=()):
             pattern[k] = x
             for slot in DISK_ARC_SLOTS[k]:
                 sig[slot] += x
-        out.append((tuple(pattern), tuple(sig)))
+        yield tuple(pattern), tuple(sig)
         for k, x in choices:
             extra, added = pattern[:], sig[:]
             extra[k] = x
             for slot in DISK_ARC_SLOTS[k]:
                 added[slot] += x
-            out.append((tuple(extra), tuple(added)))
-    return out
+            yield tuple(extra), tuple(added)
 
 
 def _quad_oct_patterns(bound, oct_cap):
@@ -76,11 +81,14 @@ def _quad_oct_patterns(bound, oct_cap):
                       for x in range(1, (bound if k < 7 else octs) + 1)])
 
 
-def _join(tri, pattern_lists, max_octs=None):
+def _join(tri, pattern_streams, max_octs=None):
     """
-    Assemble per-tetrahedron (pattern, signature) lists into global
-    vectors satisfying every matching equation.  When max_octs is given,
-    at most that many chosen patterns may carry an octagon.
+    Assemble per-tetrahedron streams of (pattern, signature) pairs into
+    global vectors satisfying every matching equation, keeping of each
+    stream only the patterns that pass its tetrahedron's self-gluing
+    checks.  Each distinct stream object is read once, in one pass for
+    all the tetrahedra given it.  When max_octs is given, at most that
+    many chosen patterns may carry an octagon.
     """
     n = tri.tet_count
     self_classes = [[] for _ in range(n)]
@@ -92,7 +100,8 @@ def _join(tri, pattern_lists, max_octs=None):
         else:
             cross_classes[t2].append((t1, f1, f2, perm))
 
-    grouped = []
+    grouped = [{} for _ in range(n)]
+    readers = {}                  # stream id -> (stream, its filters)
     for t in range(n):
         own_slots = [ARC_SLOT[(f2, perm[w])]
                      for (t1, f1, f2, perm) in cross_classes[t]
@@ -100,14 +109,17 @@ def _join(tri, pattern_lists, max_octs=None):
         self_checks = [(ARC_SLOT[(f1, w)], ARC_SLOT[(f2, perm[w])])
                        for (f1, f2, perm) in self_classes[t]
                        for w in range(4) if w != f1]
-        groups = {}
-        for entry in pattern_lists[t]:
+        stream = pattern_streams[t]
+        readers.setdefault(id(stream), (stream, []))[1].append(
+            (grouped[t], own_slots, self_checks))
+    for stream, filters in readers.values():
+        for entry in stream:
             sig = entry[1]
-            if any(sig[a] != sig[b] for a, b in self_checks):
-                continue
-            key = tuple(sig[s] for s in own_slots)
-            groups.setdefault(key, []).append(entry)
-        grouped.append(groups)
+            for groups, own_slots, self_checks in filters:
+                if any(sig[a] != sig[b] for a, b in self_checks):
+                    continue
+                key = tuple(sig[s] for s in own_slots)
+                groups.setdefault(key, []).append(entry)
 
     partner_slots = []
     for t in range(n):
@@ -150,8 +162,8 @@ def enumerate_solutions(tri, bound, support):
     boxes = [frozenset(j % COORDS_PER_TET for j in support
                        if j // COORDS_PER_TET == t)
              for t in range(tri.tet_count)]
-    lists = {box: _patterns(box, bound) for box in dict.fromkeys(boxes)}
-    return _join(tri, [lists[box] for box in boxes])
+    streams = {box: _patterns(box, bound) for box in dict.fromkeys(boxes)}
+    return _join(tri, [streams[box] for box in boxes])
 
 
 def enumerate_quad_oct_solutions(tri, bound):
@@ -161,8 +173,7 @@ def enumerate_quad_oct_solutions(tri, bound):
     beyond the bound).  This is the union of the solution sets of all
     quad/oct orthants; filter by support to recover a single orthant.
     """
-    entries = _quad_oct_patterns(bound, bound)
-    return _join(tri, [entries] * tri.tet_count)
+    return _join(tri, [_quad_oct_patterns(bound, bound)] * tri.tet_count)
 
 
 def enumerate_admissible(tri, bound):
@@ -171,8 +182,8 @@ def enumerate_admissible(tri, bound):
     equations, at most one quad/oct direction per tetrahedron, at most one
     octagon in the whole vector with value at most 1.  Includes zero.
     """
-    entries = _quad_oct_patterns(bound, 1)
-    return _join(tri, [entries] * tri.tet_count, max_octs=1)
+    return _join(tri, [_quad_oct_patterns(bound, 1)] * tri.tet_count,
+                 max_octs=1)
 
 
 def in_support(vector, support):

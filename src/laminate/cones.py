@@ -202,9 +202,10 @@ def _parallelepiped_points(rays, pivots, delta):
     return points
 
 
-def hilbert_basis(cone, max_coeff_bits=None):
+def hilbert_basis(cone, max_coeff_bits=None, rays=None):
     """
     The minimal generating set of the monoid of integer points of the cone.
+    Its extreme rays are computed here unless given as rays.
 
     The candidates are the extreme rays together with the nonzero integer
     points of the half-open parallelepipeds of every linearly independent
@@ -217,7 +218,8 @@ def hilbert_basis(cone, max_coeff_bits=None):
     of coordinate sum to the irreducible elements.  Output sorted
     lexicographically.
     """
-    rays = extreme_rays(cone, max_coeff_bits=max_coeff_bits)
+    if rays is None:
+        rays = extreme_rays(cone, max_coeff_bits=max_coeff_bits)
     if len(rays) <= 1:
         return rays
     d = rank(rays)
@@ -267,14 +269,16 @@ def maximize_linear(cone, functional, max_coeff_bits=None):
     return best_value, best_witness
 
 
-def positive_integer_point(cone, max_coeff_bits=None):
+def positive_integer_point(cone, max_coeff_bits=None, rays=None):
     """
     An integer point strictly positive on every supported coordinate, or
     None when the cone has no strictly positive rational point.  The sum
-    of the extreme rays is strictly positive exactly when such a point
-    exists; it is returned in primitive form.
+    of the extreme rays (computed here unless given as rays) is strictly
+    positive exactly when such a point exists; it is returned in
+    primitive form.
     """
-    rays = extreme_rays(cone, max_coeff_bits=max_coeff_bits)
+    if rays is None:
+        rays = extreme_rays(cone, max_coeff_bits=max_coeff_bits)
     if not rays:
         return None
     total = [0] * cone.dim

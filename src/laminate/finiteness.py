@@ -14,8 +14,14 @@ surface, which the all-negative verdict rules out.
 
 from .branched import carries_nonneg_chi
 from .bruteforce import enumerate_solutions
-from .errors import GenusTooSmall, InternalCheckFailed, UnboundedRefusal
+from .errors import (GenusTooSmall, InternalCheckFailed, UnboundedRefusal,
+                     WorkBudgetExceeded)
 from .surfaces import build_surface, surface_topology
+
+# The most disks, summed over the multiplicity tuples of one genus, that
+# the genus filter may be asked to test; a larger walk is refused before
+# it starts.
+GENUS_DISK_CAP = 2_000_000
 
 
 class GenusEnumeration:
@@ -59,24 +65,47 @@ def _accepts(model, v, genus):
     return surface.components[0].genus_or_crosscap == genus
 
 
-def _sums(funds, deficits, idx, remaining, counts, acc):
+def _reachable(deficits, sizes, target):
+    """
+    (masks, tuples, disks) for spending exactly target of chi deficit on
+    fundamentals of the given deficits and disk counts.  masks[i] has bit
+    r set when exactly r can be spent on fundamentals i onward; tuples is
+    the number of multiplicity tuples spending target, and disks the sum
+    of their disk counts, each sum n_i * sizes[i] over the tuple.
+    """
+    ways = [1] + [0] * target       # tuples spending r, over none yet
+    disks = [0] * (target + 1)      # their summed disk counts
+    masks = [1]
+    for step, size in zip(reversed(deficits), reversed(sizes)):
+        # Tuples with one more of this fundamental extend those at r - step.
+        for r in range(step, target + 1):
+            if ways[r - step]:
+                ways[r] += ways[r - step]
+                disks[r] += disks[r - step] + size * ways[r - step]
+        masks.append(sum(1 << r for r, w in enumerate(ways) if w))
+    masks.reverse()
+    return masks, ways[target], disks[target]
+
+
+def _sums(funds, deficits, masks, idx, remaining, counts, acc):
     """
     (multiplicity tuple, vector) for every way to spend exactly
     ``remaining`` of chi deficit on fundamentals idx onward, with the
     multiplicities of those before fixed at counts and their sum at acc,
-    in lexicographic order of the tuples.
+    in lexicographic order of the tuples.  A branch is entered only when
+    masks (from _reachable) say that its rest can be spent exactly.
     """
     if remaining == 0:
         yield counts + (0,) * (len(funds) - len(counts)), acc
         return
-    if idx == len(funds):
-        return
-    step = deficits[idx]
+    step, rest = deficits[idx], masks[idx + 1]
     for n in range(remaining // step + 1):
-        nxt = acc if n == 0 else tuple(a + n * b
-                                       for a, b in zip(acc, funds[idx]))
-        yield from _sums(funds, deficits, idx + 1, remaining - n * step,
-                         counts + (n,), nxt)
+        left = remaining - n * step
+        if rest >> left & 1:
+            nxt = acc if n == 0 else tuple(a + n * b
+                                           for a, b in zip(acc, funds[idx]))
+            yield from _sums(funds, deficits, masks, idx + 1, left,
+                             counts + (n,), nxt)
 
 
 def enumerate_genus(model, genus):
@@ -86,7 +115,9 @@ def enumerate_genus(model, genus):
     multiplicity tuple over the fundamentals.
 
     Refuses (UnboundedRefusal) unless every fundamental has chi < 0,
-    since otherwise the list need not be finite.
+    since otherwise the list need not be finite, and refuses
+    (WorkBudgetExceeded) before the walk when its tuples hold more than
+    GENUS_DISK_CAP disks in all.
     """
     if genus < 0:
         raise GenusTooSmall("genus must be nonnegative, got %d" % genus)
@@ -97,8 +128,7 @@ def enumerate_genus(model, genus):
             "be infinite" % (verdict.verdict, genus))
     funds = model.fundamentals()
     deficits = []
-    for f in funds:
-        c = model.chi.value(f)
+    for c in verdict.fundamental_chis:
         if c.denominator != 1 or c >= 0:
             raise InternalCheckFailed("fundamental with chi %s under an "
                                       "all-negative verdict" % c)
@@ -111,12 +141,19 @@ def enumerate_genus(model, genus):
     found = {}
     seen = set()
     if target >= 0:
-        for counts, v in _sums(funds, deficits, 0, target, (),
-                               (0,) * len(funds[0]) if funds else ()):
-            if v not in seen and any(v):
-                seen.add(v)
-                if _accepts(model, v, genus):
-                    found[v] = counts
+        masks, tuples, disks = _reachable(deficits, [sum(f) for f in funds],
+                                          target)
+        if disks > GENUS_DISK_CAP:
+            raise WorkBudgetExceeded(
+                "the genus-%d walk tests %d sums of %d disks in all "
+                "(budget %d)" % (genus, tuples, disks, GENUS_DISK_CAP))
+        if masks[0] >> target & 1:
+            for counts, v in _sums(funds, deficits, masks, 0, target, (),
+                                   (0,) * len(funds[0]) if funds else ()):
+                if v not in seen and any(v):
+                    seen.add(v)
+                    if _accepts(model, v, genus):
+                        found[v] = counts
     vectors = sorted(found)
     return GenusEnumeration(model, genus, vectors,
                             {v: found[v] for v in vectors}, funds)

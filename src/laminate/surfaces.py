@@ -324,12 +324,12 @@ def surface_topology(tri, v, system=None):
     triangles of the cutoff type, then the tetrahedron's quad or octagon.
     A face gluing matches equal ranks, so where a piece of each side
     overlap, one affine map takes a range of disks to a range of disks,
-    with one orientation relation for the whole overlap.  Each glued pair
-    of disks is united in a parity union-find.  The checks of
-    build_surface on edge point counts, arc counts, glued edges, glued
-    points and orientation relations are made once per overlap (points at
-    its first and last rank, which fix them in between) and raise
-    InternalCheckFailed.  Inadmissible vectors and vectors over
+    with one orientation relation for the whole overlap.  The glued pairs
+    of disks of each overlap are united in one run of a parity union-find.
+    The checks of build_surface on edge point counts, arc counts, glued
+    edges, glued points and orientation relations are made once per
+    overlap (points at its first and last rank, which fix them in between)
+    and raise InternalCheckFailed.  Inadmissible vectors and vectors over
     SURFACE_DISK_CAP disks are refused as by build_surface.
     """
     _check_rebuildable(tri, v, system)
@@ -402,12 +402,10 @@ def surface_topology(tri, v, system=None):
                     raise InternalCheckFailed(
                         "orientation relation differs at the two ends of a "
                         "glued arc")
-                x, y = d1 + s1 * (lo - lo1), d2 + s2 * (lo - lo2)
-                for _ in range(hi - lo):
-                    if not parity.union(x, y, rels[0]):
-                        orientable = False
-                    x += s1
-                    y += s2
+                if not parity.union_run(d1 + s1 * (lo - lo1), s1,
+                                        d2 + s2 * (lo - lo2), s2, hi - lo,
+                                        rels[0]):
+                    orientable = False
                 i += hi1 == hi
                 j += hi2 == hi
                 lo = hi

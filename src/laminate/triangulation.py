@@ -63,12 +63,14 @@ class ParityUnionFind:
     Union-find over 0..n-1 with a parity bit relative to the root, kept
     list-indexed with path compression.  Tetrahedra, tetrahedron edges and
     tetrahedron vertices are indexed t, 6t+e and 4t+v; surface disks by id.
-    ``classes`` counts the classes.
+    ``classes`` counts the classes and ``size`` holds each root's class
+    size.
     """
 
     def __init__(self, n):
         self.parent = list(range(n))
         self.parity = [0] * n
+        self.size = [1] * n
         self.classes = n
 
     def find(self, x):
@@ -94,7 +96,7 @@ class ParityUnionFind:
         """Unite x and y with parity(x) ^ parity(y) == rel.
 
         Returns False if x and y were already united with the opposite
-        relative parity.
+        relative parity.  The root of x stays the root.
         """
         rx, px = self.find(x)
         ry, py = self.find(y)
@@ -102,8 +104,43 @@ class ParityUnionFind:
             return (px ^ py) == rel
         self.parent[ry] = rx
         self.parity[ry] = px ^ py ^ rel
+        self.size[rx] += self.size[ry]
         self.classes -= 1
         return True
+
+    def union_run(self, x, dx, y, dy, count, rel=0):
+        """Unite x + i*dx and y + i*dy with relation rel for every i < count,
+        as count calls of union would, linking the smaller class under the
+        larger.
+
+        Returns False if any of the pairs was already united with the
+        opposite relative parity.
+        """
+        parent, parity, size = self.parent, self.parity, self.size
+        ok, merged = True, 0
+        for _ in range(count):
+            rx, px = x, 0
+            while parent[rx] != rx:
+                px ^= parity[rx]
+                rx = parent[rx]
+            ry, py = y, 0
+            while parent[ry] != ry:
+                py ^= parity[ry]
+                ry = parent[ry]
+            if rx == ry:
+                if px ^ py != rel:
+                    ok = False
+            else:
+                if size[rx] < size[ry]:
+                    rx, ry = ry, rx
+                parent[ry] = rx
+                parity[ry] = px ^ py ^ rel
+                size[rx] += size[ry]
+                merged += 1
+            x += dx
+            y += dy
+        self.classes -= merged
+        return ok
 
 
 class Triangulation:

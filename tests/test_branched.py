@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import laminate.branched
+import laminate.cones
 from laminate.branched import (ChiFunctional, carries_nonneg_chi,
                                from_support, sub_branched_surface,
                                zero_chi_locus)
@@ -11,6 +13,7 @@ from laminate.linalg import dot
 from laminate.normal import (is_admissible, quad_index, tri_index,
                              vector_length)
 from laminate.surfaces import build_surface
+from tests.conftest import load_model
 from tests.test_normal import all_triangles_one
 
 
@@ -187,3 +190,39 @@ def test_all_negative_verdict_bounds_every_carried_point(models):
         for v in enumerate_solutions(model.triangulation, 10, model.support):
             if any(v):
                 assert model.chi.value(v) < 0
+
+
+def test_model_runs_one_double_description(three_tet, monkeypatch):
+    # Fundamentals and full carrying share the model cone's extreme rays.
+    calls = []
+    original = laminate.cones.extreme_rays
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(laminate.cones, "extreme_rays", counting)
+    monkeypatch.setattr(laminate.branched, "extreme_rays", counting)
+    model = from_support(three_tet, [2, 4, 11, 13, 15, 20, 21, 22, 23, 29])
+    payload = model.to_json_dict()
+    assert payload["fully_carrying"] and payload["fundamentals"]
+    assert calls == [model.cone]
+
+
+def test_verdict_is_decided_once_per_model(monkeypatch):
+    # The zero-chi verdict builds its witness surfaces; a second call on
+    # the same model returns the same verdict and builds nothing.
+    model = load_model("two_tet_klein.json")
+    builds = []
+    original = laminate.branched.build_surface
+
+    def counting(*args, **kwargs):
+        builds.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(laminate.branched, "build_surface", counting)
+    first = carries_nonneg_chi(model)
+    assert builds
+    builds.clear()
+    assert carries_nonneg_chi(model) is first
+    assert builds == []

@@ -152,6 +152,19 @@ def test_heegaard_refusal_exit_code(capsys):
     assert payload["error"]["kind"] == "UnboundedRefusal"
 
 
+def test_genus_walk_over_budget_is_refused(capsys):
+    # 3,000 sums, each under the surface disk cap, 89,970,000 disks in
+    # all: refused before the walk starts.
+    code, out = run_cli(capsys, "heegaard", "enumerate",
+                        "--input", str(fixture_path("three_tet.tri")),
+                        "--support", "2,4,11,13,15,20,21,22,23,29",
+                        "-g", "3000")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "WorkBudgetExceeded"
+    assert "89970000 disks" in error["message"]
+
+
 def test_genus_below_two_is_input_error(capsys):
     code, out = run_cli(capsys, "heegaard", "enumerate",
                         "--input", str(fixture_path("three_tet.tri")),

@@ -1,11 +1,14 @@
 import gc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laminate import finiteness
 from laminate.bruteforce import enumerate_quad_oct_solutions
 from laminate.cones import decompose_over
-from laminate.errors import GenusTooSmall, UnboundedRefusal
+from laminate.errors import (GenusTooSmall, UnboundedRefusal,
+                             WorkBudgetExceeded)
 from laminate.finiteness import (GenusEnumeration, antichain_certificate,
                                  brute_force_genus_list, enumerate_genus)
 from laminate.normal import is_admissible, quad_index, vector_length
@@ -113,6 +116,72 @@ def test_each_distinct_candidate_is_built_once(monkeypatch):
         assert enumerate_genus(model, genus).vectors == ()
         assert tested == [tuple(multiple * x for x in f)]
         assert built == []
+
+
+def _unpruned_sums(funds, deficits, idx, remaining, counts, acc):
+    # The walk without the reachability pruning: every branch is entered.
+    if remaining == 0:
+        yield counts + (0,) * (len(funds) - len(counts)), acc
+        return
+    if idx == len(funds):
+        return
+    step = deficits[idx]
+    for n in range(remaining // step + 1):
+        nxt = acc if n == 0 else tuple(a + n * b
+                                       for a, b in zip(acc, funds[idx]))
+        yield from _unpruned_sums(funds, deficits, idx + 1,
+                                  remaining - n * step, counts + (n,), nxt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 7),
+                          st.tuples(*[st.integers(0, 3)] * 3)),
+                max_size=5),
+       st.integers(0, 30))
+def test_pruned_walk_equals_unpruned_walk(fundamentals, target):
+    # Same tuples, same vectors, same order; and the counts of tuples and
+    # of their disks that the budget reads.  Empty fundamental lists and
+    # targets no tuple reaches (all deficits even, target odd) included.
+    deficits = [d for d, _ in fundamentals]
+    funds = [f for _, f in fundamentals]
+    zero = (0,) * 3
+    expected = list(_unpruned_sums(funds, deficits, 0, target, (), zero))
+    masks, tuples, disks = finiteness._reachable(
+        deficits, [sum(f) for f in funds], target)
+    walked = (list(finiteness._sums(funds, deficits, masks, 0, target, (),
+                                    zero))
+              if masks[0] >> target & 1 else [])
+    assert walked == expected
+    assert tuples == len(expected)
+    assert disks == sum(sum(v) for _, v in expected)
+    for i in range(len(funds) + 1):
+        for r in range(target + 1):
+            reached = any(True for _ in _unpruned_sums(
+                funds[i:], deficits[i:], 0, r, (), zero))
+            assert bool(masks[i] >> r & 1) == reached
+
+
+def test_model_without_fundamentals_lists_nothing(monkeypatch):
+    # An empty fundamental list is all-negative and spends no deficit, so
+    # every genus list is empty, the target reachable or not.
+    model = load_model("three_tet_normal_genus2.json")
+    monkeypatch.setattr(model, "fundamentals", lambda: ())
+    for genus in (0, 1, 2, 5):
+        assert enumerate_genus(model, genus).vectors == ()
+
+
+def test_genus_walk_over_the_disk_budget_is_refused(models, monkeypatch):
+    # The genus-20 walk of the one-fundamental model tests one sum of 19
+    # copies; refused before the walk once its disks pass the cap.
+    model = models["three_tet_normal_genus2.json"]
+    (f,) = model.fundamentals()
+    monkeypatch.setattr(finiteness, "GENUS_DISK_CAP", 19 * sum(f) - 1)
+    monkeypatch.setattr(finiteness, "surface_topology", None)
+    with pytest.raises(WorkBudgetExceeded):
+        enumerate_genus(model, 20)
+    monkeypatch.undo()
+    monkeypatch.setattr(finiteness, "GENUS_DISK_CAP", 19 * sum(f))
+    assert enumerate_genus(model, 20).vectors == ()
 
 
 def test_enumeration_stable_across_runs(models):

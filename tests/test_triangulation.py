@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laminate.errors import (BadPermutation, DoubleGluing, NonOrientable,
                              NotClosedManifold, UnglueedFace)
@@ -103,6 +105,49 @@ def test_union_find_parity_conflict_detected():
     assert uf.union(1, 2, 1)
     assert uf.union(0, 2, 0)      # consistent: 1 ^ 1 == 0
     assert not uf.union(0, 2, 1)  # reversal detected
+
+
+@st.composite
+def _runs(draw):
+    n = draw(st.integers(1, 24))
+    runs = []
+    for _ in range(draw(st.integers(0, 8))):
+        count = draw(st.integers(0, n))
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        dx, dy = draw(st.sampled_from((-1, 0, 1))), draw(
+            st.sampled_from((-1, 0, 1)))
+        # Clip the run to the elements 0..n-1.
+        while count and not (0 <= x + (count - 1) * dx < n
+                             and 0 <= y + (count - 1) * dy < n):
+            count -= 1
+        runs.append((x, dx, y, dy, count, draw(st.integers(0, 1))))
+    return n, runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs())
+def test_union_run_agrees_with_pairwise_unions(case):
+    # Same classes, same conflict answers, and the same parity between
+    # any two elements of a class, though the roots may differ.
+    n, runs = case
+    by_run, by_pair = ParityUnionFind(n), ParityUnionFind(n)
+    for x, dx, y, dy, count, rel in runs:
+        ok = True
+        for i in range(count):
+            ok &= by_pair.union(x + i * dx, y + i * dy, rel)
+        assert by_run.union_run(x, dx, y, dy, count, rel) == ok
+    assert by_run.classes == by_pair.classes
+    for a in range(n):
+        for b in range(n):
+            (ra, pa), (rb, pb) = by_run.find(a), by_run.find(b)
+            (qa, sa), (qb, sb) = by_pair.find(a), by_pair.find(b)
+            assert (ra == rb) == (qa == qb)
+            if ra == rb:
+                assert pa ^ pb == sa ^ sb
+    roots = {by_run.find(a)[0] for a in range(n)}
+    assert sum(by_run.size[r] for r in roots) == n
+    assert all(by_run.size[r] == sum(by_run.find(a)[0] == r
+                                     for a in range(n)) for r in roots)
 
 
 def test_round_trip_text(triangulations):
