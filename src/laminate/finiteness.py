@@ -65,46 +65,58 @@ def _accepts(model, v, genus):
     return surface.components[0].genus_or_crosscap == genus
 
 
-def _reachable(deficits, sizes, target):
+def _reachable(costs, sizes, target, weight):
     """
-    (masks, tuples, disks) for spending exactly target of chi deficit on
-    fundamentals of the given deficits and disk counts.  masks[i] has bit
-    r set when exactly r can be spent on fundamentals i onward; tuples is
-    the number of multiplicity tuples spending target, and disks the sum
-    of their disk counts, each sum n_i * sizes[i] over the tuple.
+    (masks, tuples, disks) for spending exactly target of chi deficit and
+    exactly weight of octagon weight on fundamentals of the given costs,
+    each (deficit, octagon weight), and disk counts.  masks[i][o][r] is 1
+    when exactly r of deficit at weight o can be spent on fundamentals i
+    onward, 0 otherwise; tuples is the number of multiplicity tuples
+    spending (target, weight), and disks the sum of their disk counts,
+    each sum n_i * sizes[i] over the tuple.
     """
-    ways = [1] + [0] * target       # tuples spending r, over none yet
-    disks = [0] * (target + 1)      # their summed disk counts
-    masks = [1]
-    for step, size in zip(reversed(deficits), reversed(sizes)):
-        # Tuples with one more of this fundamental extend those at r - step.
-        for r in range(step, target + 1):
-            if ways[r - step]:
-                ways[r] += ways[r - step]
-                disks[r] += disks[r - step] + size * ways[r - step]
-        masks.append(sum(1 << r for r, w in enumerate(ways) if w))
+    # Tuples spending r at weight o, over none yet, and their disk counts.
+    ways = [[int(o == r == 0) for r in range(target + 1)]
+            for o in range(weight + 1)]
+    disks = [[0] * (target + 1) for _ in ways]
+    masks = [[bytes(map(bool, row)) for row in ways]]
+    for (step, octs), size in zip(reversed(costs), reversed(sizes)):
+        # Tuples with one more of this fundamental extend those at
+        # (r - step, o - octs), in rows made earlier in this pass.
+        for o in range(octs, weight + 1):
+            row, low = ways[o], ways[o - octs]
+            drow, dlow = disks[o], disks[o - octs]
+            for r in range(step, target + 1):
+                if low[r - step]:
+                    row[r] += low[r - step]
+                    drow[r] += dlow[r - step] + size * low[r - step]
+        masks.append([bytes(map(bool, row)) for row in ways])
     masks.reverse()
-    return masks, ways[target], disks[target]
+    return masks, ways[weight][target], disks[weight][target]
 
 
-def _sums(funds, deficits, masks, idx, remaining, counts, acc):
+def _sums(funds, costs, masks, idx, remaining, counts, acc):
     """
     (multiplicity tuple, vector) for every way to spend exactly
-    ``remaining`` of chi deficit on fundamentals idx onward, with the
-    multiplicities of those before fixed at counts and their sum at acc,
-    in lexicographic order of the tuples.  A branch is entered only when
-    masks (from _reachable) say that its rest can be spent exactly.
+    ``remaining``, a (chi deficit, octagon weight) pair, on fundamentals
+    idx onward, with the multiplicities of those before fixed at counts and
+    their sum at acc, in lexicographic order of the tuples.  A branch is
+    entered only when masks (from _reachable) say that its rest can be
+    spent exactly.
     """
-    if remaining == 0:
+    deficit, weight = remaining
+    if deficit == 0:
         yield counts + (0,) * (len(funds) - len(counts)), acc
         return
-    step, rest = deficits[idx], masks[idx + 1]
-    for n in range(remaining // step + 1):
-        left = remaining - n * step
-        if rest >> left & 1:
+    (step, octs), rest = costs[idx], masks[idx + 1]
+    for n in range(deficit // step + 1):
+        if n * octs > weight:
+            break
+        left = (deficit - n * step, weight - n * octs)
+        if rest[left[1]][left[0]]:
             nxt = acc if n == 0 else tuple(a + n * b
                                            for a, b in zip(acc, funds[idx]))
-            yield from _sums(funds, deficits, masks, idx + 1, left,
+            yield from _sums(funds, costs, masks, idx + 1, left,
                              counts + (n,), nxt)
 
 
@@ -116,8 +128,9 @@ def enumerate_genus(model, genus):
 
     Refuses (UnboundedRefusal) unless every fundamental has chi < 0,
     since otherwise the list need not be finite, and refuses
-    (WorkBudgetExceeded) before the walk when its tuples hold more than
-    GENUS_DISK_CAP disks in all.
+    (WorkBudgetExceeded) before the walk when the tuples it walks, those
+    of weight one on the almost-normal sector if the model has one, hold
+    more than GENUS_DISK_CAP disks in all.
     """
     if genus < 0:
         raise GenusTooSmall("genus must be nonnegative, got %d" % genus)
@@ -127,12 +140,16 @@ def enumerate_genus(model, genus):
             "the model carries chi >= 0 (verdict %s); a genus-%d list may "
             "be infinite" % (verdict.verdict, genus))
     funds = model.fundamentals()
-    deficits = []
-    for c in verdict.fundamental_chis:
+    # Each fundamental spends its chi deficit and its weight on the
+    # almost-normal sector, and only sums of weight one can be accepted.
+    sector = model.oct_sector
+    weight = 0 if sector is None else 1
+    costs = []
+    for c, f in zip(verdict.fundamental_chis, funds):
         if c.denominator != 1 or c >= 0:
             raise InternalCheckFailed("fundamental with chi %s under an "
                                       "all-negative verdict" % c)
-        deficits.append(int(-c))
+        costs.append((int(-c), 0 if sector is None else f[sector]))
     target = 2 * genus - 2
 
     # Acceptance depends only on the vector, and multiplicity tuples come
@@ -141,15 +158,15 @@ def enumerate_genus(model, genus):
     found = {}
     seen = set()
     if target >= 0:
-        masks, tuples, disks = _reachable(deficits, [sum(f) for f in funds],
-                                          target)
+        masks, tuples, disks = _reachable(costs, [sum(f) for f in funds],
+                                          target, weight)
         if disks > GENUS_DISK_CAP:
             raise WorkBudgetExceeded(
                 "the genus-%d walk tests %d sums of %d disks in all "
                 "(budget %d)" % (genus, tuples, disks, GENUS_DISK_CAP))
-        if masks[0] >> target & 1:
-            for counts, v in _sums(funds, deficits, masks, 0, target, (),
-                                   (0,) * len(funds[0]) if funds else ()):
+        if masks[0][weight][target]:
+            for counts, v in _sums(funds, costs, masks, 0, (target, weight),
+                                   (), (0,) * len(funds[0]) if funds else ()):
                 if v not in seen and any(v):
                     seen.add(v)
                     if _accepts(model, v, genus):

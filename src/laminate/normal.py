@@ -43,6 +43,7 @@ two octagon types whose pairs separate f from v.
 
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from .cones import RationalCone, extreme_rays, hilbert_basis
 from .errors import Inadmissible, IncompatibleQuads
@@ -70,6 +71,8 @@ for _q in range(3):
     DISK_EDGE_WEIGHTS.append(
         tuple(2 if QUAD_TYPE_OF_EDGE[_e] == _q else 1 for _e in range(6)))
 DISK_EDGE_WEIGHTS = tuple(DISK_EDGE_WEIGHTS)
+# The same table by edge: EDGE_DISK_WEIGHTS[e][k] = DISK_EDGE_WEIGHTS[k][e].
+EDGE_DISK_WEIGHTS = tuple(zip(*DISK_EDGE_WEIGHTS))
 
 # Boundary arc counts: ARC_DISKS[(f, v)] = local disk indices contributing
 # one arc that cuts off corner v of face f.
@@ -247,8 +250,8 @@ def edge_weights(tri, v):
     for cls in tri.edge_classes:
         t, e, _ = cls[0]
         base = COORDS_PER_TET * t
-        out.append(sum(v[base + k] * DISK_EDGE_WEIGHTS[k][e]
-                       for k in range(COORDS_PER_TET)))
+        out.append(sum(map(mul, v[base:base + COORDS_PER_TET],
+                           EDGE_DISK_WEIGHTS[e])))
     return out
 
 

@@ -14,17 +14,18 @@ by their position along the edges of their tetrahedron:
 
 Boundary arcs in a face are ranked by distance from the corner they cut
 off, and a face gluing identifies equal-ranked arcs of equal arc type.
-Each disk corner is resolved once, when its disk is made, to its point
-(edge class, position along the class) and to whether the disk's
-reference side points along the class's direction.  Orientability is
-decided by propagating a transverse orientation across glued arcs with a
-parity union-find.  The builder asserts, raising InternalCheckFailed:
+The corners of a disk kind's copies are resolved together, through the
+triangulation's gluing_table, to points (edge class, position along the
+class) and to whether the disk's reference side points along the class.
+Orientability is decided by propagating a transverse orientation across
+glued arcs with a parity union-find.  The builder asserts, raising
+InternalCheckFailed:
 
 - every tetrahedron edge sees as many points as its edge class;
 - no two arcs claim the same (tetrahedron, face, corner, rank) slot;
 - the arc counts on the two sides of every face gluing agree;
-- glued arcs end on corresponding edges, at the same points, with the
-  same orientation relation at both ends;
+- glued arcs end at the same points, with the same orientation relation
+  at both ends (and on edges of one class, which gluing_table checks);
 - every component has an even number of arc sides;
 - the vertex count equals the weight and the disk count equals the
   coordinate sum.
@@ -32,17 +33,18 @@ parity union-find.  The builder asserts, raising InternalCheckFailed:
 The point check exercises the entire frozen disk-type table.
 
 surface_topology answers only the number of components and whether they
-are all orientable, from the same numbering and the same checks, made
-once per range of parallel arcs instead of once per arc; the genus
-filter calls it before it builds anything.  Both refuse a vector of more
-than SURFACE_DISK_CAP disks (WorkBudgetExceeded) before any per-disk
-state is allocated.
+are all orientable, with the same checks made once per range of parallel
+arcs; the genus filter calls it before it builds anything.  Both refuse a
+vector of more than SURFACE_DISK_CAP disks (WorkBudgetExceeded) before
+any per-disk state is allocated.
 """
 
+from operator import mul
+
 from .errors import Inadmissible, InternalCheckFailed, WorkBudgetExceeded
-from .normal import (COORDS_PER_TET, DISK_EDGE_WEIGHTS, QUAD_PAIRS,
-                     arc_count, edge_weights, is_admissible, weight)
-from .triangulation import EDGES, ParityUnionFind, edge_index
+from .normal import (COORDS_PER_TET, EDGE_DISK_WEIGHTS, QUAD_PAIRS,
+                     edge_weights, is_admissible, weight)
+from .triangulation import EDGES, ParityUnionFind
 
 
 def _disk_template(kind):
@@ -180,23 +182,37 @@ def _check_rebuildable(tri, v, system):
     return report
 
 
-def _edge_ends(tri, t, counts, class_weights):
+def _disk_kinds(tri, v, ends):
     """
-    Per ordered vertex pair 4x + y of tetrahedron t: edge xy, its class,
-    its point count, and whether x is where the class's direction starts.
-    Raises InternalCheckFailed when the count differs from the class's.
+    (t, copies, shift, arc plan, corners) per disk kind of v, in disk order,
+    shift being tetrahedron t's triangle counts and 0 and each corner (the
+    reference side points along the class, class, position of copy 0, step
+    per copy).  Raises InternalCheckFailed on an edge whose point count
+    differs from its class's.
     """
-    edge_ends = [None] * 16
-    for e, (x, y) in enumerate(EDGES):
-        cls, flipped = tri.edge_class_of[(t, e)]
-        count = sum(c * w[e] for c, w in zip(counts, DISK_EDGE_WEIGHTS))
-        if count != class_weights[cls]:
-            raise InternalCheckFailed(
-                "edge class %d sees %d points from tet %d but %d from "
-                "its least incidence" % (cls, count, t, class_weights[cls]))
-        edge_ends[4 * x + y] = (e, cls, count, not flipped)
-        edge_ends[4 * y + x] = (e, cls, count, bool(flipped))
-    return edge_ends
+    class_weights = edge_weights(tri, v)
+    for t in range(tri.tet_count):
+        counts = v[COORDS_PER_TET * t:COORDS_PER_TET * (t + 1)]
+        edge_counts = [sum(map(mul, counts, column))
+                       for column in EDGE_DISK_WEIGHTS]
+        for (x, y), count in zip(EDGES, edge_counts):
+            cls = ends[16 * t + 4 * x + y][1]
+            if count != class_weights[cls]:
+                raise InternalCheckFailed(
+                    "edge class %d sees %d points from tet %d but %d from its"
+                    " least incidence" % (cls, count, t, class_weights[cls]))
+        shift = list(counts[:4]) + [0]
+        for (corner_plan, arc_plan), copies in zip(_DISK_TEMPLATES, counts):
+            if not copies:
+                continue
+            corners = []
+            for pair, base, rev, toward_y in corner_plan:
+                e, cls, start = ends[16 * t + pair]
+                p, dp = shift[base] + (copies - 1 if rev else 0), 1 - 2 * rev
+                if not start:
+                    p, dp = edge_counts[e] - 1 - p, -dp
+                corners.append((toward_y == start, cls, p, dp))
+            yield t, copies, shift, arc_plan, corners
 
 
 def build_surface(tri, v, system=None):
@@ -210,76 +226,55 @@ def build_surface(tri, v, system=None):
     SURFACE_DISK_CAP disks is refused (WorkBudgetExceeded).
     """
     report = _check_rebuildable(tri, v, system)
-
-    class_weights = edge_weights(tri, v)
+    ends, glued = tri.gluing_table
     disk_points = []              # per disk: its corners' (class, position)
     disk_arcs = []                # per disk: its number of boundary arcs
-    arc_table = {}                # (tet, face, cutoff, rank) -> disk, ends
-    for t in range(tri.tet_count):
-        counts = v[COORDS_PER_TET * t:COORDS_PER_TET * (t + 1)]
-        shift = list(counts[:4]) + [0]
-        edge_ends = _edge_ends(tri, t, counts, class_weights)
-        for kind, copies in enumerate(counts):
-            corner_plan, arc_plan = _DISK_TEMPLATES[kind]
+    # slot -> {rank: (disk, point a, along a, point b, along b)}, an arc's
+    # ends with whether the disk's reference side points along the class.
+    slots = {}
+    for t, copies, shift, arc_plan, corners in _disk_kinds(tri, v, ends):
+        first = len(disk_points)
+        disk_points += [[(cls, p + dp * k) for _, cls, p, dp in corners]
+                        for k in range(copies)]
+        disk_arcs += [len(arc_plan)] * copies
+        for f, w, base, rev, a, b in arc_plan:
+            arcs = slots.setdefault(16 * t + 4 * f + w, {})
+            along_a, along_b = corners[a][0], corners[b][0]
             for k in range(copies):
-                disk = len(disk_points)
-                ks = (k, copies - 1 - k)
-                points, ends = [], []
-                for pair, base, rev, toward_y in corner_plan:
-                    e, cls, count, start = edge_ends[pair]
-                    offset = shift[base] + ks[rev]
-                    point = (cls, offset if start else count - 1 - offset)
-                    points.append(point)
-                    # End: edge, point, reference side along the class.
-                    ends.append((e, point, toward_y == start))
-                for f, w, base, rev, a, b in arc_plan:
-                    slot = (t, f, w, shift[base] + ks[rev])
-                    if slot in arc_table:
-                        raise InternalCheckFailed(
-                            "duplicate arc slot %s" % (slot,))
-                    arc_table[slot] = (disk, ends[a], ends[b])
-                disk_points.append(points)
-                disk_arcs.append(len(arc_plan))
+                rank = shift[base] + (copies - 1 - k if rev else k)
+                if rank in arcs:
+                    raise InternalCheckFailed(
+                        "duplicate arc slot %s" % ((t, f, w, rank),))
+                pts = disk_points[first + k]
+                arcs[rank] = (first + k, pts[a], along_a, pts[b], along_b)
 
     parity = ParityUnionFind(len(disk_points))
     conflicts = []                # disks glued against their parity
     arc_pair_count = 0
-    for (side1, side2, perm) in tri.face_classes:
-        (t1, f1), (t2, f2) = side1, side2
-        edge_map = [edge_index(perm[x], perm[y]) for x, y in EDGES]
-        for w in range(4):
-            if w == f1:
-                continue
-            n1 = arc_count(v, t1, f1, w)
-            n2 = arc_count(v, t2, f2, perm[w])
-            if n1 != n2:
+    for slot1, slot2, crossed in glued:
+        one, two = slots.get(slot1, {}), slots.get(slot2, {})
+        if len(one) != len(two):
+            raise InternalCheckFailed(
+                "arc counts differ across face gluing %s -> %s"
+                % (divmod(slot1 >> 2, 4), divmod(slot2 >> 2, 4)))
+        arc_pair_count += len(one)
+        for rank in range(len(one)):
+            d1, p1a, along1a, p1b, along1b = one[rank]
+            d2, p2a, along2a, p2b, along2b = two[rank]
+            if crossed:
+                p2a, along2a, p2b, along2b = p2b, along2b, p2a, along2a
+            if (p1a, p1b) != (p2a, p2b):
                 raise InternalCheckFailed(
-                    "arc counts differ across face gluing %s -> %s" %
-                    (side1, side2))
-            for rank in range(n1):
-                d1, end1a, end1b = arc_table[(t1, f1, w, rank)]
-                d2, end2a, end2b = arc_table[(t2, f2, perm[w], rank)]
-                arc_pair_count += 1
-                # Match the arc ends through the gluing permutation and
-                # check they are the same points.
-                rels = []
-                for e1, p1, along1 in (end1a, end1b):
-                    e2, p2, along2 = (end2a if end2a[0] == edge_map[e1]
-                                      else end2b)
-                    if e2 != edge_map[e1]:
-                        raise InternalCheckFailed(
-                            "glued arcs disagree on their edges")
-                    if p1 != p2:
-                        raise InternalCheckFailed(
-                            "glued arc endpoints land on different points: "
-                            "%s vs %s (tets %d,%d)" % (p1, p2, t1, t2))
-                    rels.append(along1 != along2)
-                if rels[0] != rels[1]:
-                    raise InternalCheckFailed(
-                        "orientation relation differs at the two ends of a "
-                        "glued arc")
-                if not parity.union(d1, d2, rels[0]):
-                    conflicts.append(d1)
+                    "glued arc endpoints land on different points: %s vs %s "
+                    "(tets %d,%d)" % ((p1a, p1b), (p2a, p2b), slot1 >> 4,
+                                      slot2 >> 4))
+            rel = along1a != along2a
+            if rel != (along1b != along2b):
+                raise InternalCheckFailed(
+                    "orientation relation differs at the two ends of a "
+                    "glued arc")
+            if not parity.union(d1, d2, rel):
+                conflicts.append(d1)
 
     # Components, Euler characteristics, orientability.  Groups are made
     # in disk order, so they come out sorted by their least disk.
@@ -318,97 +313,65 @@ def surface_topology(tri, v, system=None):
     number of connected components, and whether every one of them is
     orientable, found without building the cell complex.
 
-    Disks are numbered as in build_surface.  The arcs of one face of a
-    tetrahedron that cut off one corner come in at most two pieces,
-    ranges of ranks filled by parallel copies of one disk kind: the
-    triangles of the cutoff type, then the tetrahedron's quad or octagon.
-    A face gluing matches equal ranks, so where a piece of each side
-    overlap, one affine map takes a range of disks to a range of disks,
-    with one orientation relation for the whole overlap.  The glued pairs
-    of disks of each overlap are united in one run of a parity union-find.
-    The checks of build_surface on edge point counts, arc counts, glued
-    edges, glued points and orientation relations are made once per
-    overlap (points at its first and last rank, which fix them in between)
-    and raise InternalCheckFailed.  Inadmissible vectors and vectors over
-    SURFACE_DISK_CAP disks are refused as by build_surface.
+    Disks are numbered as in build_surface.  The arcs of a slot come in at
+    most two pieces, ranges of ranks filled by the copies of one disk
+    kind: the triangles of the cutoff type, then the tetrahedron's quad or
+    octagon.  Where pieces of two glued slots overlap, one affine map
+    takes disks to disks with one orientation relation, so the overlap is
+    united in one run of a parity union-find, and the checks of
+    build_surface (points at its first and last rank, which fix them in
+    between) are made once per overlap.  Refusals are as by build_surface.
     """
     _check_rebuildable(tri, v, system)
-    class_weights = edge_weights(tri, v)
-    # (tet, face, cutoff) -> pieces in rank order, each (first rank, end
-    # rank, disk at the first rank, disk step per rank, ends), an end
-    # being (edge, reference side along the class, class, position at
-    # the first rank, position step per rank).
+    ends, glued = tri.gluing_table
+    # slot -> pieces in rank order: (first rank, end rank, disk of copy 0,
+    # copy at the first rank, copy step per rank, corners of its two ends).
     pieces = {}
     disk = 0
-    for t in range(tri.tet_count):
-        counts = v[COORDS_PER_TET * t:COORDS_PER_TET * (t + 1)]
-        shift = list(counts[:4]) + [0]
-        edge_ends = _edge_ends(tri, t, counts, class_weights)
-        for kind, copies in enumerate(counts):
-            if not copies:
-                continue
-            corner_plan, arc_plan = _DISK_TEMPLATES[kind]
-            for f, w, base, rev, a, b in arc_plan:
-                first = copies - 1 if rev else 0      # copy at the first rank
-                ends = []
-                for pair, cbase, crev, toward_y in (corner_plan[a],
-                                                    corner_plan[b]):
-                    e, cls, count, start = edge_ends[pair]
-                    offset = shift[cbase] + (copies - 1 - first if crev
-                                             else first)
-                    step = -1 if rev != crev else 1
-                    if not start:
-                        offset, step = count - 1 - offset, -step
-                    ends.append((e, toward_y == start, cls, offset, step))
-                lo = shift[base]
-                pieces.setdefault((t, f, w), []).append(
-                    (lo, lo + copies, disk + first, -1 if rev else 1, ends))
-            disk += copies
+    for t, copies, shift, arc_plan, corners in _disk_kinds(tri, v, ends):
+        for f, w, base, rev, a, b in arc_plan:
+            lo = shift[base]
+            pieces.setdefault(16 * t + 4 * f + w, []).append(
+                (lo, lo + copies, disk, copies - 1 if rev else 0,
+                 1 - 2 * rev, corners[a], corners[b]))
+        disk += copies
 
     parity = ParityUnionFind(disk)
     orientable = True
-    for (side1, side2, perm) in tri.face_classes:
-        (t1, f1), (t2, f2) = side1, side2
-        edge_map = [edge_index(perm[x], perm[y]) for x, y in EDGES]
-        for w in range(4):
-            if w == f1:
-                continue
-            one = pieces.get((t1, f1, w), ())
-            two = pieces.get((t2, f2, perm[w]), ())
-            if (one[-1][1] if one else 0) != (two[-1][1] if two else 0):
-                raise InternalCheckFailed(
-                    "arc counts differ across face gluing %s -> %s" %
-                    (side1, side2))
-            i = j = lo = 0
-            while i < len(one):
-                lo1, hi1, d1, s1, ends1 = one[i]
-                lo2, hi2, d2, s2, ends2 = two[j]
-                hi = min(hi1, hi2)
-                rels = []
-                for e1, along1, cls1, p1, q1 in ends1:
-                    match = [end for end in ends2 if end[0] == edge_map[e1]]
-                    if not match:
-                        raise InternalCheckFailed(
-                            "glued arcs disagree on their edges")
-                    _, along2, cls2, p2, q2 = match[0]
-                    for r in (lo, hi - 1):
-                        if (cls1, p1 + q1 * (r - lo1)) != \
-                                (cls2, p2 + q2 * (r - lo2)):
-                            raise InternalCheckFailed(
-                                "glued arc endpoints land on different "
-                                "points (tets %d,%d)" % (t1, t2))
-                    rels.append(along1 != along2)
-                if rels[0] != rels[1]:
+    for slot1, slot2, crossed in glued:
+        one, two = pieces.get(slot1, ()), pieces.get(slot2, ())
+        if (one[-1][1] if one else 0) != (two[-1][1] if two else 0):
+            raise InternalCheckFailed(
+                "arc counts differ across face gluing %s -> %s"
+                % (divmod(slot1 >> 2, 4), divmod(slot2 >> 2, 4)))
+        i = j = lo = 0
+        while i < len(one):
+            lo1, hi1, d1, c1, s1, end1a, end1b = one[i]
+            lo2, hi2, d2, c2, s2, end2a, end2b = two[j]
+            if crossed:
+                end2a, end2b = end2b, end2a
+            hi = min(hi1, hi2)
+            c1 += s1 * (lo - lo1)                 # the copies at rank lo
+            c2 += s2 * (lo - lo2)
+            for (_, cls1, p1, q1), (_, cls2, p2, q2) in ((end1a, end2a),
+                                                         (end1b, end2b)):
+                # Equal points at rank lo, and equal steps unless the
+                # overlap is one rank, give equal points at rank hi - 1.
+                if cls1 != cls2 or p1 + q1 * c1 != p2 + q2 * c2 or \
+                        q1 * s1 != q2 * s2 and hi - lo > 1:
                     raise InternalCheckFailed(
-                        "orientation relation differs at the two ends of a "
-                        "glued arc")
-                if not parity.union_run(d1 + s1 * (lo - lo1), s1,
-                                        d2 + s2 * (lo - lo2), s2, hi - lo,
-                                        rels[0]):
-                    orientable = False
-                i += hi1 == hi
-                j += hi2 == hi
-                lo = hi
+                        "glued arc endpoints land on different "
+                        "points (tets %d,%d)" % (slot1 >> 4, slot2 >> 4))
+            rel = end1a[0] != end2a[0]
+            if rel != (end1b[0] != end2b[0]):
+                raise InternalCheckFailed(
+                    "orientation relation differs at the two ends of a "
+                    "glued arc")
+            if not parity.union_run(d1 + c1, s1, d2 + c2, s2, hi - lo, rel):
+                orientable = False
+            i += hi1 == hi
+            j += hi2 == hi
+            lo = hi
     return parity.classes, orientable
 
 

@@ -26,8 +26,11 @@ orientation so that points along an edge class can be ordered
 consistently; an edge identified with itself in reverse is rejected.
 """
 
+from functools import cached_property
+
 from .errors import (UnglueedFace, DoubleGluing, BadPermutation,
-                     NonOrientable, InvalidEdge, NotClosedManifold)
+                     NonOrientable, InvalidEdge, NotClosedManifold,
+                     InternalCheckFailed)
 
 # The six edges of a tetrahedron as sorted vertex pairs.
 EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -281,6 +284,37 @@ class Triangulation:
                 self.vertex_class_of[tv] = idx
 
     # -- queries ----------------------------------------------------------
+
+    @cached_property
+    def gluing_table(self):
+        """
+        (ends, glued), built on first use.  ends[16t + 4x + y] is (edge xy
+        of tetrahedron t, its class, whether the class runs from x).  glued
+        has (slot1, slot2, crossed) per face class and corner w of its first
+        side, slot 16t + 4f + w naming the arcs of face f of tet t cutting
+        off w.  An arc lists its ends by its face's third vertex in order,
+        so its first end on side 1 meets the second on side 2 exactly when
+        crossed.  Raises InternalCheckFailed if glued arc ends lie on edges
+        of different classes.
+        """
+        ends = [None] * (16 * self.tet_count)
+        for (t, e), (cls, flipped) in self.edge_class_of.items():
+            x, y = EDGES[e]
+            ends[16 * t + 4 * x + y] = (e, cls, not flipped)
+            ends[16 * t + 4 * y + x] = (e, cls, bool(flipped))
+        glued = []
+        for (t1, f1), (t2, f2), perm in self.face_classes:
+            for w in (w for w in range(4) if w != f1):
+                z1, z2 = (z for z in range(4) if z not in (f1, w))
+                if any(ends[16 * t1 + 4 * w + z][1]
+                       != ends[16 * t2 + 4 * perm[w] + perm[z]][1]
+                       for z in (z1, z2)):
+                    raise InternalCheckFailed(
+                        "glued arcs disagree on their edges")
+                glued.append((16 * t1 + 4 * f1 + w,
+                              16 * t2 + 4 * f2 + perm[w],
+                              perm[z1] > perm[z2]))
+        return tuple(ends), tuple(glued)
 
     def edge_degrees(self):
         """Degree (number of tetrahedron-edge incidences) per edge class."""

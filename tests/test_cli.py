@@ -153,16 +153,32 @@ def test_heegaard_refusal_exit_code(capsys):
 
 
 def test_genus_walk_over_budget_is_refused(capsys):
-    # 3,000 sums, each under the surface disk cap, 89,970,000 disks in
-    # all: refused before the walk starts.
+    # Of the sums of genus 250,000 only one has weight one on the octagon
+    # sector, 249,998 copies of one fundamental and one of the other, and
+    # its 2,249,993 disks pass the cap: refused before the walk starts.
+    code, out = run_cli(capsys, "heegaard", "enumerate",
+                        "--input", str(fixture_path("three_tet.tri")),
+                        "--support", "2,4,11,13,15,20,21,22,23,29",
+                        "-g", "250000")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "WorkBudgetExceeded"
+    assert "1 sums of 2249993 disks" in error["message"]
+
+
+def test_genus_walk_counts_only_octagon_weight_one(capsys):
+    # At genus 3000 the walk holds 3,000 sums of 89,970,000 disks, but
+    # only one of weight one on the octagon sector, of 26,993 disks: it
+    # is walked and listed.
     code, out = run_cli(capsys, "heegaard", "enumerate",
                         "--input", str(fixture_path("three_tet.tri")),
                         "--support", "2,4,11,13,15,20,21,22,23,29",
                         "-g", "3000")
-    assert code == 2
-    error = json.loads(out)["error"]
-    assert error["kind"] == "WorkBudgetExceeded"
-    assert "89970000 disks" in error["message"]
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count"] == 1
+    assert payload["decompositions"] == [[2998, 1]]
+    assert sum(payload["vectors"][0]) == 26993
 
 
 def test_genus_below_two_is_input_error(capsys):

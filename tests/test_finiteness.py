@@ -137,28 +137,40 @@ def _unpruned_sums(funds, deficits, idx, remaining, counts, acc):
 @given(st.lists(st.tuples(st.integers(1, 7),
                           st.tuples(*[st.integers(0, 3)] * 3)),
                 max_size=5),
-       st.integers(0, 30))
-def test_pruned_walk_equals_unpruned_walk(fundamentals, target):
-    # Same tuples, same vectors, same order; and the counts of tuples and
-    # of their disks that the budget reads.  Empty fundamental lists and
-    # targets no tuple reaches (all deficits even, target odd) included.
+       st.integers(0, 30), st.sampled_from([None, 0]))
+def test_pruned_walk_equals_unpruned_walk(fundamentals, target, sector):
+    # Same tuples, same vectors, same order as the unpruned walk keeping
+    # the sums of weight one on the octagon sector (every sum when there
+    # is none); and the counts of tuples and of their disks that the
+    # budget reads.  Empty fundamental lists, targets no tuple reaches
+    # (all deficits even, target odd) and fundamentals of octagon weight
+    # above one included.
     deficits = [d for d, _ in fundamentals]
     funds = [f for _, f in fundamentals]
+    weight = 0 if sector is None else 1
+    costs = [(d, 0 if sector is None else f[sector]) for d, f in fundamentals]
     zero = (0,) * 3
-    expected = list(_unpruned_sums(funds, deficits, 0, target, (), zero))
+
+    def weighs(v, o):
+        return sector is None or v[sector] == o
+
+    expected = [(counts, v) for counts, v in _unpruned_sums(
+        funds, deficits, 0, target, (), zero) if weighs(v, weight)]
     masks, tuples, disks = finiteness._reachable(
-        deficits, [sum(f) for f in funds], target)
-    walked = (list(finiteness._sums(funds, deficits, masks, 0, target, (),
-                                    zero))
-              if masks[0] >> target & 1 else [])
+        costs, [sum(f) for f in funds], target, weight)
+    walked = (list(finiteness._sums(funds, costs, masks, 0,
+                                    (target, weight), (), zero))
+              if masks[0][weight][target] else [])
     assert walked == expected
     assert tuples == len(expected)
     assert disks == sum(sum(v) for _, v in expected)
     for i in range(len(funds) + 1):
-        for r in range(target + 1):
-            reached = any(True for _ in _unpruned_sums(
-                funds[i:], deficits[i:], 0, r, (), zero))
-            assert bool(masks[i] >> r & 1) == reached
+        assert len(masks[i]) == weight + 1
+        for o in range(weight + 1):
+            for r in range(target + 1):
+                reached = any(weighs(v, o) for _, v in _unpruned_sums(
+                    funds[i:], deficits[i:], 0, r, (), zero))
+                assert masks[i][o][r] == reached
 
 
 def test_model_without_fundamentals_lists_nothing(monkeypatch):

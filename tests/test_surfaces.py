@@ -7,17 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laminate import surfaces
 from laminate.errors import Inadmissible, InternalCheckFailed
 from laminate.finiteness import enumerate_genus
 from laminate.linalg import dot
 from laminate.normal import (chi_functional_coefficients, haken_sum,
                              matching_system, quad_oct_profile, quad_index,
-                             tri_index, vector_length, weight)
+                             tri_index, vector_length, vertex_solutions,
+                             weight)
 from laminate.surfaces import build_surface, surface_topology
 from laminate.triangulation import parse_triangulation
+from tests.conftest import MODEL_NAMES, load_model
 from tests.test_normal import SOLUTIONS_GOLDEN, all_triangles_one
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "surfaces_golden.json"
+CENSUS = Path(__file__).resolve().parent.parent / "perfbench" / "census"
 
 
 def _klein_bottle(two_tet):
@@ -112,12 +116,26 @@ def _vertex_solution_census():
 VERTEX_SOLUTION_CENSUS = _vertex_solution_census()
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(st.data())
-def test_topology_agrees_with_builder_on_random_sums(data):
-    # A nonnegative combination of vertex solutions; a term that would
-    # give some tetrahedron a second quad/oct direction is skipped.
-    tri, rays = data.draw(st.sampled_from(VERTEX_SOLUTION_CENSUS))
+def _walk_sources():
+    """(triangulation, rays) whose sums the genus filter meets: the
+    fundamentals of every model under fixtures/models, and the vertex
+    solutions with octagons of the five-tetrahedron census pick t5_1."""
+    out = []
+    for name in MODEL_NAMES:
+        model = load_model(name)
+        out.append((model.triangulation, list(model.fundamentals())))
+    tri = parse_triangulation((CENSUS / "t5_1.tri").read_text())
+    out.append((tri, vertex_solutions(tri, include_octs=True)))
+    return out
+
+
+WALK_SOURCES = _walk_sources()
+
+
+def _check_random_sum(data, sources):
+    # A nonnegative combination of rays; a term that would give some
+    # tetrahedron a second quad/oct direction is skipped.
+    tri, rays = data.draw(st.sampled_from(sources))
     terms = data.draw(st.lists(st.tuples(st.sampled_from(rays),
                                          st.integers(1, 3)),
                                min_size=1, max_size=4))
@@ -131,6 +149,18 @@ def test_topology_agrees_with_builder_on_random_sums(data):
     assert surface_topology(tri, v) == (
         len(surface.components),
         all(c.orientable for c in surface.components))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_topology_agrees_with_builder_on_random_sums(data):
+    _check_random_sum(data, VERTEX_SOLUTION_CENSUS)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_topology_agrees_with_builder_on_walk_sums(data):
+    _check_random_sum(data, WALK_SOURCES)
 
 
 def test_vertex_link_builds_sphere(triangulations):
@@ -279,11 +309,13 @@ def test_octagon_stacks_match_functional(three_tet):
 
 
 def _flip_edge(tri, incidence):
-    """A copy of tri with one edge incidence's orientation inverted."""
+    """A copy of tri with one edge incidence's orientation inverted, whose
+    gluing table is built afresh from the inverted one."""
     tri = copy.copy(tri)
     tri.edge_class_of = dict(tri.edge_class_of)
     cls, flipped = tri.edge_class_of[incidence]
     tri.edge_class_of[incidence] = (cls, 1 - flipped)
+    tri.__dict__.pop("gluing_table", None)
     return tri
 
 
@@ -304,6 +336,62 @@ def test_inverted_edge_flip_fails_the_topology_point_check(three_tet,
     tri = _flip_edge(three_tet, incidence)
     with pytest.raises(InternalCheckFailed,
                        match="glued arc endpoints land on different points"):
+        surface_topology(tri, all_triangles_one(tri))
+
+
+@pytest.mark.parametrize("corner", range(12))
+def test_crossed_glued_corner_fails_both_point_checks(two_tet, corner):
+    # The vertex link has arcs at every glued face corner; matching their
+    # ends the wrong way round lands them on different points.
+    ends, glued = two_tet.gluing_table
+    slot1, slot2, crossed = glued[corner]
+    tri = copy.copy(two_tet)
+    tri.gluing_table = (ends, glued[:corner] + ((slot1, slot2, not crossed),)
+                        + glued[corner + 1:])
+    for rebuild in (build_surface, surface_topology):
+        with pytest.raises(InternalCheckFailed,
+                           match="glued arc endpoints land on different"):
+            rebuild(tri, all_triangles_one(tri))
+
+
+def test_broken_edge_point_count_fails_both(monkeypatch, three_tet):
+    # One more triangle at vertex 0 of tetrahedron 0 breaks the matching
+    # equations; past the admissibility check, the edges of its class in
+    # other tetrahedra see one point fewer.
+    monkeypatch.setattr(surfaces, "_check_rebuildable",
+                        lambda tri, v, system: None)
+    v = list(all_triangles_one(three_tet))
+    v[tri_index(0, 0)] += 1
+    for rebuild in (build_surface, surface_topology):
+        with pytest.raises(InternalCheckFailed,
+                           match="edge class .* sees .* points"):
+            rebuild(three_tet, tuple(v))
+
+
+def test_flipped_reference_side_fails_both_orientation_checks(monkeypatch,
+                                                              three_tet):
+    # One corner of the type-0 triangle template with its reference side
+    # turned over: the points still agree, the two ends of its arcs then
+    # disagree on the orientation relation.
+    corners, arcs = surfaces._DISK_TEMPLATES[0]
+    pair, base, rev, toward_y = corners[0]
+    flipped = ((pair, base, rev, not toward_y),) + corners[1:]
+    monkeypatch.setattr(surfaces, "_DISK_TEMPLATES",
+                        ((flipped, arcs),) + surfaces._DISK_TEMPLATES[1:])
+    for rebuild in (build_surface, surface_topology):
+        with pytest.raises(InternalCheckFailed,
+                           match="orientation relation differs"):
+            rebuild(three_tet, all_triangles_one(three_tet))
+
+
+def test_gluing_table_checks_the_classes_of_glued_edges(three_tet):
+    tri = copy.copy(three_tet)
+    tri.__dict__.pop("gluing_table", None)
+    tri.edge_class_of = dict(tri.edge_class_of)
+    cls, flipped = tri.edge_class_of[(0, 0)]
+    tri.edge_class_of[(0, 0)] = ((cls + 1) % tri.edge_count, flipped)
+    with pytest.raises(InternalCheckFailed,
+                       match="glued arcs disagree on their edges"):
         surface_topology(tri, all_triangles_one(tri))
 
 

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laminate.errors import (BadPermutation, DoubleGluing, NonOrientable,
-                             NotClosedManifold, UnglueedFace)
+from laminate.errors import (BadPermutation, DoubleGluing, InputError,
+                             NonOrientable, NotClosedManifold, UnglueedFace)
 from laminate.triangulation import (ParityUnionFind, Triangulation,
-                                    parse_triangulation)
+                                    parse_triangulation, perm_sign)
 
 TWO_TET_TEXT = """\
 # quaternionic-like two-tetrahedron triangulation
@@ -178,3 +178,63 @@ def test_orientation_assignment(triangulations):
             e1 = tri.orientation[side1[0]]
             e2 = tri.orientation[side2[0]]
             assert e1 * e2 == -perm_sign(perm)
+
+
+@st.composite
+def _gluing_lists(draw):
+    """
+    (tet count, gluing list): the faces of one to four tetrahedra paired at
+    random, each pair glued by a random permutation taking the first face
+    to the second (in half the lists an odd one, so that the tetrahedra
+    can be oriented alike), then at most one corruption: a gluing dropped or
+    repeated, or an entry replaced by an arbitrary small integer, or a
+    permutation by an arbitrary tuple.
+    """
+    n = draw(st.integers(1, 4))
+    faces = draw(st.permutations([(t, f) for t in range(n) for f in range(4)]))
+    odd = draw(st.booleans())     # every tetrahedron oriented alike
+    gluings = []
+    for i in range(0, len(faces), 2):
+        (t1, f1), (t2, f2) = faces[i], faces[i + 1]
+        rest = iter(draw(st.permutations([x for x in range(4) if x != f2])))
+        perm = [f2 if x == f1 else next(rest) for x in range(4)]
+        if odd and perm_sign(perm) == 1:
+            a, b = [x for x in range(4) if x != f1][:2]
+            perm[a], perm[b] = perm[b], perm[a]
+        gluings.append([t1, f1, t2, f2, tuple(perm)])
+    i = draw(st.integers(0, len(gluings) - 1))
+    corruption = draw(st.sampled_from(["none", "drop", "repeat", "entry",
+                                       "perm"]))
+    if corruption == "drop":
+        del gluings[i]
+    elif corruption == "repeat":
+        gluings.append(list(gluings[i]))
+    elif corruption == "entry":
+        gluings[i][draw(st.integers(0, 3))] = draw(st.integers(-1, 5))
+    elif corruption == "perm":
+        gluings[i][4] = tuple(draw(st.lists(st.integers(-1, 5), min_size=3,
+                                            max_size=5)))
+    return n, [tuple(g) for g in gluings]
+
+
+def _gluing_text(gluings):
+    return "".join("%d:%d -> %d:%d perm=%s\n" % (t1, f1, t2, f2,
+                                                 "".join(map(str, perm)))
+                   for t1, f1, t2, f2, perm in gluings)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_gluing_lists())
+def test_random_gluings_give_a_triangulation_or_an_input_error(case):
+    # Any other exception fails the test.  Every accepted triangulation
+    # comes back from its text with the same text and gluing table.
+    n, gluings = case
+    for build in (lambda: Triangulation(n, gluings),
+                  lambda: parse_triangulation(_gluing_text(gluings))):
+        try:
+            tri = build()
+        except InputError:
+            continue
+        again = parse_triangulation(tri.to_text())
+        assert again.to_text() == tri.to_text()
+        assert again.gluing_table == tri.gluing_table
