@@ -7,8 +7,9 @@ floating point is never used here.  A cone is {x : Ax = 0, x >= 0} in N
 coordinates, optionally with a support restriction forcing the remaining
 coordinates to zero.  Such cones are pointed, so the double description
 method starting from the coordinate orthant applies.  Determinism: rows
-are inserted in input order and outputs are sorted, so equal inputs give
-identical outputs.
+are inserted in a fixed order (by their last, then first, nonzero
+coordinate inside the support, ties in input order) and outputs are
+sorted, so equal inputs give identical outputs.
 """
 
 from fractions import Fraction
@@ -89,10 +90,16 @@ def extreme_rays(cone, max_coeff_bits=None, exclusive=()):
     ``exclusive`` (a tuple of coordinate groups).
 
     Starts from the unit rays of the supported orthant and intersects with
-    each equation in input row order.  Each row is read only at its nonzero
-    entries inside the support; a row with none there holds on every ray
-    and is skipped.  A ray's zero set is an int bitmask over the support
-    positions; the zero set of a combination of two rays is the meet of
+    each equation in turn.  Each row is read only at its nonzero entries
+    inside the support; a row with none there holds on every ray and is
+    skipped.  The rows are inserted by their last, then their first, such
+    entry (ties in input order), so on the tetrahedron-major normal
+    coordinates the tetrahedra join one at a time (Burton, "Optimizing
+    the double description method for normal surface enumeration", Math.
+    Comp. 79, 2010).  The intermediate rays, and so the coefficient
+    budget, depend on this order; the output does not.  A ray's zero set
+    is an int bitmask over the support positions; the zero set of a
+    combination of two rays is the meet of
     theirs, since both are nonnegative.  Two rays are adjacent by the
     standard combinatorial test: no third ray's zero set contains the meet
     of theirs.  A pair whose combined support uses two coordinates of one
@@ -109,6 +116,7 @@ def extreme_rays(cone, max_coeff_bits=None, exclusive=()):
         entries = [(j, row[j]) for j in support if row[j]]
         if entries:
             rows.append(entries)
+    rows.sort(key=lambda entries: (entries[-1][0], entries[0][0]))
     position = {j: p for p, j in enumerate(support)}
     groups = []
     for group in exclusive:

@@ -117,12 +117,6 @@ def quad_oct_profile(v, t):
     return [k for k in range(4, 10) if v[base + k] != 0]
 
 
-def arc_count(v, t, f, w):
-    """Number of arcs of v's disks in face f of tet t cutting off corner w."""
-    base = COORDS_PER_TET * t
-    return sum(v[base + k] for k in ARC_DISKS[(f, w)])
-
-
 class MatchingSystem:
     """
     The integer matrix of normal-arc matching equations of a triangulation.
@@ -350,32 +344,22 @@ def iter_orthant_supports(tri, include_octs=False):
 def vertex_solutions(tri, include_octs=False, max_coeff_bits=None):
     """
     Extreme rays of the admissible solution set, in canonical primitive
-    form, deduplicated and sorted: the union of the extreme rays of the
-    maximal quad/oct orthants' matching cones, found by 3n + 1 filtered
-    double descriptions in place of one per orthant.  One run covers the
-    triangle and quad coordinates, keeping at most one quad per
-    tetrahedron; with octagons, one more run per octagon coordinate adds
-    it to its tetrahedron's quads as one more exclusive choice.  Each
-    orthant cone is a face of a run's cone, so a run's admissible
-    extreme rays are exactly the union of its orthants'.
+    form, sorted: the union of the extreme rays of the maximal quad/oct
+    orthants' matching cones, found by one filtered double description
+    over the triangle and quad coordinates, and the octagon coordinates
+    when requested.  A ray may use at most one coordinate of each
+    tetrahedron's quads and octagons, and at most one octagon coordinate
+    in all.  Each orthant cone is a face of the run's cone, so the run's
+    admissible extreme rays are exactly the union of the orthants'.
     """
     n = tri.tet_count
-    system = matching_system(tri)
-    base = [tri_index(t, i) for t in range(n) for i in range(4)]
-    base += [quad_index(t, q) for t in range(n) for q in range(3)]
-    quads = [tuple(quad_index(t, q) for q in range(3)) for t in range(n)]
-    runs = [(None, None)]
-    if include_octs:
-        runs += [(t, oct_index(t, q)) for t in range(n) for q in range(3)]
-    out = set()
-    for t, octagon in runs:
-        support = base if octagon is None else base + [octagon]
-        groups = list(quads)
-        if octagon is not None:
-            groups[t] += (octagon,)
-        out.update(extreme_rays(matching_cone(tri, support, system),
-                                max_coeff_bits, tuple(groups)))
-    return sorted(out)
+    support = [j for j in range(vector_length(tri))
+               if include_octs or j % COORDS_PER_TET < 7]
+    groups = tuple(tuple(quad_index(t, q) for q in range(3))
+                   + tuple(oct_index(t, q) for q in range(3))
+                   for t in range(n))
+    groups += (tuple(oct_index(t, q) for t in range(n) for q in range(3)),)
+    return extreme_rays(matching_cone(tri, support), max_coeff_bits, groups)
 
 
 def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):

@@ -9,8 +9,14 @@ from laminate.bruteforce import (ARC_TYPES, _patterns, _quad_oct_patterns,
                                  enumerate_solutions, extreme_ray_oracle,
                                  hilbert_oracle, in_support)
 from laminate.errors import WorkBudgetExceeded
-from laminate.normal import (arc_count, is_admissible, matching_system,
-                             quad_oct_profile, vector_length)
+from laminate.normal import (ARC_DISKS, COORDS_PER_TET, is_admissible,
+                             matching_system, quad_oct_profile, vector_length)
+
+
+def arc_count(v, t, f, w):
+    """Number of arcs of v's disks in face f of tet t cutting off corner w."""
+    base = COORDS_PER_TET * t
+    return sum(v[base + k] for k in ARC_DISKS[(f, w)])
 
 
 def test_join_matches_naive_enumeration(one_tet):

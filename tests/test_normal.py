@@ -1,23 +1,31 @@
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from laminate.cones import extreme_rays, hilbert_basis
+from laminate import normal
+from laminate.cones import RationalCone, extreme_rays, hilbert_basis
 from laminate.errors import IncompatibleQuads, LaminateError
-from laminate.normal import (ARC_DISKS, DISK_EDGE_WEIGHTS, edge_weights,
-                             fundamental_solutions, haken_sum, is_admissible,
-                             is_vertex_linking, iter_orthant_supports,
+from laminate.normal import (ARC_DISKS, COORDS_PER_TET, DISK_EDGE_WEIGHTS,
+                             edge_weights, fundamental_solutions, haken_sum,
+                             is_admissible, is_vertex_linking,
+                             iter_orthant_supports,
                              matching_cone, matching_system, oct_index,
                              quad_index, tri_index, vertex_link_vector,
                              vertex_solutions, vector_length, weight)
 from laminate.surfaces import build_surface
-from laminate.triangulation import parse_triangulation
-from tests.conftest import every_orthant_support
+from laminate.triangulation import Triangulation, parse_triangulation
+from tests.conftest import TRI_NAMES, every_orthant_support, fixture_path
 
-SOLUTIONS_GOLDEN = (Path(__file__).resolve().parent / "data"
-                    / "solutions_golden.json")
+DATA = Path(__file__).resolve().parent / "data"
+SOLUTIONS_GOLDEN = DATA / "solutions_golden.json"
+CENSUS = Path(__file__).resolve().parent.parent / "perfbench" / "census"
+CENSUS_NAMES = ("t3_0.tri", "t3_1.tri", "t3_2.tri", "t4_0.tri", "t4_1.tri",
+                "t4_2.tri", "t5_1.tri")
 
 
 def all_triangles_one(tri):
@@ -256,7 +264,12 @@ def _golden_solution_cases():
 @pytest.mark.parametrize("text, case", _golden_solution_cases())
 def test_solutions_match_golden(text, case):
     # Recorded while every maximal orthant ran its own double description:
-    # answers and budget refusals must be reproduced exactly.
+    # answers and budget refusals must be reproduced exactly.  The budget
+    # checks every intermediate ray, and those depend on the row order, so
+    # four budgeted vertex_solutions entries were edited by hand when the
+    # double description began inserting rows tetrahedron by tetrahedron:
+    # t4_0 and t4_1 with octagons at 2 bits and t4_2 with octagons at 3
+    # now answer, and t3_1 without octagons at 2 bits now refuses.
     solve = {"vertex_solutions": vertex_solutions,
              "fundamental_solutions": fundamental_solutions}[case["function"]]
     try:
@@ -266,3 +279,102 @@ def test_solutions_match_golden(text, case):
     except LaminateError as e:
         got = {"refusal": {"kind": type(e).__name__, "message": str(e)}}
     assert got == {k: case[k] for k in ("solutions", "refusal") if k in case}
+
+
+def test_budget_only_refuses():
+    # A coefficient budget may turn an answer into a refusal, never into a
+    # different answer.
+    for entry in json.loads(SOLUTIONS_GOLDEN.read_text()):
+        unbudgeted = {(c["function"], c["include_octs"]): c["solutions"]
+                      for c in entry["cases"] if c["max_coeff_bits"] is None}
+        for case in entry["cases"]:
+            if "solutions" in case:
+                assert case["solutions"] == unbudgeted[
+                    (case["function"], case["include_octs"])]
+
+
+def _load(name):
+    path = fixture_path(name) if name in TRI_NAMES else CENSUS / name
+    return parse_triangulation(path.read_text())
+
+
+def _vertex_run(tri, include_octs):
+    """The cone and exclusive groups of vertex_solutions' one double
+    description, with its answer."""
+    calls = []
+
+    def record(cone, max_coeff_bits=None, exclusive=()):
+        calls.append((cone, exclusive))
+        return extreme_rays(cone, max_coeff_bits, exclusive)
+
+    with mock.patch.object(normal, "extreme_rays", record):
+        rays = vertex_solutions(tri, include_octs)
+    [(cone, groups)] = calls
+    return cone, groups, rays
+
+
+@pytest.mark.parametrize("include_octs", [False, True])
+@pytest.mark.parametrize("name", TRI_NAMES + CENSUS_NAMES)
+def test_row_order_never_changes_the_vertex_solutions(name, include_octs):
+    # extreme_rays inserts rows by their last and first coordinates, so a
+    # shuffle of the rows alone changes only the order of ties; renaming
+    # the coordinates as well changes the insertion order itself.
+    cone, groups, rays = _vertex_run(_load(name), include_octs)
+
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(st.permutations(range(len(cone.matrix))),
+           st.permutations(range(cone.dim)))
+    def check(order, rename):
+        def moved(vec):
+            out = [0] * cone.dim
+            for j, x in enumerate(vec):
+                out[rename[j]] = x
+            return tuple(out)
+
+        shuffled = RationalCone([moved(cone.matrix[i]) for i in order],
+                                cone.dim, [rename[j] for j in cone.support])
+        assert extreme_rays(shuffled, exclusive=tuple(
+            tuple(rename[j] for j in g) for g in groups)) == \
+            sorted(map(moved, rays))
+
+    check()
+
+
+def _relabelled(tri, sigma):
+    """tri with tetrahedron t renamed sigma[t]."""
+    return Triangulation(tri.tet_count, [
+        (sigma[t1], f1, sigma[t2], f2, perm)
+        for (t1, f1), (t2, f2), perm in tri.face_classes])
+
+
+@pytest.mark.parametrize("name", CENSUS_NAMES[:6])    # t3_* and t4_*
+def test_vertex_solutions_follow_a_relabelling_of_the_tetrahedra(name):
+    tri = _load(name)
+    rays = vertex_solutions(tri, True)
+
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(st.permutations(range(tri.tet_count)))
+    def check(sigma):
+        def moved(v):
+            out = [0] * len(v)
+            for t in range(tri.tet_count):
+                for k in range(COORDS_PER_TET):
+                    out[COORDS_PER_TET * sigma[t] + k] = \
+                        v[COORDS_PER_TET * t + k]
+            return tuple(out)
+
+        assert vertex_solutions(_relabelled(tri, sigma), True) == \
+            sorted(map(moved, rays))
+
+    check()
+
+
+def test_r7_vertex_solutions_are_pinned():
+    # A 7-tetrahedron pick, its solutions recorded while vertex_solutions
+    # made one double description per octagon coordinate in input row
+    # order: how the runs are organised must not change the answer.
+    tri = parse_triangulation((DATA / "r7.tri").read_text())
+    pinned = json.loads((DATA / "r7_vertex_solutions.json").read_text())
+    for include_octs, key in ((False, "quads"), (True, "octagons")):
+        assert [list(v) for v in vertex_solutions(tri, include_octs)] == \
+            pinned[key]

@@ -18,10 +18,9 @@ from laminate.normal import (chi_functional_coefficients, haken_sum,
 from laminate.surfaces import build_surface, surface_topology
 from laminate.triangulation import parse_triangulation
 from tests.conftest import MODEL_NAMES, load_model
-from tests.test_normal import SOLUTIONS_GOLDEN, all_triangles_one
+from tests.test_normal import CENSUS, SOLUTIONS_GOLDEN, all_triangles_one
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "surfaces_golden.json"
-CENSUS = Path(__file__).resolve().parent.parent / "perfbench" / "census"
 
 
 def _klein_bottle(two_tet):
@@ -382,6 +381,52 @@ def test_flipped_reference_side_fails_both_orientation_checks(monkeypatch,
         with pytest.raises(InternalCheckFailed,
                            match="orientation relation differs"):
             rebuild(three_tet, all_triangles_one(three_tet))
+
+
+@pytest.mark.parametrize("kind, corner",
+                         [(k, c) for k in range(4) for c in range(3)])
+def test_flipped_corner_step_fails_the_topology_step_check(monkeypatch,
+                                                           three_tet, kind,
+                                                           corner):
+    # One corner of a triangle kind of tetrahedron 0 steps the wrong way
+    # along its edge, with copy 0 where it was: triangle arcs rank their
+    # copies from 0, so every arc of that corner keeps its first-rank
+    # point.  On the vertex link, one copy per kind, every check passes;
+    # on its double, every slot is one range of two ranks, so
+    # surface_topology can only catch the flip by comparing the steps of
+    # the glued ranges, while build_surface meets copy 1 on another point.
+    # On an edge of degree one (tetrahedron 0's edge 23 here) the corner's
+    # arcs are glued only to each other: the flip swaps the two points
+    # consistently and neither function may object.
+    real = surfaces._disk_kinds
+    flipped_class = []
+
+    def flipped(tri, v, ends):
+        for i, (t, copies, shift, arc_plan, corners) in enumerate(
+                real(tri, v, ends)):
+            if i == kind:
+                assert (t, arc_plan) == (0, surfaces._DISK_TEMPLATES[kind][1])
+                along, cls, p, dp = corners[corner]
+                corners = list(corners)
+                corners[corner] = (along, cls, p, -dp)
+                flipped_class.append(cls)
+            yield t, copies, shift, arc_plan, corners
+
+    link = all_triangles_one(three_tet)
+    double = tuple(2 * x for x in link)
+    want = surface_topology(three_tet, link), surface_topology(three_tet,
+                                                                double)
+    monkeypatch.setattr(surfaces, "_disk_kinds", flipped)
+    assert surface_topology(three_tet, link) == want[0]
+    if three_tet.edge_degrees()[flipped_class[0]] == 1:
+        assert surface_topology(three_tet, double) == want[1]
+        assert len(build_surface(three_tet, double).components) == \
+            want[1][0]
+        return
+    for rebuild in (build_surface, surface_topology):
+        with pytest.raises(InternalCheckFailed,
+                           match="glued arc endpoints land on different"):
+            rebuild(three_tet, double)
 
 
 def test_gluing_table_checks_the_classes_of_glued_edges(three_tet):
