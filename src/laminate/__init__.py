@@ -22,7 +22,7 @@ from .normal import (MatchingSystem, matching_system, matching_cone,
                      iter_orthant_supports, chi_functional_coefficients)
 from .surfaces import NormalSurface, build_surface
 from .cones import (RationalCone, extreme_rays, hilbert_basis,
-                    maximize_linear, positive_integer_point, decompose_over)
+                    positive_integer_point, decompose_over)
 from .branched import (BranchedSurfaceModel, from_support,
                        sub_branched_surface, carries_nonneg_chi,
                        zero_chi_locus)
@@ -38,7 +38,7 @@ __all__ = [
     "is_vertex_linking", "vertex_solutions", "fundamental_solutions",
     "iter_orthant_supports", "chi_functional_coefficients",
     "NormalSurface", "build_surface",
-    "RationalCone", "extreme_rays", "hilbert_basis", "maximize_linear",
+    "RationalCone", "extreme_rays", "hilbert_basis",
     "positive_integer_point", "decompose_over",
     "BranchedSurfaceModel", "from_support", "sub_branched_surface",
     "carries_nonneg_chi", "zero_chi_locus",

@@ -1,27 +1,25 @@
 """
-Exact rational cones: extreme rays, Hilbert bases, linear optimization
-over the projective slice, strictly positive integer points.
+Exact rational cones: extreme rays, Hilbert bases, strictly positive
+integer points.
 
-All arithmetic is exact (arbitrary-precision integers and Fractions);
-floating point is never used here.  A cone is {x : Ax = 0, x >= 0} in N
-coordinates, optionally with a support restriction forcing the remaining
-coordinates to zero.  Such cones are pointed, so the double description
-method starting from the coordinate orthant applies.  Determinism: rows
+All arithmetic is in exact integers; Fraction rows are scaled to integer
+rows, and floating point is never used.  A cone is {x : Ax = 0, x >= 0}
+in N coordinates, optionally with a support restriction forcing the
+remaining coordinates to zero.  Such cones are pointed, so the double
+description method starting from the coordinate orthant applies.  Rows
 are inserted in a fixed order (by their last, then first, nonzero
 coordinate inside the support, ties in input order) and outputs are
 sorted, so equal inputs give identical outputs.
 """
 
-from fractions import Fraction
-from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
-from .errors import CoefficientBudgetExceeded, EmptyCone, WorkBudgetExceeded
-from .linalg import det, dot, pivot_columns, rank
+from .errors import CoefficientBudgetExceeded, WorkBudgetExceeded
+from .linalg import adjugate, det, dot, pivot_columns, rank
 
-# The most multiplier tuples (delta^d per parallelepiped) the walk of one
-# Hilbert basis may cover.
+# The square of the most group elements (delta per simplex) the
+# parallelepiped walk of one Hilbert basis may cover.
 PARALLELEPIPED_POINT_CAP = 5_000_000
 
 # The most (plus, minus) ray pairs one double description row may combine.
@@ -30,9 +28,7 @@ DD_PAIR_CAP = 10_000_000
 
 def primitive(vec):
     """Divide an integer vector by the gcd of its entries."""
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     if g <= 1:
         return tuple(vec)
     return tuple(x // g for x in vec)
@@ -181,33 +177,48 @@ def extreme_rays(cone, max_coeff_bits=None, exclusive=()):
     return sorted(zero_sets)
 
 
-def _parallelepiped_points(rays, pivots, delta):
+def _triangulation(rays, d, memo):
     """
-    The nonzero integer points of the half-open parallelepiped
-    {sum_j lam_j r_j : 0 <= lam_j < 1} of linearly independent integer
-    rays whose minor on the pivot coordinates has absolute value delta.
-    Every such point has each lam_j in (1/delta)Z, so it is
-    (sum_j k_j r_j) / delta for some k in {0..delta-1}^d.  The walk keeps
-    the k whose sum is 0 mod delta on the pivot coordinates, looking up the
-    last multiplier by the residue it cancels, and of those the k whose sum
-    is divisible by delta on every coordinate.
+    The pulling triangulation of the cone of sorted rays of rank d, as
+    d-tuples: the first ray coned over the facets that do not hold it.  A
+    facet of an orthant cut by a subspace is the set of rays vanishing on
+    one coordinate, when it has rank d - 1.  Memoised on the rays, so a
+    shared face is cut the same way from both sides.
     """
-    *head, last = rays
-    on_pivots = [tuple(r[i] for r in head) for i in pivots]
+    if len(rays) == d:
+        return [rays]
+    if rays not in memo:
+        facets = {tuple(r for r in rays if not r[i])
+                  for i, x in enumerate(rays[0]) if x}
+        memo[rays] = [(rays[0],) + simplex for facet in sorted(facets)
+                      if len(facet) >= d - 1 and rank(facet) == d - 1
+                      for simplex in _triangulation(facet, d - 1, memo)]
+    return memo[rays]
+
+
+def _parallelepiped_points(rays, minor, delta):
+    """
+    The nonzero integer points (sum_j k_j r_j) / delta, k in
+    {0..delta-1}^d, of the half-open parallelepiped of independent rays
+    whose minor M on their pivots has |det M| = delta.  The k with an
+    integral sum on the pivots form the group generated mod delta by the
+    rows of delta M^-1 = sign(det M) adj(M), or equally of adj(M); its
+    delta elements are walked breadth first, and the k with an integral
+    sum everywhere kept.
+    """
+    steps = [tuple(x % delta for x in row) for row in adjugate(minor)]
+    group = [(0,) * len(rays)]
+    seen = set(group)
+    for k in group:
+        for step in steps:
+            nxt = tuple((a + b) % delta for a, b in zip(k, step))
+            if nxt not in seen:
+                seen.add(nxt)
+                group.append(nxt)
     columns = list(zip(*rays))
-    cancels = {}
-    for k in range(delta):
-        key = tuple(k * last[i] % delta for i in pivots)
-        cancels.setdefault(key, []).append(k)
-    points = []
-    for ks in product(range(delta), repeat=len(head)):
-        key = tuple(-sum(map(mul, ks, c)) % delta for c in on_pivots)
-        for k in cancels.get(key, ()):
-            full = ks + (k,)
-            total = [sum(map(mul, full, c)) for c in columns]
-            if any(full) and all(x % delta == 0 for x in total):
-                points.append(tuple(x // delta for x in total))
-    return points
+    totals = ([sum(map(mul, k, c)) for c in columns] for k in group[1:])
+    return [tuple(x // delta for x in total) for total in totals
+            if all(x % delta == 0 for x in total)]
 
 
 def hilbert_basis(cone, max_coeff_bits=None, rays=None):
@@ -215,66 +226,42 @@ def hilbert_basis(cone, max_coeff_bits=None, rays=None):
     The minimal generating set of the monoid of integer points of the cone.
     Its extreme rays are computed here unless given as rays.
 
-    The candidates are the extreme rays together with the nonzero integer
-    points of the half-open parallelepipeds of every linearly independent
-    d-subset of rays, d the rank of the cone: these subsets cover the cone,
-    and an irreducible point that is not a ray has every multiplier below 1
-    in a subset whose cone holds it.  The walk is refused
-    (WorkBudgetExceeded) before it starts, as soon as the subsets scanned
-    so far would have it cover more than PARALLELEPIPED_POINT_CAP grid
-    points.  Candidates are reduced in order
-    of coordinate sum to the irreducible elements.  Output sorted
-    lexicographically.
+    The candidates are the extreme rays and the nonzero integer points of
+    the half-open parallelepipeds of one triangulation's simplices
+    (Bruns-Ichim, J. Algebra 324, 2010): an irreducible point that is not
+    a ray has every multiplier below 1 in a simplex that holds it.  A
+    simplex of minor delta walks delta group elements, and candidates are
+    reduced in pairs, so the walk is refused (WorkBudgetExceeded) before
+    any point is listed once the squared sum of the minors exceeds
+    PARALLELEPIPED_POINT_CAP.  Candidates are reduced in order of
+    coordinate sum to the irreducible elements, sorted.
     """
     if rays is None:
         rays = extreme_rays(cone, max_coeff_bits=max_coeff_bits)
     if len(rays) <= 1:
         return rays
-    d = rank(rays)
+    rays = tuple(sorted(rays))
     simplices = []
     walk = 0
-    for sub in combinations(rays, d):
-        pivots = pivot_columns(sub)
-        if len(pivots) == d:
-            delta = abs(det([[r[i] for i in pivots] for r in sub]))
-            simplices.append((sub, pivots, delta))
-            walk += delta ** d
-            if walk > PARALLELEPIPED_POINT_CAP:
-                raise WorkBudgetExceeded(
-                    "the parallelepiped walk of a Hilbert basis covers more "
-                    "than %d grid points" % PARALLELEPIPED_POINT_CAP)
+    for simplex in _triangulation(rays, rank(rays), {}):
+        pivots = pivot_columns(simplex)
+        minor = [[r[i] for i in pivots] for r in simplex]
+        delta = abs(det(minor))
+        simplices.append((simplex, minor, delta))
+        walk += delta
+        if walk ** 2 > PARALLELEPIPED_POINT_CAP:
+            raise WorkBudgetExceeded(
+                "the parallelepiped walk of a Hilbert basis covers more than"
+                " %d group elements" % isqrt(PARALLELEPIPED_POINT_CAP))
     candidates = set(rays)
-    for sub, pivots, delta in simplices:
-        candidates.update(_parallelepiped_points(sub, pivots, delta))
+    for simplex in simplices:
+        candidates.update(_parallelepiped_points(*simplex))
     _check_budget(candidates, max_coeff_bits)
     reduced = []
     for g in sorted(candidates, key=lambda v: (sum(v), v)):
         if not any(all(a <= b for a, b in zip(h, g)) for h in reduced):
             reduced.append(g)
     return sorted(reduced)
-
-
-def maximize_linear(cone, functional, max_coeff_bits=None):
-    """
-    Maximize a rational linear functional over the slice
-    cone intersect {sum of supported coordinates = 1}.
-
-    Returns (optimum, witness) where the witness is the optimal vertex of
-    the slice polytope as a tuple of Fractions.  Raises EmptyCone when the
-    cone is {0}.
-    """
-    rays = extreme_rays(cone, max_coeff_bits=max_coeff_bits)
-    if not rays:
-        raise EmptyCone("the cone contains no nonzero point")
-    best_value = None
-    best_witness = None
-    for r in rays:
-        s = sum(r)
-        value = Fraction(dot(functional, r), s)
-        if best_value is None or value > best_value:
-            best_value = value
-            best_witness = tuple(Fraction(x, s) for x in r)
-    return best_value, best_witness
 
 
 def positive_integer_point(cone, max_coeff_bits=None, rays=None):
@@ -289,9 +276,7 @@ def positive_integer_point(cone, max_coeff_bits=None, rays=None):
         rays = extreme_rays(cone, max_coeff_bits=max_coeff_bits)
     if not rays:
         return None
-    total = [0] * cone.dim
-    for r in rays:
-        total = [a + b for a, b in zip(total, r)]
+    total = [sum(column) for column in zip(*rays)]
     if any(total[i] == 0 for i in cone.support):
         return None
     return primitive(total)
@@ -327,7 +312,4 @@ def decompose_over(point, basis):
     picks = _least_picks(tuple(point), 0, basis, {})
     if picks is None:
         return None
-    counts = [0] * len(basis)
-    for i in picks:
-        counts[i] += 1
-    return tuple(counts)
+    return tuple(map(picks.count, range(len(basis))))

@@ -68,10 +68,6 @@ class InternalCheckFailed(LaminateError):
 
 # --- polyhedral engine ---
 
-class EmptyCone(Refusal):
-    pass
-
-
 class CoefficientBudgetExceeded(Refusal):
     """An intermediate integer outgrew the configured --max-coeff-bits."""
 

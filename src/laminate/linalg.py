@@ -1,9 +1,9 @@
 """
 Small exact linear algebra over the integers (Python ints, no floats).
 
-Rank, determinant and pivot columns all come from one fraction-free
-(Bareiss) elimination, so every intermediate entry is an integer minor of
-the input.
+Rank, determinant and pivot columns come from one fraction-free (Bareiss)
+elimination and the adjugate from its Gauss-Jordan form, so every
+division is exact and every intermediate entry an integer.
 """
 
 
@@ -65,3 +65,22 @@ def det(rows):
     """Determinant of a square integer matrix, exact."""
     pivots, minor = _bareiss(rows)
     return minor if len(pivots) == len(rows) else 0
+
+
+def adjugate(rows):
+    """The adjugate of a nonsingular square integer matrix: fraction-free
+    Gauss-Jordan elimination of [rows | I], a swap negating the row moved
+    down, ends with det(rows) * I on the left and the adjugate right."""
+    d = len(rows)
+    m = [list(row) + [int(i == j) for j in range(d)]
+         for i, row in enumerate(rows)]
+    prev = 1
+    for c in range(d):
+        p = next(i for i in range(c, d) if m[i][c])
+        if p != c:
+            m[c], m[p] = m[p], [-x for x in m[c]]
+        top = m[c]
+        m = [row if row is top else [(top[c] * x - row[c] * y) // prev
+                                     for x, y in zip(row, top)] for row in m]
+        prev = top[c]
+    return [row[d:] for row in m]

@@ -7,7 +7,7 @@ import laminate.cones
 from laminate.branched import (ChiFunctional, carries_nonneg_chi,
                                from_support, sub_branched_surface,
                                zero_chi_locus)
-from laminate.cones import maximize_linear, positive_integer_point
+from laminate.cones import positive_integer_point
 from laminate.errors import InvalidSupport, NotCarried
 from laminate.linalg import dot
 from laminate.normal import (is_admissible, quad_index, tri_index,
@@ -113,12 +113,6 @@ def test_verdict_zero_with_torus_witness(models):
     assert surface.chi == 0
     assert surface.components[0].orientable
     assert surface.components[0].genus_or_crosscap == 1
-
-
-def test_maximize_chi_negative_on_all_negative_model(models):
-    model = models["three_tet_normal_genus2.json"]
-    value, _ = maximize_linear(model.cone, model.chi.coefficients)
-    assert value < 0
 
 
 def test_zero_chi_locus_empty_for_all_negative(models):

@@ -1,18 +1,20 @@
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from laminate import cones
+from laminate import cones, normal
 from laminate.bruteforce import extreme_ray_oracle, hilbert_oracle
 from laminate.cones import (RationalCone, decompose_over, extreme_rays,
-                            hilbert_basis, maximize_linear,
-                            positive_integer_point, primitive)
-from laminate.errors import (CoefficientBudgetExceeded, EmptyCone,
-                             WorkBudgetExceeded)
+                            hilbert_basis, positive_integer_point, primitive)
+from laminate.errors import CoefficientBudgetExceeded, WorkBudgetExceeded
 from laminate.linalg import det, dot
+from laminate.normal import fundamental_solutions, matching_cone
+from laminate.triangulation import parse_triangulation
+from tests.test_normal import CENSUS
 
 
 def test_extreme_rays_of_plane_cone():
@@ -57,33 +59,6 @@ def test_hilbert_basis_elements_irreducible_by_enumeration():
     # and every point decomposes
     for p in points:
         assert decompose_over(p, basis) is not None
-
-
-def test_maximize_normalization():
-    cone = RationalCone([(1, 1, -1)], 3)
-    value, witness = maximize_linear(cone, (1, 1, 1))
-    assert value == 1
-    assert sum(witness) == 1
-
-
-def test_maximize_x1_on_plane_cone():
-    cone = RationalCone([(1, 1, -1)], 3)
-    value, witness = maximize_linear(cone, (1, 0, 0))
-    assert value == Fraction(1, 2)
-    assert witness == (Fraction(1, 2), 0, Fraction(1, 2))
-
-
-def test_maximize_negative_functional():
-    cone = RationalCone([], 2)
-    value, witness = maximize_linear(cone, (-2, -3))
-    assert value == -2
-    assert witness == (1, 0)
-
-
-def test_maximize_empty_cone():
-    cone = RationalCone([(1, 1, 1)], 3)
-    with pytest.raises(EmptyCone):
-        maximize_linear(cone, (1, 0, 0))
 
 
 def test_positive_integer_point_plane():
@@ -135,19 +110,81 @@ def test_parallelepiped_walk_over_budget_is_refused():
         hilbert_basis(RationalCone([(3000, -1, -1)], 3))
 
 
-def test_parallelepiped_walk_is_refused_during_the_subset_scan(monkeypatch):
-    # Four rays of rank 3, every 3-subset independent with minor 200: the
-    # first subset alone is a 200^3 walk, so the scan stops there.
+def test_parallelepiped_walk_is_refused_before_any_point_is_listed(
+        monkeypatch):
+    # Rays (0, 1, 0, 2000), (0, 1, 2000, 0), (1, 0, 0, 2000) and
+    # (1, 0, 2000, 0): two simplices of minor 2000 each.  The first alone
+    # is within budget (2000^2 <= 5,000,000), both are not, and the walk
+    # is refused before the first simplex's points are listed.
     calls = []
+    listed = cones._parallelepiped_points
 
-    def counting_det(matrix):
-        calls.append(matrix)
-        return det(matrix)
+    def counting_points(*args):
+        calls.append(args)
+        return listed(*args)
 
-    monkeypatch.setattr(cones, "det", counting_det)
+    monkeypatch.setattr(cones, "_parallelepiped_points", counting_points)
     with pytest.raises(WorkBudgetExceeded, match="covers more than"):
-        hilbert_basis(RationalCone([(200, 200, -1, -1)], 4))
-    assert len(calls) == 1
+        hilbert_basis(RationalCone([(2000, 2000, -1, -1)], 4))
+    assert calls == []
+    # Within budget, both simplices' points are listed.
+    hilbert_basis(RationalCone([(20, 20, -1, -1)], 4))
+    assert len(calls) == 2
+
+
+# The heaviest quad orthants of the 4-tetrahedron census picks: 8
+# extreme rays of rank 4 each.
+HEAVY_QUAD_ORTHANTS = {
+    "t4_0.tri": [0, 1, 2, 3, 6, 10, 11, 12, 13, 15, 20, 21, 22, 23, 26, 30,
+                 31, 32, 33, 35],
+    "t4_1.tri": [0, 1, 2, 3, 5, 10, 11, 12, 13, 14, 20, 21, 22, 23, 26, 30,
+                 31, 32, 33, 36],
+}
+
+
+def _census_cones(name, include_octs):
+    """The heavy quad orthant of a 4-tetrahedron pick, or every maximal
+    face whose Hilbert basis fundamental_solutions computes."""
+    tri = parse_triangulation((CENSUS / name).read_text())
+    if name in HEAVY_QUAD_ORTHANTS:
+        return [matching_cone(tri, HEAVY_QUAD_ORTHANTS[name])]
+    faces = []
+
+    def record(cone, max_coeff_bits=None):
+        faces.append(cone)
+        return hilbert_basis(cone, max_coeff_bits)
+
+    with mock.patch.object(normal, "hilbert_basis", record):
+        fundamental_solutions(tri, include_octs)
+    return faces
+
+
+@pytest.mark.parametrize("name, include_octs", [
+    ("t4_0.tri", False), ("t4_1.tri", False),
+    ("t5_1.tri", False), ("t5_1.tri", True)])
+def test_hilbert_basis_does_not_depend_on_the_triangulation(name,
+                                                            include_octs):
+    # The pulling triangulation cones the least ray over the facets that
+    # do not hold it, so renaming the coordinates pulls other rays first
+    # and cuts the cone into other simplices; the basis must follow the
+    # renaming.
+    for cone in _census_cones(name, include_octs):
+        basis = hilbert_basis(cone)
+
+        @settings(derandomize=True, deadline=None, max_examples=10)
+        @given(st.permutations(range(cone.dim)))
+        def check(rename):
+            def moved(vec):
+                out = [0] * cone.dim
+                for j, x in enumerate(vec):
+                    out[rename[j]] = x
+                return tuple(out)
+
+            renamed = RationalCone([moved(row) for row in cone.matrix],
+                                   cone.dim, [rename[j] for j in cone.support])
+            assert hilbert_basis(renamed) == sorted(map(moved, basis))
+
+        check()
 
 
 @st.composite

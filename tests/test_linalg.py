@@ -1,9 +1,9 @@
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from laminate.linalg import det, pivot_columns, rank
+from laminate.linalg import adjugate, det, pivot_columns, rank
 
 entries = st.integers(-4, 4)
 
@@ -47,6 +47,15 @@ def test_rank_matches_sympy(rows):
 @example([[0, 3, 1], [2, 1, 5], [4, 0, 0]])
 def test_det_matches_sympy(rows):
     assert det(rows) == sympy.Matrix(rows).det()
+
+
+@settings(derandomize=True, deadline=None)
+@given(matrices(square=True))
+@example([[0, 3, 1], [2, 1, 5], [4, 0, 0]])
+@example([[0, 1], [1, 0]])
+def test_adjugate_matches_sympy(rows):
+    assume(det(rows) != 0)
+    assert adjugate(rows) == sympy.Matrix(rows).adjugate().tolist()
 
 
 def test_pivot_columns_are_the_first_independent_columns():

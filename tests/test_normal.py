@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laminate import normal
-from laminate.cones import RationalCone, extreme_rays, hilbert_basis
+from laminate.cones import (RationalCone, decompose_over, extreme_rays,
+                            hilbert_basis)
 from laminate.errors import IncompatibleQuads, LaminateError
 from laminate.normal import (ARC_DISKS, COORDS_PER_TET, DISK_EDGE_WEIGHTS,
                              edge_weights, fundamental_solutions, haken_sum,
@@ -378,3 +379,21 @@ def test_r7_vertex_solutions_are_pinned():
     for include_octs, key in ((False, "quads"), (True, "octagons")):
         assert [list(v) for v in vertex_solutions(tri, include_octs)] == \
             pinned[key]
+
+
+def test_t5_1_and_r7_fundamental_solutions_are_pinned():
+    # Covering each maximal face by all its independent subsets of rays
+    # would walk 3.6e11 grid points on t5_1 alone, so no other method here
+    # reaches these answers: they are pinned, and every vertex solution
+    # must decompose over them.
+    pinned = json.loads((DATA / "fundamental_solutions_pinned.json")
+                        .read_text())
+    r7_rays = json.loads((DATA / "r7_vertex_solutions.json").read_text())
+    for name, path in (("t5_1", CENSUS / "t5_1.tri"), ("r7", DATA / "r7.tri")):
+        tri = parse_triangulation(path.read_text())
+        for include_octs, key in ((False, "quads"), (True, "octagons")):
+            basis = fundamental_solutions(tri, include_octs)
+            assert [list(v) for v in basis] == pinned[name][key]
+            rays = (r7_rays[key] if name == "r7"
+                    else vertex_solutions(tri, include_octs))
+            assert all(decompose_over(r, basis) is not None for r in rays)
