@@ -16,6 +16,7 @@ from .cones import (RationalCone, extreme_rays, hilbert_basis,
                     positive_integer_point)
 from .errors import InvalidSupport, NotCarried
 from .linalg import dot
+# matching_system: unused, kept for perfbench/spans.py.
 from .normal import (COORDS_PER_TET, chi_functional_coefficients,
                      matching_cone, matching_system, vector_length)
 from .surfaces import build_surface
@@ -45,7 +46,7 @@ class BranchedSurfaceModel:
     locus) runs under the coefficient budget max_coeff_bits, when given.
     """
 
-    def __init__(self, tri, support, system=None, max_coeff_bits=None):
+    def __init__(self, tri, support, max_coeff_bits=None):
         self.triangulation = tri
         self.support = frozenset(support)
         n = vector_length(tri)
@@ -65,8 +66,7 @@ class BranchedSurfaceModel:
         if len(oct_sectors) > 1:
             raise InvalidSupport("more than one octagon sector in the support")
         self.oct_sector = oct_sectors[0] if oct_sectors else None
-        self.system = system if system is not None else matching_system(tri)
-        self.cone = matching_cone(tri, self.support, self.system)
+        self.cone = matching_cone(tri, self.support)
         self.chi = ChiFunctional(tri)
         self.max_coeff_bits = max_coeff_bits
         self._rays = None
@@ -112,10 +112,9 @@ class BranchedSurfaceModel:
         }
 
 
-def from_support(tri, support, system=None, max_coeff_bits=None):
+def from_support(tri, support, max_coeff_bits=None):
     """Build a model; InvalidSupport if the quad/oct constraints fail."""
-    return BranchedSurfaceModel(tri, support, system=system,
-                                max_coeff_bits=max_coeff_bits)
+    return BranchedSurfaceModel(tri, support, max_coeff_bits=max_coeff_bits)
 
 
 def sub_branched_surface(model, v):
@@ -127,7 +126,6 @@ def sub_branched_surface(model, v):
         raise NotCarried("vector is not carried by the model")
     support = frozenset(j for j, x in enumerate(v) if x)
     return BranchedSurfaceModel(model.triangulation, support,
-                                system=model.system,
                                 max_coeff_bits=model.max_coeff_bits)
 
 
@@ -206,7 +204,7 @@ def _verdict(model):
     torus = None
     klein = None
     for v in candidates:
-        s = build_surface(tri, v, model.system)
+        s = build_surface(tri, v)
         if s.connected and s.chi == 0:
             if s.components[0].orientable:
                 torus = v
@@ -216,8 +214,7 @@ def _verdict(model):
     witness = torus if torus is not None else (klein or zero_funds[0])
     double_is_torus = None
     if torus is None and klein is not None:
-        doubled = build_surface(tri, tuple(2 * x for x in klein),
-                                model.system)
+        doubled = build_surface(tri, tuple(2 * x for x in klein))
         double_is_torus = (doubled.connected and doubled.chi == 0
                            and doubled.components[0].orientable)
     return CarryVerdict("carries_zero_chi", witness, chis,

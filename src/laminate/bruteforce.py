@@ -166,14 +166,18 @@ def enumerate_solutions(tri, bound, support):
     return _join(tri, [streams[box] for box in boxes])
 
 
-def enumerate_quad_oct_solutions(tri, bound):
+def enumerate_quad_oct_solutions(tri, bound, max_octs=None):
     """
     Every integer matching solution with coordinates <= bound respecting
     the per-tetrahedron quad/oct constraint (octagon values unrestricted
-    beyond the bound).  This is the union of the solution sets of all
-    quad/oct orthants; filter by support to recover a single orthant.
+    beyond the bound), with at most max_octs octagon coordinates when
+    given; at 0 no octagon pattern is listed.  This is the union of the
+    solution sets of the quad/oct orthants; filter by support to recover a
+    single orthant.
     """
-    return _join(tri, [_quad_oct_patterns(bound, bound)] * tri.tet_count)
+    oct_cap = 0 if max_octs == 0 else bound
+    return _join(tri, [_quad_oct_patterns(bound, oct_cap)] * tri.tet_count,
+                 max_octs)
 
 
 def enumerate_admissible(tri, bound):

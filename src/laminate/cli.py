@@ -22,7 +22,7 @@ from .bruteforce import (enumerate_quad_oct_solutions, extreme_ray_oracle,
 from .cones import extreme_rays, hilbert_basis
 from .errors import InputError, LaminateError, Refusal
 from .finiteness import antichain_certificate, enumerate_genus
-from .normal import (COORDS_PER_TET, fundamental_solutions, is_vertex_linking,
+from .normal import (fundamental_solutions, is_vertex_linking,
                      iter_orthant_supports, matching_cone, matching_system,
                      parse_vector, vector_length, vertex_solutions)
 from .surfaces import build_surface
@@ -110,11 +110,8 @@ def _solution_listing(args, key, solve, oracle):
         # The admissible points: whether a point is an extreme ray or
         # irreducible depends only on its own support, so one check over
         # them all agrees exactly when every maximal orthant's check does.
-        max_octs = 1 if args.almost_normal else 0
-        octagons = [j for j in range(vector_length(tri))
-                    if j % COORDS_PER_TET >= 7]
-        points = [p for p in enumerate_quad_oct_solutions(tri, args.bound)
-                  if sum(1 for j in octagons if p[j]) <= max_octs]
+        points = enumerate_quad_oct_solutions(tri, args.bound,
+                                              int(args.almost_normal))
         payload["oracle_bound"] = args.bound
         payload["oracle_agrees"] = oracle(tri, points) == solutions
     return payload
@@ -197,7 +194,7 @@ def cmd_split_traintrack(args):
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError("bad track structure: %s" % exc)
     result = split(track, args.branch)
-    cover = cone_cover_check(track, result.tracks())
+    cover = cone_cover_check(track, result.tracks(), args.max_coeff_bits)
     payload = {
         "branch": args.branch,
         "cover": cover.to_json_dict(),

@@ -19,8 +19,8 @@ from .errors import (GenusTooSmall, InternalCheckFailed, UnboundedRefusal,
 from .surfaces import build_surface, surface_topology
 
 # The most disks, summed over the multiplicity tuples of one genus, that
-# the genus filter may be asked to test; a larger walk is refused before
-# it starts.
+# the genus filter may be asked to test, and the most cells of the table
+# that counts them; a larger walk is refused before it starts.
 GENUS_DISK_CAP = 2_000_000
 
 
@@ -55,9 +55,9 @@ def _accepts(model, v, genus):
     if model.oct_sector is not None and v[model.oct_sector] != 1:
         return False
     tri = model.triangulation
-    if surface_topology(tri, v, model.system) != (1, True):
+    if surface_topology(tri, v) != (1, True):
         return False
-    surface = build_surface(tri, v, model.system)
+    surface = build_surface(tri, v)
     if not (surface.connected and surface.components[0].orientable):
         raise InternalCheckFailed(
             "the cell complex of %s is not the connected orientable surface "
@@ -130,7 +130,8 @@ def enumerate_genus(model, genus):
     since otherwise the list need not be finite, and refuses
     (WorkBudgetExceeded) before the walk when the tuples it walks, those
     of weight one on the almost-normal sector if the model has one, hold
-    more than GENUS_DISK_CAP disks in all.
+    more than GENUS_DISK_CAP disks in all, or before they are counted when
+    the table counting them would have more than GENUS_DISK_CAP cells.
     """
     if genus < 0:
         raise GenusTooSmall("genus must be nonnegative, got %d" % genus)
@@ -158,6 +159,11 @@ def enumerate_genus(model, genus):
     found = {}
     seen = set()
     if target >= 0:
+        cells = (weight + 1) * (target + 1)
+        if cells > GENUS_DISK_CAP:
+            raise WorkBudgetExceeded(
+                "the genus-%d walk needs a table of %d cells (budget %d)"
+                % (genus, cells, GENUS_DISK_CAP))
         masks, tuples, disks = _reachable(costs, [sum(f) for f in funds],
                                           target, weight)
         if disks > GENUS_DISK_CAP:

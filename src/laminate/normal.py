@@ -158,15 +158,10 @@ class MatchingSystem:
     def __len__(self):
         return len(self.rows)
 
-    def to_json_dict(self):
-        return {
-            "rows": [list(row) for row in self.rows],
-            "labels": [list(label) for label in self.labels],
-        }
-
 
 def matching_system(tri):
-    return MatchingSystem(tri)
+    """The triangulation's one matching system, built on first use."""
+    return tri.matching_system
 
 
 class AdmissibilityReport:
@@ -203,7 +198,7 @@ class AdmissibilityReport:
         return out
 
 
-def is_admissible(tri, v, system=None):
+def is_admissible(tri, v):
     """
     Check nonnegativity is assumed; returns an AdmissibilityReport that is
     truthy exactly when v satisfies the matching equations, the quad/oct
@@ -216,8 +211,7 @@ def is_admissible(tri, v, system=None):
                            % (len(v), vector_length(tri)))
     if any(x < 0 for x in v):
         raise Inadmissible("vector has negative entries")
-    if system is None:
-        system = matching_system(tri)
+    system = matching_system(tri)
     matching_failures = []
     for label, value in zip(system.labels, system.residual(v)):
         if value != 0:
@@ -305,11 +299,10 @@ def parse_vector(text, tri=None):
     return v
 
 
-def matching_cone(tri, support=None, system=None):
+def matching_cone(tri, support=None):
     """The cone of nonnegative solutions of the matching equations."""
-    if system is None:
-        system = matching_system(tri)
-    return RationalCone(system.rows, vector_length(tri), support)
+    return RationalCone(matching_system(tri).rows, vector_length(tri),
+                        support)
 
 
 def iter_orthant_supports(tri, include_octs=False):
@@ -375,7 +368,6 @@ def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):
     one Hilbert basis is computed per distinct maximal face, on the
     coordinates its rays use.
     """
-    system = matching_system(tri)
     rays = vertex_solutions(tri, include_octs, max_coeff_bits)
     supports = [frozenset(j for j, x in enumerate(r) if x) for r in rays]
     faces = list(dict.fromkeys(
@@ -385,7 +377,7 @@ def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):
     for face in faces:
         if not any(face < other for other in faces):
             used = frozenset().union(*(supports[i] for i in face))
-            out.update(hilbert_basis(matching_cone(tri, used, system),
+            out.update(hilbert_basis(matching_cone(tri, used),
                                      max_coeff_bits))
     return sorted(out)
 

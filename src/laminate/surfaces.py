@@ -170,10 +170,10 @@ class NormalSurface:
 SURFACE_DISK_CAP = 200_000
 
 
-def _check_rebuildable(tri, v, system):
+def _check_rebuildable(tri, v):
     """The admissibility report of an embeddable vector within the disk
     cap; raises Inadmissible or WorkBudgetExceeded otherwise."""
-    report = is_admissible(tri, v, system=system)
+    report = is_admissible(tri, v)
     if not report.embeddable:
         raise Inadmissible("; ".join(report.messages()[:4]))
     if sum(v) > SURFACE_DISK_CAP:
@@ -215,7 +215,7 @@ def _disk_kinds(tri, v, ends):
             yield t, copies, shift, arc_plan, corners
 
 
-def build_surface(tri, v, system=None):
+def build_surface(tri, v):
     """
     Rebuild the surface of a coordinate vector.
 
@@ -225,7 +225,7 @@ def build_surface(tri, v, system=None):
     even when they are not almost normal.  A vector of more than
     SURFACE_DISK_CAP disks is refused (WorkBudgetExceeded).
     """
-    report = _check_rebuildable(tri, v, system)
+    report = _check_rebuildable(tri, v)
     ends, glued = tri.gluing_table
     disk_points = []              # per disk: its corners' (class, position)
     disk_arcs = []                # per disk: its number of boundary arcs
@@ -307,7 +307,7 @@ def build_surface(tri, v, system=None):
     return surface
 
 
-def surface_topology(tri, v, system=None):
+def surface_topology(tri, v):
     """
     (components, orientable) of the surface of a coordinate vector: its
     number of connected components, and whether every one of them is
@@ -322,7 +322,7 @@ def surface_topology(tri, v, system=None):
     build_surface (points at its first and last rank, which fix them in
     between) are made once per overlap.  Refusals are as by build_surface.
     """
-    _check_rebuildable(tri, v, system)
+    _check_rebuildable(tri, v)
     ends, glued = tri.gluing_table
     # slot -> pieces in rank order: (first rank, end rank, disk of copy 0,
     # copy at the first rank, copy step per rank, corners of its two ends).

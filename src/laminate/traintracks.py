@@ -302,17 +302,18 @@ class CoverResult:
         }
 
 
-def cone_cover_check(track, carried_tracks):
+def cone_cover_check(track, carried_tracks, max_coeff_bits=None):
     """
     Verify that the parent's weight cone equals the union of the carried
     images: every extreme ray of the parent cone must be carried by some
     result, and the image of every extreme ray of every result must
-    satisfy the parent's switch equations.
+    satisfy the parent's switch equations.  The extreme rays are found
+    under the coefficient budget max_coeff_bits, when given.
     """
     parent_cone = track.weight_cone()
-    parent_rays = extreme_rays(parent_cone)
+    parent_rays = extreme_rays(parent_cone, max_coeff_bits)
     for ct in carried_tracks:
-        for ray in extreme_rays(ct.track.weight_cone()):
+        for ray in extreme_rays(ct.track.weight_cone(), max_coeff_bits):
             image = ct.image(ray)
             if not parent_cone.contains(image):
                 return CoverResult(False, escaped_ray=image)

@@ -278,12 +278,15 @@ class Triangulation:
                 groups.setdefault(root, []).append((t, v))
         classes = sorted(groups.values(), key=min)
         self.vertex_classes = [sorted(g) for g in classes]
-        self.vertex_class_of = {}
-        for idx, group in enumerate(self.vertex_classes):
-            for tv in group:
-                self.vertex_class_of[tv] = idx
 
     # -- queries ----------------------------------------------------------
+
+    @cached_property
+    def matching_system(self):
+        """The normal-arc matching equations (normal.MatchingSystem),
+        built on first use."""
+        from .normal import MatchingSystem
+        return MatchingSystem(self)
 
     @cached_property
     def gluing_table(self):

@@ -5,8 +5,7 @@ from pathlib import Path
 import pytest
 
 from laminate.branched import from_support
-from laminate.normal import (COORDS_PER_TET, fundamental_solutions,
-                             matching_system, tri_index)
+from laminate.normal import COORDS_PER_TET, fundamental_solutions, tri_index
 from laminate.triangulation import parse_triangulation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -59,12 +58,6 @@ def load_model(name):
 @pytest.fixture(scope="session")
 def triangulations():
     return {name: load_triangulation(name) for name in TRI_NAMES}
-
-
-@pytest.fixture(scope="session")
-def systems(triangulations):
-    return {name: matching_system(tri)
-            for name, tri in triangulations.items()}
 
 
 @pytest.fixture(scope="session")

@@ -48,13 +48,12 @@ def test_criterion_1_chi_functional_oracle(triangulations):
     checked = 0
     mismatches = 0
     for name, tri in triangulations.items():
-        system = matching_system(tri)
         coeffs = chi_functional_coefficients(tri)
         for v in enumerate_admissible(tri, 4):
             if not any(v):
                 continue
             checked += 1
-            if build_surface(tri, v, system).chi != dot(coeffs, v):
+            if build_surface(tri, v).chi != dot(coeffs, v):
                 mismatches += 1
     elapsed = time.monotonic() - start
     ok = mismatches == 0 and elapsed < 60
@@ -68,7 +67,6 @@ def test_criterion_2_haken_sum_additivity(triangulations, fundamentals):
     failures = 0
     pairs_per_fixture = 1000
     for name, tri in triangulations.items():
-        system = matching_system(tri)
         orthants = list(every_orthant_support(tri, include_octs=True))
         per_orthant = {}
         for support in orthants:
@@ -92,8 +90,8 @@ def test_criterion_2_haken_sum_additivity(triangulations, fundamentals):
             v, w = sample(), sample()
             if not any(v) or not any(w):
                 continue
-            if not (is_admissible(tri, v, system).admissible
-                    and is_admissible(tri, w, system).admissible):
+            if not (is_admissible(tri, v).admissible
+                    and is_admissible(tri, w).admissible):
                 continue
             done += 1
             try:
@@ -104,9 +102,9 @@ def test_criterion_2_haken_sum_additivity(triangulations, fundamentals):
             except IncompatibleQuads:
                 failures += 1
                 continue
-            chi_sum = (build_surface(tri, v, system).chi
-                       + build_surface(tri, w, system).chi)
-            if build_surface(tri, total, system).chi != chi_sum:
+            chi_sum = (build_surface(tri, v).chi
+                       + build_surface(tri, w).chi)
+            if build_surface(tri, total).chi != chi_sum:
                 failures += 1
             if weight(tri, total) != weight(tri, v) + weight(tri, w):
                 failures += 1
@@ -146,7 +144,7 @@ def test_criterion_4_polyhedral_oracle_equivalence(triangulations):
         points = enumerate_quad_oct_solutions(tri, 8)
         for support in every_orthant_support(tri, include_octs=True):
             orthants += 1
-            cone = matching_cone(tri, support, system)
+            cone = matching_cone(tri, support)
             restricted = [p for p in points if in_support(p, support)]
             if extreme_ray_oracle(restricted, system.rows, support) \
                     != extreme_rays(cone):
@@ -191,7 +189,7 @@ def test_criterion_6_positive_point_mechanism(models):
     if ok:
         positive = all(point[j] >= 1 for j in model.support)
         integral = all(isinstance(x, int) for x in point)
-        chi = build_surface(model.triangulation, point, model.system).chi
+        chi = build_surface(model.triangulation, point).chi
         ok = positive and integral and chi == 0
         detail = ("chi-augmented system has the all-positive integer "
                   "solution %s with built chi %d"

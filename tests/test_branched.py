@@ -10,8 +10,8 @@ from laminate.branched import (ChiFunctional, carries_nonneg_chi,
 from laminate.cones import positive_integer_point
 from laminate.errors import InvalidSupport, NotCarried
 from laminate.linalg import dot
-from laminate.normal import (is_admissible, quad_index, tri_index,
-                             vector_length)
+from laminate.normal import (is_admissible, matching_system, quad_index,
+                             tri_index, vector_length)
 from laminate.surfaces import build_surface
 from tests.conftest import load_model
 from tests.test_normal import all_triangles_one
@@ -149,7 +149,8 @@ def test_zero_chi_locus_of_mixed_sign_model(three_tet):
         assert dot(model.chi.coefficients, vertex) == 0
         assert sum(vertex) == 1
         assert all(x >= 0 for x in vertex)
-        assert not any(dot(row, vertex) for row in model.system.rows)
+        assert not any(dot(row, vertex) for row in
+                       matching_system(model.triangulation).rows)
 
 
 def test_positive_integer_point_on_chi_augmented_system(models):
@@ -157,8 +158,7 @@ def test_positive_integer_point_on_chi_augmented_system(models):
     point = positive_integer_point(model.chi_augmented_cone())
     assert point is not None
     assert all(point[j] >= 1 for j in model.support)
-    assert is_admissible(model.triangulation, point,
-                         model.system).quad_violations == []
+    assert is_admissible(model.triangulation, point).quad_violations == []
     assert build_surface(model.triangulation, point).chi == 0
 
 

@@ -11,6 +11,7 @@ from laminate.bruteforce import (ARC_TYPES, _patterns, _quad_oct_patterns,
 from laminate.errors import WorkBudgetExceeded
 from laminate.normal import (ARC_DISKS, COORDS_PER_TET, is_admissible,
                              matching_system, quad_oct_profile, vector_length)
+from tests.conftest import load_triangulation
 
 
 def arc_count(v, t, f, w):
@@ -36,9 +37,8 @@ def test_join_matches_naive_enumeration(one_tet):
 
 
 def test_admissible_enumeration_respects_constraints(two_tet):
-    system = matching_system(two_tet)
     for v in enumerate_admissible(two_tet, 2):
-        assert is_admissible(two_tet, v, system).admissible
+        assert is_admissible(two_tet, v).admissible
 
 
 def test_admissible_is_filtered_quad_oct(two_tet):
@@ -49,6 +49,18 @@ def test_admissible_is_filtered_quad_oct(two_tet):
                   if sum(v[j] for j in octs) <= 1
                   and all(v[j] <= 1 for j in octs)}
     assert refiltered == admissible
+
+
+@pytest.mark.parametrize("name,bound", [("one_tet.tri", 3),
+                                        ("two_tet.tri", 2),
+                                        ("three_tet.tri", 2)])
+def test_octagon_limit_filters_the_full_listing(name, bound):
+    tri = load_triangulation(name)
+    every = enumerate_quad_oct_solutions(tri, bound)
+    octs = [j for j in range(vector_length(tri)) if j % COORDS_PER_TET >= 7]
+    for k in (0, 1):
+        limited = [v for v in every if sum(1 for j in octs if v[j]) <= k]
+        assert enumerate_quad_oct_solutions(tri, bound, k) == limited
 
 
 def test_support_enumeration(two_tet):

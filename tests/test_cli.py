@@ -216,6 +216,19 @@ def test_split_traintrack(capsys):
     assert payload["results"]["left"]["new_branches"] == ["b'"]
 
 
+def test_split_traintrack_honours_max_coeff_bits(capsys):
+    # The cover check's extreme rays have 1-bit coefficients.
+    argv = ("split", "traintrack", "--file",
+            str(fixture_path("figure_sp1.json")), "--branch", "b",
+            "--max-coeff-bits")
+    code, out = run_cli(capsys, *argv, "0")
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "CoefficientBudgetExceeded"
+    code, out = run_cli(capsys, *argv, "1")
+    assert code == 0
+    assert json.loads(out)["cover"]["covered"] is True
+
+
 def test_split_not_splittable(capsys, tmp_path):
     track = {"branches": ["x"],
              "switches": [{"side1": [["x", 0], ["x", 1]], "side2": []}]}

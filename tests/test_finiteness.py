@@ -1,17 +1,20 @@
 import gc
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laminate import finiteness
+from laminate.branched import carries_nonneg_chi
 from laminate.bruteforce import enumerate_quad_oct_solutions
 from laminate.cones import decompose_over
 from laminate.errors import (GenusTooSmall, UnboundedRefusal,
                              WorkBudgetExceeded)
 from laminate.finiteness import (GenusEnumeration, antichain_certificate,
                                  brute_force_genus_list, enumerate_genus)
-from laminate.normal import is_admissible, quad_index, vector_length
+from laminate.normal import (MatchingSystem, fundamental_solutions,
+                             is_admissible, quad_index, vector_length)
 from laminate.surfaces import build_surface, surface_topology
 from tests.conftest import load_model, load_triangulation
 
@@ -75,7 +78,7 @@ def test_enumeration_soundness(models):
     for genus in (2, 3):
         enumeration = enumerate_genus(model, genus)
         for v in enumeration.vectors:
-            report = is_admissible(model.triangulation, v, model.system)
+            report = is_admissible(model.triangulation, v)
             assert not report.matching_failures
             assert not report.quad_violations
             assert model.chi.value(v) == 2 - 2 * genus
@@ -101,13 +104,13 @@ def test_each_distinct_candidate_is_built_once(monkeypatch):
                         lambda: (f, tuple(2 * x for x in f)))
     tested, built = [], []
 
-    def counting_topology(tri, v, system=None):
+    def counting_topology(tri, v):
         tested.append(v)
-        return surface_topology(tri, v, system)
+        return surface_topology(tri, v)
 
-    def counting_build(tri, v, system=None):
+    def counting_build(tri, v):
         built.append(v)
-        return build_surface(tri, v, system)
+        return build_surface(tri, v)
 
     monkeypatch.setattr(finiteness, "surface_topology", counting_topology)
     monkeypatch.setattr(finiteness, "build_surface", counting_build)
@@ -194,6 +197,37 @@ def test_genus_walk_over_the_disk_budget_is_refused(models, monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(finiteness, "GENUS_DISK_CAP", 19 * sum(f))
     assert enumerate_genus(model, 20).vectors == ()
+
+
+def test_huge_genus_is_refused_before_the_walk_table(models):
+    # The dynamic program would hold (weight + 1)(2g - 1) cells, about
+    # 4e9 at genus 10^9: refused before any of them is allocated.
+    model = models["three_tet_almost_normal.json"]
+    carries_nonneg_chi(model)
+    tracemalloc.start()
+    try:
+        with pytest.raises(WorkBudgetExceeded, match="3999999998 cells"):
+            enumerate_genus(model, 10 ** 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_one_matching_system_per_triangulation(monkeypatch):
+    built = []
+    init = MatchingSystem.__init__
+
+    def counting_init(self, tri):
+        built.append(tri)
+        init(self, tri)
+
+    monkeypatch.setattr(MatchingSystem, "__init__", counting_init)
+    model = load_model("three_tet_normal_genus2.json")    # from_support
+    fundamental_solutions(model.triangulation, include_octs=True)
+    carries_nonneg_chi(model)
+    assert len(enumerate_genus(model, 2)) == 1
+    assert built == [model.triangulation]
 
 
 def test_enumeration_stable_across_runs(models):

@@ -46,6 +46,10 @@ def test_equation_count_is_three_per_face_class(triangulations):
         assert len(matching_system(tri)) == 3 * tri.face_count
 
 
+def test_matching_system_is_built_once_per_triangulation(two_tet):
+    assert matching_system(two_tet) is matching_system(two_tet)
+
+
 def test_coefficients_within_documented_range(triangulations):
     # The contract allows {-1, 0, +1, +2}; with the connected octagon
     # model a disk type never contributes two same-type arcs in one face,
@@ -229,10 +233,9 @@ def test_maximal_orthants_cover_every_orthant(triangulations, include_octs):
 
 
 def _union_over_every_orthant(tri, include_octs, solve):
-    system = matching_system(tri)
     out = set()
     for support in every_orthant_support(tri, include_octs):
-        out.update(solve(matching_cone(tri, support, system)))
+        out.update(solve(matching_cone(tri, support)))
     return sorted(out)
 
 

@@ -12,13 +12,14 @@ from laminate.errors import Inadmissible, InternalCheckFailed
 from laminate.finiteness import enumerate_genus
 from laminate.linalg import dot
 from laminate.normal import (chi_functional_coefficients, haken_sum,
-                             matching_system, quad_oct_profile, quad_index,
-                             tri_index, vector_length, vertex_solutions,
-                             weight)
+                             iter_orthant_supports, matching_system,
+                             quad_oct_profile, quad_index, tri_index,
+                             vector_length, vertex_solutions, weight)
 from laminate.surfaces import build_surface, surface_topology
 from laminate.triangulation import parse_triangulation
 from tests.conftest import MODEL_NAMES, load_model
-from tests.test_normal import CENSUS, SOLUTIONS_GOLDEN, all_triangles_one
+from tests.test_normal import (CENSUS, CENSUS_NAMES, DATA, SOLUTIONS_GOLDEN,
+                               all_triangles_one)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "surfaces_golden.json"
 
@@ -183,17 +184,15 @@ def test_double_link_gives_two_spheres(two_tet):
 
 def test_chi_functional_agrees_on_fundamentals(triangulations, fundamentals):
     for name, tri in triangulations.items():
-        system = matching_system(tri)
         coeffs = chi_functional_coefficients(tri)
         for f in fundamentals[name]:
-            assert build_surface(tri, f, system).chi == dot(coeffs, f)
+            assert build_surface(tri, f).chi == dot(coeffs, f)
 
 
 def test_cell_complex_counting_invariants(triangulations, fundamentals):
     for name, tri in triangulations.items():
-        system = matching_system(tri)
         for f in fundamentals[name]:
-            surface = build_surface(tri, f, system)
+            surface = build_surface(tri, f)
             assert surface.vertex_count == weight(tri, f)
             assert surface.disk_count == sum(f)
             arcs = sum(3 * f[tri_index(t, i)] for t in range(tri.tet_count)
@@ -232,10 +231,9 @@ def test_parallel_octagons_build(three_tet):
 
 def test_doubling_structure(triangulations, fundamentals):
     for name, tri in triangulations.items():
-        system = matching_system(tri)
         for f in fundamentals[name]:
-            single = build_surface(tri, f, system)
-            double = build_surface(tri, tuple(2 * x for x in f), system)
+            single = build_surface(tri, f)
+            double = build_surface(tri, tuple(2 * x for x in f))
             assert double.chi == 2 * single.chi
             one_sided = sum(1 for c in single.components if not c.orientable)
             two_sided = len(single.components) - one_sided
@@ -249,7 +247,6 @@ def test_haken_sum_chi_additive_on_compatible_fundamentals(triangulations,
                                                             plain_fundamentals):
     random.seed(11)
     for name, tri in triangulations.items():
-        system = matching_system(tri)
         funds = plain_fundamentals[name]
         pairs = 0
         for v in funds:
@@ -261,9 +258,9 @@ def test_haken_sum_chi_additive_on_compatible_fundamentals(triangulations,
                 pairs += 1
                 total = haken_sum(tri, v, w)
                 assert total == s
-                chi_v = build_surface(tri, v, system).chi
-                chi_w = build_surface(tri, w, system).chi
-                assert build_surface(tri, total, system).chi == chi_v + chi_w
+                chi_v = build_surface(tri, v).chi
+                chi_w = build_surface(tri, w).chi
+                assert build_surface(tri, total).chi == chi_v + chi_w
                 assert weight(tri, total) == weight(tri, v) + weight(tri, w)
         assert pairs > 0
 
@@ -280,7 +277,6 @@ def test_chi_functional_on_large_random_combinations(triangulations,
     # ordering rules well beyond the exhaustive small boxes.
     rng = random.Random(3)
     for name, tri in triangulations.items():
-        system = matching_system(tri)
         coeffs = chi_functional_coefficients(tri)
         funds = fundamentals[name]
         for _ in range(25):
@@ -294,7 +290,53 @@ def test_chi_functional_on_large_random_combinations(triangulations,
             if any(len(quad_oct_profile(v, t)) > 1
                    for t in range(tri.tet_count)):
                 continue
-            assert build_surface(tri, v, system).chi == dot(coeffs, v)
+            assert build_surface(tri, v).chi == dot(coeffs, v)
+
+
+def _census_faces():
+    """(triangulation, chi coefficients, fundamentals of one maximal
+    admissible face) for every maximal face of the seven census picks,
+    octagons included.  A face's fundamentals are those inside one maximal
+    quad/oct orthant, where no other orthant holds more."""
+    picks = [(parse_triangulation(entry["triangulation"]), case["solutions"])
+             for entry in json.loads(SOLUTIONS_GOLDEN.read_text())
+             if entry["name"] + ".tri" in CENSUS_NAMES
+             for case in entry["cases"]
+             if case["function"] == "fundamental_solutions"
+             and case["include_octs"]]
+    pinned = json.loads((DATA / "fundamental_solutions_pinned.json")
+                        .read_text())
+    picks.append((parse_triangulation((CENSUS / "t5_1.tri").read_text()),
+                  pinned["t5_1"]["octagons"]))
+    out = []
+    for tri, funds in picks:
+        supports = [(tuple(f), frozenset(j for j, x in enumerate(f) if x))
+                    for f in funds]
+        faces = list(dict.fromkeys(
+            frozenset(f for f, s in supports if s <= orthant)
+            for orthant in iter_orthant_supports(tri, include_octs=True)))
+        coeffs = chi_functional_coefficients(tri)
+        out.extend((tri, coeffs, sorted(face)) for face in faces
+                   if face and not any(face < other for other in faces))
+    return out
+
+
+CENSUS_FACES = _census_faces()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_chi_functional_agrees_on_census_face_combinations(data):
+    # Every nonnegative combination of one maximal face's fundamentals is
+    # embeddable: octagon coordinates above one are parallel copies.
+    tri, coeffs, face = data.draw(st.sampled_from(CENSUS_FACES))
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(face),
+                                         st.integers(1, 3)),
+                               min_size=1, max_size=4))
+    v = (0,) * vector_length(tri)
+    for f, n in terms:
+        v = tuple(a + n * b for a, b in zip(v, f))
+    assert build_surface(tri, v).chi == dot(coeffs, v)
 
 
 def test_octagon_stacks_match_functional(three_tet):
@@ -358,7 +400,7 @@ def test_broken_edge_point_count_fails_both(monkeypatch, three_tet):
     # equations; past the admissibility check, the edges of its class in
     # other tetrahedra see one point fewer.
     monkeypatch.setattr(surfaces, "_check_rebuildable",
-                        lambda tri, v, system: None)
+                        lambda tri, v: None)
     v = list(all_triangles_one(three_tet))
     v[tri_index(0, 0)] += 1
     for rebuild in (build_surface, surface_topology):
