@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .branched import carries_nonneg_chi, from_support, zero_chi_locus
@@ -43,20 +42,16 @@ def _thread_cap():
     return cap
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return str(obj) if obj.denominator != 1 else str(int(obj))
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, frozenset):
-        return sorted(obj)
-    return obj
+def _check_limits(args):
+    bound = getattr(args, "bound", None)
+    if bound is not None and bound < 1:
+        raise InputError("--bound must be >= 1, got %d" % bound)
+    if args.max_coeff_bits is not None and args.max_coeff_bits < 0:
+        raise InputError("--max-coeff-bits must be >= 0, got %d"
+                         % args.max_coeff_bits)
 
 
 def _emit(payload, args):
-    payload = _jsonable(payload)
     if args.pretty:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
@@ -232,7 +227,7 @@ def build_parser():
                        help="indent the JSON output")
         p.add_argument("--max-coeff-bits", type=int, default=None,
                        help="abort if intermediate integers exceed this "
-                            "many bits")
+                            "many bits (>= 0)")
 
     tri = sub.add_parser("tri", help="triangulation commands")
     tri_sub = tri.add_subparsers(dest="subcommand", required=True)
@@ -246,7 +241,7 @@ def build_parser():
     common(p)
     p.add_argument("--bound", type=int, default=None,
                    help="verify against brute-force enumeration up to this "
-                        "coordinate bound")
+                        "coordinate bound (>= 1)")
     p.add_argument("--almost-normal", action="store_true",
                    help="include octagon orthants")
     p.set_defaults(func=cmd_ns_vertex)
@@ -297,6 +292,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _thread_cap()
+        _check_limits(args)
         payload = args.func(args)
     except Refusal as exc:
         _emit({"error": {"kind": exc.kind, "message": str(exc)}}, args)

@@ -363,10 +363,10 @@ def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):
     integer combination of these (within its own orthant).
 
     Each orthant cone is the face of the nonnegative matching cone
-    spanned by the vertex solutions it supports.  A face inside another
-    is a face of it, whose Hilbert basis is the larger one's cut to it, so
-    one Hilbert basis is computed per distinct maximal face, on the
-    coordinates its rays use.
+    spanned by the vertex solutions it supports, which are its extreme
+    rays.  A face inside another is a face of it, whose Hilbert basis is
+    the larger one's cut to it, so one Hilbert basis is computed per
+    distinct maximal face, on the coordinates its rays use.
     """
     rays = vertex_solutions(tri, include_octs, max_coeff_bits)
     supports = [frozenset(j for j, x in enumerate(r) if x) for r in rays]
@@ -378,7 +378,8 @@ def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):
         if not any(face < other for other in faces):
             used = frozenset().union(*(supports[i] for i in face))
             out.update(hilbert_basis(matching_cone(tri, used),
-                                     max_coeff_bits))
+                                     max_coeff_bits,
+                                     rays=[rays[i] for i in face]))
     return sorted(out)
 
 

@@ -276,15 +276,12 @@ def build_surface(tri, v):
             if not parity.union(d1, d2, rel):
                 conflicts.append(d1)
 
-    # Components, Euler characteristics, orientability.  Groups are made
-    # in disk order, so they come out sorted by their least disk.
+    # Components, Euler characteristics, orientability, sorted by their
+    # least disk.
     one_sided = {parity.find(d)[0] for d in conflicts}
-    groups = {}
-    for d in range(len(disk_points)):
-        groups.setdefault(parity.find(d)[0], []).append(d)
     total_vertices = set()
     components = []
-    for root, group in groups.items():
+    for root, group in parity.groups().items():
         points = set()
         arcs_in_component = 0
         for d in group:
@@ -318,7 +315,7 @@ def surface_topology(tri, v):
     kind: the triangles of the cutoff type, then the tetrahedron's quad or
     octagon.  Where pieces of two glued slots overlap, one affine map
     takes disks to disks with one orientation relation, so the overlap is
-    united in one run of a parity union-find, and the checks of
+    united by one union call of a parity union-find, and the checks of
     build_surface (points at its first and last rank, which fix them in
     between) are made once per overlap.  Refusals are as by build_surface.
     """
@@ -367,7 +364,7 @@ def surface_topology(tri, v):
                 raise InternalCheckFailed(
                     "orientation relation differs at the two ends of a "
                     "glued arc")
-            if not parity.union_run(d1 + c1, s1, d2 + c2, s2, hi - lo, rel):
+            if not parity.union(d1 + c1, d2 + c2, rel, hi - lo, s1, s2):
                 orientable = False
             i += hi1 == hi
             j += hi2 == hi

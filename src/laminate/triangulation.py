@@ -64,10 +64,11 @@ def edge_index(a, b):
 class ParityUnionFind:
     """
     Union-find over 0..n-1 with a parity bit relative to the root, kept
-    list-indexed with path compression.  Tetrahedra, tetrahedron edges and
-    tetrahedron vertices are indexed t, 6t+e and 4t+v; surface disks by id.
-    ``classes`` counts the classes and ``size`` holds each root's class
-    size.
+    list-indexed.  Each union links the smaller class under the larger, so
+    no find walks more than log2(n) links (Tarjan-van Leeuwen, J. ACM 31,
+    1984).  Tetrahedra, tetrahedron edges and tetrahedron vertices are
+    indexed t, 6t+e and 4t+v; surface disks by id.  ``classes`` counts the
+    classes and ``size`` holds each root's class size.
     """
 
     def __init__(self, n):
@@ -79,42 +80,15 @@ class ParityUnionFind:
     def find(self, x):
         """(root of x, parity of x relative to that root)."""
         parent, parity = self.parent, self.parity
-        up = parent[x]
-        if parent[up] == up:      # x is a root (parity 0) or its child
-            return up, parity[x]
-        root, p = x, 0
-        while parent[root] != root:
-            p ^= parity[root]
-            root = parent[root]
-        node, q = x, p
-        while parent[node] != node:
-            nxt = parent[node]
-            nq = q ^ parity[node]
-            parity[node] = q
-            parent[node] = root
-            node, q = nxt, nq
-        return root, p
+        p = 0
+        while parent[x] != x:
+            p ^= parity[x]
+            x = parent[x]
+        return x, p
 
-    def union(self, x, y, rel=0):
-        """Unite x and y with parity(x) ^ parity(y) == rel.
-
-        Returns False if x and y were already united with the opposite
-        relative parity.  The root of x stays the root.
-        """
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            return (px ^ py) == rel
-        self.parent[ry] = rx
-        self.parity[ry] = px ^ py ^ rel
-        self.size[rx] += self.size[ry]
-        self.classes -= 1
-        return True
-
-    def union_run(self, x, dx, y, dy, count, rel=0):
-        """Unite x + i*dx and y + i*dy with relation rel for every i < count,
-        as count calls of union would, linking the smaller class under the
-        larger.
+    def union(self, x, y, rel=0, count=1, dx=0, dy=0):
+        """Unite x + i*dx and y + i*dy with parity(x + i*dx) ^
+        parity(y + i*dy) == rel for every i < count.
 
         Returns False if any of the pairs was already united with the
         opposite relative parity.
@@ -144,6 +118,18 @@ class ParityUnionFind:
             y += dy
         self.classes -= merged
         return ok
+
+    def groups(self):
+        """{root: the elements of its class in increasing order}, the
+        classes in order of their least element."""
+        parent = self.parent
+        groups = {}
+        for x in range(len(parent)):
+            root = x
+            while parent[root] != root:
+                root = parent[root]
+            groups.setdefault(root, []).append(x)
+        return groups
 
 
 class Triangulation:
@@ -246,20 +232,14 @@ class Triangulation:
                         raise InvalidEdge(
                             "edge %s of tet %d is identified with itself "
                             "in reverse" % (EDGES[e1], t1))
-        groups = {}
-        for t in range(self.tet_count):
-            for e in range(6):
-                root, parity = uf.find(6 * t + e)
-                groups.setdefault(root, []).append((t, e, parity))
         # Deterministic indexing: classes ordered by least (t, e); within a
         # class, parity is re-expressed relative to that least incidence.
-        classes = sorted(groups.values(), key=lambda g: min(g)[0:2])
         self.edge_classes = []
         self.edge_class_of = {}
-        for idx, group in enumerate(classes):
-            group.sort()
-            base_parity = group[0][2]
-            cls = [(t, e, parity ^ base_parity) for (t, e, parity) in group]
+        for idx, group in enumerate(uf.groups().values()):
+            base_parity = uf.find(group[0])[1]
+            cls = [divmod(x, 6) + (uf.find(x)[1] ^ base_parity,)
+                   for x in group]
             self.edge_classes.append(cls)
             for (t, e, flipped) in cls:
                 self.edge_class_of[(t, e)] = (idx, flipped)
@@ -271,13 +251,8 @@ class Triangulation:
             for v in range(4):
                 if v != f1:
                     uf.union(4 * t1 + v, 4 * t2 + perm[v])
-        groups = {}
-        for t in range(self.tet_count):
-            for v in range(4):
-                root, _ = uf.find(4 * t + v)
-                groups.setdefault(root, []).append((t, v))
-        classes = sorted(groups.values(), key=min)
-        self.vertex_classes = [sorted(g) for g in classes]
+        self.vertex_classes = [[divmod(x, 4) for x in group]
+                               for group in uf.groups().values()]
 
     # -- queries ----------------------------------------------------------
 

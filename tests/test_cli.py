@@ -195,6 +195,15 @@ def test_input_error_exit_code(capsys):
     assert json.loads(out)["error"]["kind"] == "InputError"
 
 
+@pytest.mark.parametrize("option", [("--bound", "-1"), ("--bound", "0"),
+                                    ("--max-coeff-bits", "-1")])
+def test_out_of_range_limit_is_input_error(capsys, option):
+    code, out = run_cli(capsys, "ns", "vertex",
+                        "--input", str(fixture_path("one_tet.tri")), *option)
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "InputError"
+
+
 def test_parse_error_reports_kind(capsys, tmp_path):
     bad = tmp_path / "bad.tri"
     bad.write_text("0:0 -> 0:1 perm=0123\n")

@@ -150,9 +150,9 @@ def _census_cones(name, include_octs):
         return [matching_cone(tri, HEAVY_QUAD_ORTHANTS[name])]
     faces = []
 
-    def record(cone, max_coeff_bits=None):
+    def record(cone, max_coeff_bits=None, rays=None):
         faces.append(cone)
-        return hilbert_basis(cone, max_coeff_bits)
+        return hilbert_basis(cone, max_coeff_bits, rays)
 
     with mock.patch.object(normal, "hilbert_basis", record):
         fundamental_solutions(tri, include_octs)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laminate import normal
+from laminate import cones, normal
 from laminate.cones import (RationalCone, decompose_over, extreme_rays,
                             hilbert_basis)
 from laminate.errors import IncompatibleQuads, LaminateError
@@ -382,6 +382,25 @@ def test_r7_vertex_solutions_are_pinned():
     for include_octs, key in ((False, "quads"), (True, "octagons")):
         assert [list(v) for v in vertex_solutions(tri, include_octs)] == \
             pinned[key]
+
+
+def test_fundamental_solutions_run_one_double_description(three_tet):
+    # Each maximal face's extreme rays are the vertex solutions it
+    # supports, so its Hilbert basis is handed them rather than running a
+    # double description of its own.
+    calls = []
+
+    def counting(module):
+        original = module.extreme_rays
+
+        def record(*args, **kwargs):
+            calls.append(module.__name__)
+            return original(*args, **kwargs)
+        return mock.patch.object(module, "extreme_rays", record)
+
+    with counting(normal), counting(cones):
+        fundamental_solutions(three_tet, include_octs=True)
+    assert calls == ["laminate.normal"]
 
 
 def test_t5_1_and_r7_fundamental_solutions_are_pinned():

@@ -126,28 +126,42 @@ def _runs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_runs())
-def test_union_run_agrees_with_pairwise_unions(case):
-    # Same classes, same conflict answers, and the same parity between
-    # any two elements of a class, though the roots may differ.
+def test_union_agrees_with_a_relabelling_oracle(case):
+    # The oracle labels every element with (class label, parity relative
+    # to the label) and relabels a whole class on each merge.  Same
+    # conflict answers, classes and relative parities, though the roots
+    # may differ; every find walks at most log2(n) links.
     n, runs = case
-    by_run, by_pair = ParityUnionFind(n), ParityUnionFind(n)
+    uf = ParityUnionFind(n)
+    label = [(a, 0) for a in range(n)]
     for x, dx, y, dy, count, rel in runs:
         ok = True
         for i in range(count):
-            ok &= by_pair.union(x + i * dx, y + i * dy, rel)
-        assert by_run.union_run(x, dx, y, dy, count, rel) == ok
-    assert by_run.classes == by_pair.classes
+            (lx, px), (ly, py) = label[x + i * dx], label[y + i * dy]
+            if lx == ly:
+                ok &= px ^ py == rel
+                continue
+            for a, (la, pa) in enumerate(label):
+                if la == ly:
+                    label[a] = (lx, pa ^ py ^ px ^ rel)
+        assert uf.union(x, y, rel, count, dx, dy) == ok
+    classes = {}
     for a in range(n):
-        for b in range(n):
-            (ra, pa), (rb, pb) = by_run.find(a), by_run.find(b)
-            (qa, sa), (qb, sb) = by_pair.find(a), by_pair.find(b)
-            assert (ra == rb) == (qa == qb)
-            if ra == rb:
-                assert pa ^ pb == sa ^ sb
-    roots = {by_run.find(a)[0] for a in range(n)}
-    assert sum(by_run.size[r] for r in roots) == n
-    assert all(by_run.size[r] == sum(by_run.find(a)[0] == r
-                                     for a in range(n)) for r in roots)
+        classes.setdefault(label[a][0], []).append(a)
+    groups = uf.groups()
+    assert list(groups.values()) == list(classes.values())
+    assert uf.classes == len(groups)
+    for root, group in groups.items():
+        assert uf.size[root] == len(group)
+        for a in group:
+            assert uf.find(a)[0] == root
+            assert uf.find(a)[1] ^ uf.find(group[0])[1] == \
+                label[a][1] ^ label[group[0]][1]
+    for a in range(n):
+        links = 0
+        while uf.parent[a] != a:
+            a, links = uf.parent[a], links + 1
+        assert 1 << links <= n
 
 
 def test_round_trip_text(triangulations):
