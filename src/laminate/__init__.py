@@ -10,40 +10,50 @@ polyhedral engine (cones), branched-surface models with the linear Euler
 characteristic functional (branched), fixed-genus enumeration with the
 antichain certificate (finiteness), and weighted train-track splitting
 (traintracks).
+
+``import laminate`` loads only ``laminate.errors``: each public name
+imports its home module on first access (PEP 562) and is then cached
+here, so a process pays only for the modules it uses.
 """
+
+import importlib
+
+from . import errors  # noqa: F401
 
 __version__ = "0.1.0"
 
-from .triangulation import Triangulation, parse_triangulation
-from .normal import (MatchingSystem, matching_system, matching_cone,
-                     is_admissible, weight, edge_weights, haken_sum,
-                     vertex_link_vector, is_vertex_linking,
-                     vertex_solutions, fundamental_solutions,
-                     iter_orthant_supports, chi_functional_coefficients)
-from .surfaces import NormalSurface, build_surface
-from .cones import (RationalCone, extreme_rays, hilbert_basis,
-                    positive_integer_point, decompose_over)
-from .branched import (BranchedSurfaceModel, from_support,
-                       sub_branched_surface, carries_nonneg_chi,
-                       zero_chi_locus)
-from .finiteness import (GenusEnumeration, enumerate_genus,
-                         antichain_certificate, brute_force_genus_list)
-from .traintracks import (TrainTrack, split, is_subtrack, cone_cover_check,
-                          figure_sp1_track)
+# The public names by home module: both __all__ and the lazy lookup.
+_EXPORTS = {
+    "triangulation": ("Triangulation", "parse_triangulation"),
+    "normal": ("MatchingSystem", "matching_system", "matching_cone",
+               "is_admissible", "weight", "edge_weights", "haken_sum",
+               "vertex_link_vector", "is_vertex_linking",
+               "vertex_solutions", "fundamental_solutions",
+               "iter_orthant_supports", "chi_functional_coefficients"),
+    "surfaces": ("NormalSurface", "build_surface"),
+    "cones": ("RationalCone", "extreme_rays", "hilbert_basis",
+              "positive_integer_point", "decompose_over"),
+    "branched": ("BranchedSurfaceModel", "from_support",
+                 "sub_branched_surface", "carries_nonneg_chi",
+                 "zero_chi_locus"),
+    "finiteness": ("GenusEnumeration", "enumerate_genus",
+                   "antichain_certificate", "brute_force_genus_list"),
+    "traintracks": ("TrainTrack", "split", "is_subtrack", "cone_cover_check",
+                    "figure_sp1_track"),
+}
+_HOME = {name: home for home, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
 
-__all__ = [
-    "Triangulation", "parse_triangulation",
-    "MatchingSystem", "matching_system", "matching_cone", "is_admissible",
-    "weight", "edge_weights", "haken_sum", "vertex_link_vector",
-    "is_vertex_linking", "vertex_solutions", "fundamental_solutions",
-    "iter_orthant_supports", "chi_functional_coefficients",
-    "NormalSurface", "build_surface",
-    "RationalCone", "extreme_rays", "hilbert_basis",
-    "positive_integer_point", "decompose_over",
-    "BranchedSurfaceModel", "from_support", "sub_branched_surface",
-    "carries_nonneg_chi", "zero_chi_locus",
-    "GenusEnumeration", "enumerate_genus", "antichain_certificate",
-    "brute_force_genus_list",
-    "TrainTrack", "split", "is_subtrack", "cone_cover_check",
-    "figure_sp1_track",
-]
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(importlib.import_module("." + home, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -13,20 +13,51 @@ import os
 import sys
 
 from . import __version__
-from .branched import carries_nonneg_chi, from_support, zero_chi_locus
-from .bruteforce import (enumerate_quad_oct_solutions, extreme_ray_oracle,
-                         hilbert_oracle)
-# extreme_rays, hilbert_basis, matching_cone, iter_orthant_supports: unused,
-# kept for perfbench/spans.py.
-from .cones import extreme_rays, hilbert_basis
 from .errors import InputError, LaminateError, Refusal
-from .finiteness import antichain_certificate, enumerate_genus
-from .normal import (fundamental_solutions, is_vertex_linking,
-                     iter_orthant_supports, matching_cone, matching_system,
-                     parse_vector, vector_length, vertex_solutions)
-from .surfaces import build_surface
-from .traintracks import TrainTrack, cone_cover_check, is_subtrack, split
-from .triangulation import parse_triangulation
+
+# The engine names the commands call, by home module.  A name is
+# imported on first use, by _load or by attribute access (PEP 562), and
+# bound in this module's globals, where the commands read it: a process
+# loads only its command's modules, and a name rebound here (a test's
+# monkeypatch, a perfbench/spans.py wrap) is the one called.  No command
+# calls extreme_rays, hilbert_basis, matching_cone or
+# iter_orthant_supports: they are entries only for perfbench/spans.py to
+# wrap, and an entry costs no import.
+_ENGINE = {
+    "branched": ("carries_nonneg_chi", "from_support", "zero_chi_locus"),
+    "bruteforce": ("enumerate_quad_oct_solutions", "extreme_ray_oracle",
+                   "hilbert_oracle"),
+    "cones": ("extreme_rays", "hilbert_basis"),
+    "finiteness": ("antichain_certificate", "enumerate_genus"),
+    "normal": ("fundamental_solutions", "is_vertex_linking",
+               "iter_orthant_supports", "matching_cone", "matching_system",
+               "parse_vector", "vector_length", "vertex_solutions"),
+    "surfaces": ("build_surface",),
+    "traintracks": ("TrainTrack", "cone_cover_check", "is_subtrack", "split"),
+    "triangulation": ("parse_triangulation",),
+}
+_HOME = {name: home for home, names in _ENGINE.items() for name in names}
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    from importlib import import_module
+    value = getattr(import_module("laminate." + home), name)
+    # globals(), not sys.modules[__name__]: under runpy the running
+    # namespace is no module in sys.modules.
+    globals()[name] = value
+    return value
+
+
+def _load(*names):
+    """Bind each of names here unless an earlier use or a rebinding did."""
+    namespace = globals()
+    for name in names:
+        if name not in namespace:
+            __getattr__(name)
 
 
 def _thread_cap():
@@ -65,6 +96,7 @@ def _emit(payload, args):
 
 
 def _load_triangulation(args):
+    _load("parse_triangulation")
     try:
         with open(args.input, encoding="utf-8") as handle:
             return parse_triangulation(handle.read())
@@ -80,6 +112,7 @@ def _parse_support(text):
 
 
 def cmd_tri_info(args):
+    _load("matching_system")
     tri = _load_triangulation(args)
     return {
         "tet_count": tri.tet_count,
@@ -94,6 +127,7 @@ def cmd_tri_info(args):
 
 
 def _solution_listing(args, key, solve, oracle):
+    _load("enumerate_quad_oct_solutions")
     tri = _load_triangulation(args)
     solutions = solve(tri, args.almost_normal, args.max_coeff_bits)
     payload = {
@@ -113,6 +147,8 @@ def _solution_listing(args, key, solve, oracle):
 
 
 def cmd_ns_vertex(args):
+    _load("vertex_solutions", "extreme_ray_oracle", "matching_system",
+          "vector_length")
     return _solution_listing(
         args, "vertex_solutions", vertex_solutions,
         lambda tri, points: extreme_ray_oracle(
@@ -120,12 +156,14 @@ def cmd_ns_vertex(args):
 
 
 def cmd_ns_fundamental(args):
+    _load("fundamental_solutions", "hilbert_oracle")
     return _solution_listing(args, "fundamental_solutions",
                              fundamental_solutions,
                              lambda tri, points: hilbert_oracle(points))
 
 
 def cmd_ns_build(args):
+    _load("parse_vector", "build_surface", "is_vertex_linking")
     tri = _load_triangulation(args)
     v = parse_vector(args.vector, tri)
     surface = build_surface(tri, v)
@@ -137,6 +175,7 @@ def cmd_ns_build(args):
 
 
 def _model(args):
+    _load("from_support")
     tri = _load_triangulation(args)
     return from_support(tri, _parse_support(args.support),
                         max_coeff_bits=args.max_coeff_bits)
@@ -147,6 +186,7 @@ def cmd_bs_from_support(args):
 
 
 def cmd_bs_verdict(args):
+    _load("carries_nonneg_chi")
     model = _model(args)
     payload = carries_nonneg_chi(model).to_json_dict()
     payload["support"] = sorted(model.support)
@@ -154,6 +194,7 @@ def cmd_bs_verdict(args):
 
 
 def cmd_bs_zero_chi(args):
+    _load("zero_chi_locus")
     model = _model(args)
     vertices = zero_chi_locus(model)
     return {
@@ -167,6 +208,7 @@ def cmd_heegaard_enumerate(args):
     if args.genus < 2:
         raise InputError("heegaard enumerate needs --genus >= 2, got %d"
                          % args.genus)
+    _load("enumerate_genus", "antichain_certificate")
     model = _model(args)
     enumeration = enumerate_genus(model, args.genus)
     certificate = antichain_certificate(enumeration)
@@ -177,6 +219,7 @@ def cmd_heegaard_enumerate(args):
 
 
 def cmd_split_traintrack(args):
+    _load("TrainTrack", "split", "cone_cover_check", "is_subtrack")
     try:
         with open(args.file, encoding="utf-8") as handle:
             data = json.load(handle)

@@ -221,10 +221,11 @@ def _parallelepiped_points(rays, minor, delta):
             if all(x % delta == 0 for x in total)]
 
 
-def hilbert_basis(cone, max_coeff_bits=None, rays=None):
+def hilbert_basis(cone=None, max_coeff_bits=None, rays=None):
     """
     The minimal generating set of the monoid of integer points of the cone.
-    Its extreme rays are computed here unless given as rays.
+    Its extreme rays are computed here unless given as rays, and then the
+    cone is not read and may be left out.
 
     The candidates are the extreme rays and the nonzero integer points of
     the half-open parallelepipeds of one triangulation's simplices

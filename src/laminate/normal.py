@@ -376,9 +376,7 @@ def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):
     out = set()
     for face in faces:
         if not any(face < other for other in faces):
-            used = frozenset().union(*(supports[i] for i in face))
-            out.update(hilbert_basis(matching_cone(tri, used),
-                                     max_coeff_bits,
+            out.update(hilbert_basis(max_coeff_bits=max_coeff_bits,
                                      rays=[rays[i] for i in face]))
     return sorted(out)
 

@@ -1,4 +1,5 @@
 import json
+import os
 from itertools import product
 from pathlib import Path
 
@@ -8,7 +9,8 @@ from laminate.branched import from_support
 from laminate.normal import COORDS_PER_TET, fundamental_solutions, tri_index
 from laminate.triangulation import parse_triangulation
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 TRI_NAMES = ("one_tet.tri", "two_tet.tri", "three_tet.tri")
 MODEL_NAMES = ("three_tet_almost_normal.json", "three_tet_normal_genus2.json",
@@ -17,6 +19,14 @@ MODEL_NAMES = ("three_tet_almost_normal.json", "three_tet_normal_genus2.json",
 
 def fixture_path(name):
     return FIXTURES / name
+
+
+def child_env(**extra):
+    """The environment of a child python that imports laminate from this
+    checkout, installed or not."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def load_triangulation(name):

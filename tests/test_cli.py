@@ -1,5 +1,5 @@
 import json
-import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +9,8 @@ import pytest
 import laminate.cli
 import laminate.cones
 from laminate.cli import main
-from tests.conftest import fixture_path
+from laminate.errors import InputError
+from tests.conftest import ROOT, child_env, fixture_path
 
 LISTING_GOLDEN = (Path(__file__).resolve().parent / "data"
                   / "cli_listing_golden.json")
@@ -19,6 +20,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def readme_examples():
+    """The arguments of each command in the README's CLI section."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n")[1]
+    block = section.split("```")[1].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("laminate ")]
 
 
 def test_tri_info(capsys):
@@ -70,6 +79,38 @@ def test_oracle_catches_a_dropped_solution(capsys, monkeypatch, solver):
                         "--bound", "4")
     assert code == 0
     assert json.loads(out)["oracle_agrees"] is False
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("build_surface", ("ns", "build", "--input",
+                       str(fixture_path("two_tet.tri")), "--vector",
+                       ",".join((["1"] * 4 + ["0"] * 6) * 2))),
+    ("split", ("split", "traintrack", "--file",
+               str(fixture_path("figure_sp1.json")), "--branch", "b")),
+])
+def test_commands_call_the_names_bound_on_the_cli(capsys, monkeypatch, name,
+                                                  argv):
+    def rebound(*args, **kwargs):
+        raise InputError("rebound " + name)
+    monkeypatch.setattr(laminate.cli, name, rebound)
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["message"] == "rebound " + name
+
+
+@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+def test_every_entry_point_gives_the_same_bytes(capsys, monkeypatch, argv):
+    # runpy runs the module in a namespace that is not sys.modules'
+    # "__main__", so the CLI must bind engine names in its own globals.
+    monkeypatch.chdir(ROOT)
+    code, out = run_cli(capsys, *argv)
+    for entry in (["-m", "laminate.cli"],
+                  ["-c", "import runpy; runpy.run_module('laminate.cli', "
+                         "run_name='__main__')"]):
+        proc = subprocess.run([sys.executable, *entry, *argv],
+                              capture_output=True, cwd=ROOT, env=child_env())
+        assert (proc.returncode, proc.stdout) == (code, out.encode()), \
+            proc.stderr
 
 
 def test_double_description_pair_cap_is_refused(capsys, monkeypatch):
@@ -266,13 +307,10 @@ def test_byte_identical_across_processes():
     # Hash randomization must not leak into the output ordering.
     argv = [sys.executable, "-m", "laminate.cli", "ns", "fundamental",
             "--input", str(fixture_path("two_tet.tri")), "--almost-normal"]
-    # The child imports laminate from this checkout, installed or not.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for seed in ("0", "424242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
-        proc = subprocess.run(argv, capture_output=True, env=env)
+        proc = subprocess.run(argv, capture_output=True,
+                              env=child_env(PYTHONHASHSEED=seed))
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]

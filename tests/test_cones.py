@@ -150,9 +150,12 @@ def _census_cones(name, include_octs):
         return [matching_cone(tri, HEAVY_QUAD_ORTHANTS[name])]
     faces = []
 
-    def record(cone, max_coeff_bits=None, rays=None):
-        faces.append(cone)
-        return hilbert_basis(cone, max_coeff_bits, rays)
+    def record(max_coeff_bits=None, rays=None):
+        # The face is given by its rays; its cone is the matching cone on
+        # the coordinates they use.
+        used = frozenset(j for r in rays for j, x in enumerate(r) if x)
+        faces.append(matching_cone(tri, used))
+        return hilbert_basis(max_coeff_bits=max_coeff_bits, rays=rays)
 
     with mock.patch.object(normal, "hilbert_basis", record):
         fundamental_solutions(tri, include_octs)
