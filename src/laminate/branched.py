@@ -81,16 +81,14 @@ class BranchedSurfaceModel:
 
     def fundamentals(self):
         if self._fundamentals is None:
-            self._fundamentals = tuple(
-                hilbert_basis(self.cone, max_coeff_bits=self.max_coeff_bits,
-                              rays=self._extreme_rays()))
+            self._fundamentals = tuple(hilbert_basis(
+                self._extreme_rays(), max_coeff_bits=self.max_coeff_bits))
         return self._fundamentals
 
     @property
     def fully_carrying(self):
-        return positive_integer_point(
-            self.cone, max_coeff_bits=self.max_coeff_bits,
-            rays=self._extreme_rays()) is not None
+        return positive_integer_point(self._extreme_rays(),
+                                      self.support) is not None
 
     def carries(self, v):
         return self.cone.contains(v)

@@ -100,7 +100,7 @@ def _load_triangulation(args):
     try:
         with open(args.input, encoding="utf-8") as handle:
             return parse_triangulation(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError("cannot read %s: %s" % (args.input, exc))
 
 
@@ -223,7 +223,7 @@ def cmd_split_traintrack(args):
     try:
         with open(args.file, encoding="utf-8") as handle:
             data = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError("cannot read %s: %s" % (args.file, exc))
     except json.JSONDecodeError as exc:
         raise InputError("bad track JSON: %s" % exc)

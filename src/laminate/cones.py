@@ -221,11 +221,10 @@ def _parallelepiped_points(rays, minor, delta):
             if all(x % delta == 0 for x in total)]
 
 
-def hilbert_basis(cone=None, max_coeff_bits=None, rays=None):
+def hilbert_basis(rays, max_coeff_bits=None):
     """
-    The minimal generating set of the monoid of integer points of the cone.
-    Its extreme rays are computed here unless given as rays, and then the
-    cone is not read and may be left out.
+    The minimal generating set of the monoid of integer points of the cone
+    spanned by the given primitive extreme rays.
 
     The candidates are the extreme rays and the nonzero integer points of
     the half-open parallelepipeds of one triangulation's simplices
@@ -237,8 +236,6 @@ def hilbert_basis(cone=None, max_coeff_bits=None, rays=None):
     PARALLELEPIPED_POINT_CAP.  Candidates are reduced in order of
     coordinate sum to the irreducible elements, sorted.
     """
-    if rays is None:
-        rays = extreme_rays(cone, max_coeff_bits=max_coeff_bits)
     if len(rays) <= 1:
         return rays
     rays = tuple(sorted(rays))
@@ -265,20 +262,17 @@ def hilbert_basis(cone=None, max_coeff_bits=None, rays=None):
     return sorted(reduced)
 
 
-def positive_integer_point(cone, max_coeff_bits=None, rays=None):
+def positive_integer_point(rays, support):
     """
-    An integer point strictly positive on every supported coordinate, or
-    None when the cone has no strictly positive rational point.  The sum
-    of the extreme rays (computed here unless given as rays) is strictly
-    positive exactly when such a point exists; it is returned in
-    primitive form.
+    An integer point of the cone spanned by the extreme rays that is
+    strictly positive on every coordinate of support, or None when it has
+    no such rational point.  The sum of the rays is strictly positive
+    exactly when such a point exists; it is returned in primitive form.
     """
-    if rays is None:
-        rays = extreme_rays(cone, max_coeff_bits=max_coeff_bits)
     if not rays:
         return None
     total = [sum(column) for column in zip(*rays)]
-    if any(total[i] == 0 for i in cone.support):
+    if any(total[i] == 0 for i in support):
         return None
     return primitive(total)
 

@@ -227,18 +227,6 @@ class AntichainResult:
     def __bool__(self):
         return self.ok
 
-    def to_json_dict(self):
-        return {
-            "antichain": self.ok,
-            "pair": ([list(self.pair[0]), list(self.pair[1])]
-                     if self.pair else None),
-            "difference": (list(self.difference)
-                           if self.difference is not None else None),
-            "difference_chi": (str(self.difference_chi)
-                               if self.difference_chi is not None else None),
-            "difference_normal": self.difference_normal,
-        }
-
 
 def antichain_certificate(enumeration):
     """

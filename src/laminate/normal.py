@@ -376,8 +376,8 @@ def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):
     out = set()
     for face in faces:
         if not any(face < other for other in faces):
-            out.update(hilbert_basis(max_coeff_bits=max_coeff_bits,
-                                     rays=[rays[i] for i in face]))
+            out.update(hilbert_basis([rays[i] for i in face],
+                                     max_coeff_bits=max_coeff_bits))
     return sorted(out)
 
 

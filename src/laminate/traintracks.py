@@ -16,18 +16,20 @@ switches, facing two branches at each) produces three tracks:
 - right: the mirror resolution through the second branches;
 - central: both far pairs connect across and b disappears entirely.
 
-Each result carries a linear map from its weight cone into the parent's
-weight cone (shared branches keep their weight, and the split branch's
-weight is recovered as the through-weight).  A measure is carried by a
-split result when it has a preimage weight vector that is positive on
-the residue branch; measures whose preimage puts weight zero on the
-residue never crossed the diagonal and are carried by the central track,
-which is a sub-track of both side tracks.  With this attribution the
-three image cones cover the parent cone, the central track alone covers
-the balanced locus, and the side tracks cover the strict halves.
+Each result carries two linear maps.  The carrying map takes its weight
+cone into the parent's (shared branches keep their weight, and the split
+branch's weight is recovered as the through-weight).  The pinch map goes
+back: shared branches keep their parent weight, and the residue of the
+left result weighs v[p] - v[r], of the right v[q] - v[s], where p, q are
+the far branches at the tail switch and r, s those at the head.  A
+measure is carried by a split result when its pinch is a preimage in
+the result's weight cone that is positive on the residue branch;
+measures whose preimage puts weight zero on the residue never crossed
+the diagonal and are carried by the central track, which is a sub-track
+of both side tracks.  With this attribution the three image cones cover
+the parent cone, the central track alone covers the balanced locus, and
+the side tracks cover the strict halves.
 """
-
-from fractions import Fraction
 
 from .cones import RationalCone, extreme_rays
 from .errors import NotSplittable
@@ -109,15 +111,15 @@ class TrainTrack:
 class CarriedTrack:
     """
     A track together with its carrying map into a parent track's weight
-    space and the branches created by the splitting (which a carried
-    measure must use with positive weight).
+    space, its pinch map back, and the branches created by the splitting
+    (which a carried measure must use with positive weight).
     """
 
-    def __init__(self, name, track, parent, carrying_map, new_branches):
+    def __init__(self, name, track, carrying_map, pinch_map, new_branches):
         self.name = name
         self.track = track
-        self.parent = parent
         self.carrying_map = tuple(map(tuple, carrying_map))
+        self.pinch_map = tuple(map(tuple, pinch_map))
         self.new_branches = tuple(new_branches)
 
     def image(self, w):
@@ -129,40 +131,14 @@ class CarriedTrack:
         parent measure, or None when the measure is not in the image of
         the closed weight cone.
         """
-        cone = self.track.weight_cone()
-        idx = self.track.branch_index
-        pidx = self.parent.branch_index
-        w = [None] * len(self.track.branches)
-        for b in self.track.branches:
-            if b in pidx:
-                w[idx[b]] = v[pidx[b]]
-        # Residue branches: solve each switch equation with one unknown.
-        for _ in range(len(self.track.branches)):
-            if all(x is not None for x in w):
-                break
-            for (s1, s2) in self.track.switches:
-                ends = [(self.track.branch_index[b], sign)
-                        for side, sign in ((s1, 1), (s2, -1))
-                        for (b, _) in side]
-                unknown = [i for i, _ in ends if w[i] is None]
-                if len(set(unknown)) == 1:
-                    i = unknown[0]
-                    known = sum(sign * w[j] for j, sign in ends
-                                if w[j] is not None)
-                    coeff = sum(sign for j, sign in ends if j == i)
-                    if coeff == 0:
-                        continue
-                    value = Fraction(-known, coeff)
-                    w[i] = int(value) if value.denominator == 1 else value
-        if any(x is None for x in w):
-            return None
+        w = tuple(dot(row, v) for row in self.pinch_map)
         if any(x < 0 for x in w):
             return None
-        if not cone.contains(tuple(w)):
+        if not self.track.weight_cone().contains(w):
             return None
-        if self.image(tuple(w)) != tuple(v):
+        if self.image(w) != tuple(v):
             return None
-        return tuple(w)
+        return w
 
     def carries(self, v):
         """
@@ -177,9 +153,7 @@ class CarriedTrack:
 
 
 class SplitResult:
-    def __init__(self, parent, branch, left, central, right):
-        self.parent = parent
-        self.branch = branch
+    def __init__(self, left, central, right):
         self.left = left
         self.central = central
         self.right = right
@@ -237,30 +211,27 @@ def split(track, branch):
             if i not in (si_tail, si_head)]
     base_branches = [b for b in track.branches if b != branch]
 
-    def child(name, switches, new_branches):
-        names = base_branches + list(new_branches)
-        t = TrainTrack(names, kept + switches)
-        rows = []
-        for b in track.branches:
-            row = [0] * len(names)
-            if b == branch:
-                # Through-weight: everything entering from the tail side.
-                for (bb, _) in far_tail:
-                    row[t.branch_index[bb]] += 1
-            else:
-                row[t.branch_index[b]] = 1
-            rows.append(row)
-        return CarriedTrack(name, t, track, rows, new_branches)
+    def child(name, switches, residue_of=()):
+        # residue_of: the far ends x, y whose weight difference v[x] - v[y]
+        # the residue branch carries; none for the central track.
+        new_branches = [residue] if residue_of else []
+        t = TrainTrack(base_branches + new_branches, kept + switches)
+        # Shared branches keep their weight both ways; the split branch
+        # carries the through-weight, everything entering from the tail.
+        carrying = [[int(b == c) for c in t.branches] for b in track.branches]
+        carrying[track.branch_index[branch]] = [
+            sum(c == e[0] for e in far_tail) for c in t.branches]
+        pinch = [[int(b == c) for c in track.branches] for b in base_branches]
+        if residue_of:
+            x, y = (e[0] for e in residue_of)
+            pinch.append([(c == x) - (c == y) for c in track.branches])
+        return CarriedTrack(name, t, carrying, pinch, new_branches)
 
     e0, e1 = (residue, 0), (residue, 1)
-    left = child("left",
-                 [((p,), (r, e0)), ((s,), (q, e1))],
-                 [residue])
-    central = child("central", [((p,), (r,)), ((q,), (s,))], [])
-    right = child("right",
-                  [((q,), (s, e0)), ((r,), (p, e1))],
-                  [residue])
-    return SplitResult(track, branch, left, central, right)
+    left = child("left", [((p,), (r, e0)), ((s,), (q, e1))], (p, r))
+    central = child("central", [((p,), (r,)), ((q,), (s,))])
+    right = child("right", [((q,), (s, e0)), ((r,), (p, e1))], (q, s))
+    return SplitResult(left, central, right)
 
 
 def is_subtrack(a, b):

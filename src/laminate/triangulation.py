@@ -332,15 +332,6 @@ class Triangulation:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data):
-        gluing_list = [
-            (g["from"][0], g["from"][1], g["to"][0], g["to"][1],
-             tuple(g["perm"]))
-            for g in data["gluings"]
-        ]
-        return cls(data["tet_count"], gluing_list)
-
 
 def parse_triangulation(text):
     """

@@ -144,12 +144,11 @@ def test_criterion_4_polyhedral_oracle_equivalence(triangulations):
         points = enumerate_quad_oct_solutions(tri, 8)
         for support in every_orthant_support(tri, include_octs=True):
             orthants += 1
-            cone = matching_cone(tri, support)
+            rays = extreme_rays(matching_cone(tri, support))
             restricted = [p for p in points if in_support(p, support)]
-            if extreme_ray_oracle(restricted, system.rows, support) \
-                    != extreme_rays(cone):
+            if extreme_ray_oracle(restricted, system.rows, support) != rays:
                 mismatches += 1
-            if hilbert_oracle(restricted) != hilbert_basis(cone):
+            if hilbert_oracle(restricted) != hilbert_basis(rays):
                 mismatches += 1
     elapsed = time.monotonic() - start
     ok = mismatches == 0 and elapsed < 300
@@ -183,7 +182,8 @@ def test_criterion_5_fundamental_decomposition(triangulations, fundamentals):
 
 def test_criterion_6_positive_point_mechanism(models):
     model = models["two_tet_klein.json"]
-    point = positive_integer_point(model.chi_augmented_cone())
+    cone = model.chi_augmented_cone()
+    point = positive_integer_point(extreme_rays(cone), cone.support)
     ok = point is not None
     detail = "no positive point"
     if ok:

@@ -7,7 +7,7 @@ import laminate.cones
 from laminate.branched import (ChiFunctional, carries_nonneg_chi,
                                from_support, sub_branched_surface,
                                zero_chi_locus)
-from laminate.cones import positive_integer_point
+from laminate.cones import extreme_rays, positive_integer_point
 from laminate.errors import InvalidSupport, NotCarried
 from laminate.linalg import dot
 from laminate.normal import (is_admissible, matching_system, quad_index,
@@ -27,7 +27,7 @@ def test_triangle_support_fully_carries_vertex_link(two_tet):
     assert model.fully_carrying
     link = all_triangles_one(two_tet)
     assert model.carries(link)
-    point = positive_integer_point(model.cone)
+    point = positive_integer_point(extreme_rays(model.cone), model.support)
     assert point is not None
     assert all(point[j] > 0 for j in model.support)
 
@@ -155,7 +155,8 @@ def test_zero_chi_locus_of_mixed_sign_model(three_tet):
 
 def test_positive_integer_point_on_chi_augmented_system(models):
     model = models["two_tet_klein.json"]
-    point = positive_integer_point(model.chi_augmented_cone())
+    cone = model.chi_augmented_cone()
+    point = positive_integer_point(extreme_rays(cone), cone.support)
     assert point is not None
     assert all(point[j] >= 1 for j in model.support)
     assert is_admissible(model.triangulation, point).quad_violations == []

@@ -253,6 +253,35 @@ def test_parse_error_reports_kind(capsys, tmp_path):
     assert json.loads(out)["error"]["kind"] == "BadPermutation"
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (("bs", "from-support", "--input", "{two_tet}", "--support", "1,x"),
+     "InputError"),
+    (("bs", "from-support", "--input", "{two_tet}", "--support", "0,20"),
+     "InvalidSupport"),
+    (("split", "traintrack", "--file", "{tmp}/missing.json"), "InputError"),
+    (("split", "traintrack", "--file", "{tmp}/truncated.json"), "InputError"),
+    (("split", "traintrack", "--file", "{tmp}/no_switches.json"),
+     "InputError"),
+    (("split", "traintrack", "--file", "{tmp}/latin1"), "InputError"),
+    (("tri", "info", "--input", "{tmp}/latin1"), "InputError"),
+    (("tri", "info", "--input", "{tmp}/empty.tri"), "UnglueedFace"),
+], ids=["support not integers", "support out of range", "missing track",
+        "bad track JSON", "bad track structure", "track not UTF-8",
+        "triangulation not UTF-8", "empty triangulation"])
+def test_bad_input_is_a_typed_input_error(capsys, tmp_path, argv, kind):
+    (tmp_path / "truncated.json").write_text('{"branches": [')
+    (tmp_path / "no_switches.json").write_text('{"branches": ["b"]}')
+    (tmp_path / "latin1").write_bytes(b"\xff\xfe0:0 -> 0:1 perm=1023\n")
+    (tmp_path / "empty.tri").write_text("")
+    argv = [a.format(tmp=tmp_path, two_tet=fixture_path("two_tet.tri"))
+            for a in argv]
+    if argv[0] == "split":
+        argv += ["--branch", "b"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == kind
+
+
 def test_split_traintrack(capsys):
     code, out = run_cli(capsys, "split", "traintrack",
                         "--file", str(fixture_path("figure_sp1.json")),

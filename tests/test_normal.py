@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from laminate import cones, normal
 from laminate.cones import (RationalCone, decompose_over, extreme_rays,
                             hilbert_basis)
-from laminate.errors import IncompatibleQuads, LaminateError
+from laminate.errors import Inadmissible, IncompatibleQuads, LaminateError
 from laminate.normal import (ARC_DISKS, COORDS_PER_TET, DISK_EDGE_WEIGHTS,
                              edge_weights, fundamental_solutions, haken_sum,
                              is_admissible, is_vertex_linking,
@@ -101,6 +101,15 @@ def test_octagon_value_above_one_not_almost_normal(two_tet):
     v[oct_index(0, 0)] = 2
     report = is_admissible(two_tet, tuple(v))
     assert report.almost_normal_errors
+
+
+def test_vector_of_wrong_length_or_sign_is_refused(two_tet):
+    v = [0] * vector_length(two_tet)
+    with pytest.raises(Inadmissible, match="length 19, expected 20"):
+        is_admissible(two_tet, tuple(v[1:]))
+    v[0] = -1
+    with pytest.raises(Inadmissible, match="negative"):
+        is_admissible(two_tet, tuple(v))
 
 
 def test_weight_of_vertex_link_is_twice_edge_count(triangulations):
@@ -249,11 +258,14 @@ def test_maximal_orthants_give_every_vertex_solution(triangulations,
 
 def test_maximal_orthants_give_every_fundamental_solution(
         triangulations, fundamentals, plain_fundamentals):
+    def hilbert_of_cone(cone):
+        return hilbert_basis(extreme_rays(cone))
+
     for name, tri in triangulations.items():
         assert plain_fundamentals[name] == \
-            _union_over_every_orthant(tri, False, hilbert_basis)
+            _union_over_every_orthant(tri, False, hilbert_of_cone)
         assert fundamentals[name] == \
-            _union_over_every_orthant(tri, True, hilbert_basis)
+            _union_over_every_orthant(tri, True, hilbert_of_cone)
 
 
 def _golden_solution_cases():

@@ -1,4 +1,8 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laminate.cones import extreme_rays
 from laminate.errors import NotSplittable
@@ -71,14 +75,32 @@ def test_carrying_maps_preserve_stub_weights(square, result):
                     ray[ct.track.branch_index[stub]]
 
 
+@st.composite
+def square_measures(draw):
+    """A measure (p, q, r, s, b) on the splitting square: p + q = r + s = b.
+    """
+    p, q = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+    r = draw(st.integers(0, p + q))
+    return (p, q, r, p + q - r, p + q)
+
+
+@settings(derandomize=True, deadline=None)
+@given(square_measures())
+def test_the_crossing_pair_picks_the_carrier(v):
+    # The residue weighs p - r on the left and q - s = r - p on the right.
+    p, _, r, _, _ = v
+    expected = "left" if p > r else "right" if p < r else "central"
+    assert split(figure_sp1_track(), "b").carriers(v) == [expected]
+
+
 def test_pinching_inverts_the_carrying_map(result):
+    # On each child's extreme rays, their sums and their small multiples.
     for ct in result.tracks():
         rays = extreme_rays(ct.track.weight_cone())
-        for ray in rays:
-            assert ct.pinch(ct.image(ray)) == ray
-        if len(rays) >= 2:
-            mixed = tuple(2 * a + 3 * b for a, b in zip(rays[0], rays[1]))
-            assert ct.pinch(ct.image(mixed)) == mixed
+        for multipliers in product(range(3), repeat=len(rays)):
+            w = tuple(sum(m * x for m, x in zip(multipliers, column))
+                      for column in zip(*rays))
+            assert ct.pinch(ct.image(w)) == w
 
 
 def test_image_rays_lie_in_parent_cone(square, result):

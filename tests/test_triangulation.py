@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laminate.errors import (BadPermutation, DoubleGluing, InputError,
-                             NonOrientable, NotClosedManifold, UnglueedFace)
+                             InvalidEdge, NonOrientable, NotClosedManifold,
+                             UnglueedFace)
 from laminate.triangulation import (ParityUnionFind, Triangulation,
                                     parse_triangulation, perm_sign)
 
@@ -34,6 +35,23 @@ def test_unglued_face_rejected():
     text = "0:0 -> 1:0 perm=0213\n0:1 -> 1:1 perm=3120\n0:2 -> 1:3 perm=2031\n"
     with pytest.raises(UnglueedFace):
         parse_triangulation(text)
+
+
+def test_no_tetrahedra_rejected():
+    with pytest.raises(BadPermutation, match="at least one tetrahedron"):
+        Triangulation(0, [])
+
+
+def test_edge_identified_with_itself_in_reverse_rejected(monkeypatch):
+    # Edge 13 of the one tetrahedron is carried onto itself reversed.  Such
+    # a gluing is never orientable, so the orientation check refuses it
+    # first; with that check skipped, the edge check refuses it.
+    gluings = [(0, 0, 0, 1, (1, 0, 2, 3)), (0, 2, 0, 3, (0, 2, 3, 1))]
+    with pytest.raises(NonOrientable):
+        Triangulation(1, gluings)
+    monkeypatch.setattr(Triangulation, "_build_orientation", lambda self: None)
+    with pytest.raises(InvalidEdge, match="itself in reverse"):
+        Triangulation(1, gluings)
 
 
 def test_double_gluing_rejected():
@@ -170,12 +188,6 @@ def test_round_trip_text(triangulations):
         assert again.to_text() == tri.to_text()
         assert again.edge_degrees() == tri.edge_degrees()
         assert again.vertex_count == tri.vertex_count
-
-
-def test_round_trip_json(triangulations):
-    for tri in triangulations.values():
-        again = Triangulation.from_json_dict(tri.to_json_dict())
-        assert again.to_json_dict() == tri.to_json_dict()
 
 
 def test_vertex_classes_of_doubled_tetrahedron():
