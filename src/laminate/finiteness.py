@@ -10,7 +10,18 @@ the almost-normal sector when the model has one).  The antichain
 certificate then checks that no two listed vectors are componentwise
 comparable; a comparable pair would exhibit a carried chi = 0 difference
 surface, which the all-negative verdict rules out.
+
+A multiple v = m*w, m the gcd of v, is decided from w.  Its surface is
+m parallel copies of each two-sided component of S(w), and of each
+one-sided component F it is floor(m/2) copies of the connected
+orientable double of F plus m mod 2 copies of F (Jaco and Oertel,
+Topology 23, 1984; the simplest case of the orbit counting of Agol,
+Hass and Thurston, Trans. AMS 358, 2006).  So S(v) is never connected
+for m >= 3, and for m = 2 it is connected and orientable exactly when
+S(w) is connected and one-sided.
 """
+
+from math import gcd
 
 from .branched import carries_nonneg_chi
 from .bruteforce import enumerate_solutions
@@ -51,11 +62,17 @@ def _accepts(model, v, genus):
     """The common surface filter: almost-normal weight, connectivity,
     orientability, genus.  Connectivity and orientability come from
     surface_topology first, so only a connected orientable candidate has
-    its cell complex built, which must agree."""
+    its cell complex built, which must agree.  A multiple m*w (m the gcd
+    of v) is decided from w by the rule of the module docstring: rejected
+    for m >= 3, and for m = 2 kept only when S(w) is connected and
+    one-sided, so surface_topology sees w, never v.  A kept multiple is
+    still built at full size, so the cell complex checks the rule too."""
     if model.oct_sector is not None and v[model.oct_sector] != 1:
         return False
     tri = model.triangulation
-    if surface_topology(tri, v) != (1, True):
+    m = gcd(*v)
+    w = tuple(x // m for x in v)
+    if m > 2 or surface_topology(tri, w) != (1, m == 1):
         return False
     surface = build_surface(tri, v)
     if not (surface.connected and surface.components[0].orientable):
@@ -63,6 +80,19 @@ def _accepts(model, v, genus):
             "the cell complex of %s is not the connected orientable surface "
             "that surface_topology reports" % (v,))
     return surface.components[0].genus_or_crosscap == genus
+
+
+def _all_negative_verdict(model, genus):
+    """The model's chi verdict; raises GenusTooSmall for a negative genus
+    and UnboundedRefusal unless every fundamental has chi < 0."""
+    if genus < 0:
+        raise GenusTooSmall("genus must be nonnegative, got %d" % genus)
+    verdict = carries_nonneg_chi(model)
+    if not verdict.all_negative:
+        raise UnboundedRefusal(
+            "the model carries chi >= 0 (verdict %s); a genus-%d list may "
+            "be infinite" % (verdict.verdict, genus))
+    return verdict
 
 
 def _reachable(costs, sizes, target, weight):
@@ -133,13 +163,7 @@ def enumerate_genus(model, genus):
     more than GENUS_DISK_CAP disks in all, or before they are counted when
     the table counting them would have more than GENUS_DISK_CAP cells.
     """
-    if genus < 0:
-        raise GenusTooSmall("genus must be nonnegative, got %d" % genus)
-    verdict = carries_nonneg_chi(model)
-    if not verdict.all_negative:
-        raise UnboundedRefusal(
-            "the model carries chi >= 0 (verdict %s); a genus-%d list may "
-            "be infinite" % (verdict.verdict, genus))
+    verdict = _all_negative_verdict(model, genus)
     funds = model.fundamentals()
     # Each fundamental spends its chi deficit and its weight on the
     # almost-normal sector, and only sums of weight one can be accepted.
@@ -187,12 +211,13 @@ def brute_force_genus_list(model, genus):
     Independent oracle for enumerate_genus: exhaustive lattice enumeration
     of the model's cone up to the coordinate bound
     (2g - 2)/min|chi| * max infinity-norm of the fundamentals, filtered by
-    the same surface conditions.
+    the same surface conditions.  Refuses as enumerate_genus does.
     """
+    verdict = _all_negative_verdict(model, genus)
     funds = model.fundamentals()
     if not funds or genus < 1:
         return []
-    deficits = [int(-model.chi.value(f)) for f in funds]
+    deficits = [int(-c) for c in verdict.fundamental_chis]
     bound = ((2 * genus - 2) // min(deficits)) * max(max(f) for f in funds)
     if bound <= 0:
         return []

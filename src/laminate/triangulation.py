@@ -228,6 +228,12 @@ class Triangulation:
                     e1 = edge_index(a, b)
                     e2 = edge_index(ia, ib)
                     flip = 1 if ia > ib else 0
+                    # Only the orientation check shadows this guard (an
+                    # edge reversed onto itself makes a nonorientable
+                    # gluing); it stays so that the edge classes refuse
+                    # such a gluing on their own, which
+                    # test_edge_identified_with_itself_in_reverse_rejected
+                    # checks with the orientation check skipped.
                     if not uf.union(6 * t1 + e1, 6 * t2 + e2, flip):
                         raise InvalidEdge(
                             "edge %s of tet %d is identified with itself "

@@ -222,6 +222,22 @@ def test_genus_walk_counts_only_octagon_weight_one(capsys):
     assert sum(payload["vectors"][0]) == 26993
 
 
+def test_genus_walk_rejects_a_multiple_without_building_it(capsys):
+    # The one sum of genus 30,000 of the one-fundamental model is 29,999
+    # copies of its fundamental, 269,991 disks, over the surface disk cap
+    # but within the walk's.  A multiple of three or more copies is never
+    # connected, so it is rejected without being built: listed empty with
+    # exit 0, not refused.
+    code, out = run_cli(capsys, "heegaard", "enumerate",
+                        "--input", str(fixture_path("three_tet.tri")),
+                        "--support", "4,11,13,15,20,21,22,23",
+                        "-g", "30000")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count"] == 0
+    assert payload["vectors"] == []
+
+
 def test_genus_below_two_is_input_error(capsys):
     code, out = run_cli(capsys, "heegaard", "enumerate",
                         "--input", str(fixture_path("three_tet.tri")),

@@ -31,6 +31,19 @@ def test_negative_genus_rejected(models):
         enumerate_genus(models["three_tet_normal_genus2.json"], -1)
 
 
+@pytest.mark.parametrize("name", ["three_tet_triangles.json",
+                                  "two_tet_klein.json"])
+def test_oracle_refuses_as_the_enumeration_does(models, name):
+    # On the chi = 0 Klein model the oracle's coordinate bound would
+    # divide by a zero deficit; on the vertex-link model (chi 2) it would
+    # list nothing.  Both refuse, and a negative genus is too small first.
+    for genus in (2, 3):
+        with pytest.raises(UnboundedRefusal):
+            brute_force_genus_list(models[name], genus)
+    with pytest.raises(GenusTooSmall):
+        brute_force_genus_list(models[name], -1)
+
+
 def test_zero_vector_never_listed(models):
     # Genus 0 and 1 targets are below every fundamental deficit, so the
     # lists are empty; in particular the zero vector is never reported.
@@ -96,8 +109,9 @@ def test_enumeration_soundness(models):
 def test_each_distinct_candidate_is_built_once(monkeypatch):
     # With fundamentals (f, 2f) the sums 2f and 4f arise from several
     # multiplicity tuples; each is rejected (parallel copies) and must be
-    # tested no more than once per enumeration, by surface_topology alone:
-    # a rejected candidate never gets a cell complex.
+    # tested no more than once per enumeration.  2f is decided from f by
+    # surface_topology (f is two-sided, so 2f is two copies of it), 4f
+    # by its gcd alone; a rejected candidate never gets a cell complex.
     model = load_model("three_tet_normal_genus2.json")
     (f,) = model.fundamentals()
     monkeypatch.setattr(model, "fundamentals",
@@ -114,10 +128,10 @@ def test_each_distinct_candidate_is_built_once(monkeypatch):
 
     monkeypatch.setattr(finiteness, "surface_topology", counting_topology)
     monkeypatch.setattr(finiteness, "build_surface", counting_build)
-    for genus, multiple in ((3, 2), (5, 4)):
+    for genus, seen in ((3, [f]), (5, [])):
         tested.clear()
         assert enumerate_genus(model, genus).vectors == ()
-        assert tested == [tuple(multiple * x for x in f)]
+        assert tested == seen
         assert built == []
 
 

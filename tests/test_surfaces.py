@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laminate import surfaces
+from laminate.branched import zero_chi_locus
 from laminate.errors import Inadmissible, InternalCheckFailed
 from laminate.finiteness import enumerate_genus
 from laminate.linalg import dot
@@ -132,7 +134,7 @@ def _walk_sources():
 WALK_SOURCES = _walk_sources()
 
 
-def _check_random_sum(data, sources):
+def _draw_sum(data, sources):
     # A nonnegative combination of rays; a term that would give some
     # tetrahedron a second quad/oct direction is skipped.
     tri, rays = data.draw(st.sampled_from(sources))
@@ -145,6 +147,11 @@ def _check_random_sum(data, sources):
         if all(len(quad_oct_profile(w, t)) <= 1
                for t in range(tri.tet_count)):
             v = w
+    return tri, v
+
+
+def _check_random_sum(data, sources):
+    tri, v = _draw_sum(data, sources)
     surface = build_surface(tri, v)
     assert surface_topology(tri, v) == (
         len(surface.components),
@@ -161,6 +168,47 @@ def test_topology_agrees_with_builder_on_random_sums(data):
 @given(st.data())
 def test_topology_agrees_with_builder_on_walk_sums(data):
     _check_random_sum(data, WALK_SOURCES)
+
+
+def _klein_source():
+    """(two_tet, [the Klein bottle]): the one vertex of the zero_chi_locus
+    of the two_tet_klein model, scaled to the least integer vector."""
+    model = load_model("two_tet_klein.json")
+    (vertex,) = zero_chi_locus(model)
+    scale = lcm(*(x.denominator for x in vertex))
+    return model.triangulation, [tuple(int(scale * x) for x in vertex)]
+
+
+KLEIN_SOURCE = _klein_source()
+
+
+def _check_multiples(tri, w):
+    # S(m*w) is m parallel copies of each two-sided component of S(w), and
+    # floor(m/2) orientable doubles plus m mod 2 copies of each one-sided
+    # one, so it is orientable unless m is odd and S(w) is not.
+    components = build_surface(tri, w).components
+    one_sided = sum(not c.orientable for c in components)
+    for m in range(2, 5):
+        predicted = ((len(components) - one_sided) * m
+                     + one_sided * (m // 2 + m % 2),
+                     m % 2 == 0 or not one_sided)
+        assert surface_topology(tri, tuple(m * x for x in w)) == predicted
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_multiples_are_predicted_from_the_single_surface(data):
+    # The rule the genus filter decides a multiple by, over sums with and
+    # without octagons and over the Klein bottle's multiples.
+    _check_multiples(*_draw_sum(data, VERTEX_SOLUTION_CENSUS + WALK_SOURCES
+                                + [KLEIN_SOURCE]))
+
+
+def test_klein_bottle_double_is_one_orientable_surface():
+    tri, (kb,) = KLEIN_SOURCE
+    assert surface_topology(tri, kb) == (1, False)
+    assert surface_topology(tri, tuple(2 * x for x in kb)) == (1, True)
+    _check_multiples(tri, kb)
 
 
 def test_vertex_link_builds_sphere(triangulations):
