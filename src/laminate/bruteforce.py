@@ -4,15 +4,17 @@ Brute-force lattice enumeration oracles.
 These enumerate every integer solution of the matching equations within a
 coordinate bound, by listing per-tetrahedron coordinate patterns and
 joining them across face gluings.  One lister, _patterns, streams the
-patterns anew on each call, a pattern's arc signature is the sum of its
-disks' arc columns, and the join keeps only the patterns that pass their
-tetrahedron's self-gluing checks.  They are deliberately independent of the
+patterns anew on each iteration, a pattern's arc signature is the sum of
+its disks' arc columns, and the join keeps only the patterns that pass
+their tetrahedron's self-gluing checks and can meet a pattern of each
+neighbouring tetrahedron.  They are deliberately independent of the
 double description engine in cones.py: extremality is decided by an
 exact rank computation on the active coordinate set and irreducibility
 by pairwise domination, so they can serve as oracles for it.
 """
 
 from itertools import product
+from operator import itemgetter
 
 from .errors import WorkBudgetExceeded
 from .linalg import rank
@@ -40,34 +42,41 @@ def _refuse_over_cap(count):
             % (count, _PATTERN_CAP))
 
 
+class _Patterns:
+    """
+    The (pattern, arc signature) pairs of a box, streamed anew on each
+    iteration.  The local coordinates in box range over 0..bound and the
+    rest are zero; each such pattern is listed alone, then once with each
+    (coordinate, value) of choices added.
+    """
+
+    def __init__(self, box, bound, choices):
+        self.box, self.bound, self.choices = box, bound, choices
+
+    def __iter__(self):
+        box, choices = self.box, self.choices
+        for values in product(range(self.bound + 1), repeat=len(box)):
+            pattern = [0] * COORDS_PER_TET
+            sig = [0] * len(ARC_TYPES)
+            for k, x in zip(box, values):
+                pattern[k] = x
+                for slot in DISK_ARC_SLOTS[k]:
+                    sig[slot] += x
+            yield tuple(pattern), tuple(sig)
+            for k, x in choices:
+                extra, added = pattern[:], sig[:]
+                extra[k] = x
+                for slot in DISK_ARC_SLOTS[k]:
+                    added[slot] += x
+                yield tuple(extra), tuple(added)
+
+
 def _patterns(box, bound, choices=()):
-    """
-    A stream of (pattern, arc signature) pairs.  The local coordinates in
-    box range over 0..bound and the rest are zero; each such pattern is
-    listed alone, then once with each (coordinate, value) of choices
-    added.  Over _PATTERN_CAP patterns are refused here, before the
-    stream starts.
-    """
+    """The _Patterns of a box, refused here, before any pattern is made,
+    when they would be more than _PATTERN_CAP."""
     box = sorted(box)
     _refuse_over_cap((bound + 1) ** len(box) * (1 + len(choices)))
-    return _pattern_stream(box, bound, choices)
-
-
-def _pattern_stream(box, bound, choices):
-    for values in product(range(bound + 1), repeat=len(box)):
-        pattern = [0] * COORDS_PER_TET
-        sig = [0] * len(ARC_TYPES)
-        for k, x in zip(box, values):
-            pattern[k] = x
-            for slot in DISK_ARC_SLOTS[k]:
-                sig[slot] += x
-        yield tuple(pattern), tuple(sig)
-        for k, x in choices:
-            extra, added = pattern[:], sig[:]
-            extra[k] = x
-            for slot in DISK_ARC_SLOTS[k]:
-                added[slot] += x
-            yield tuple(extra), tuple(added)
+    return _Patterns(box, bound, choices)
 
 
 def _quad_oct_patterns(bound, oct_cap):
@@ -81,51 +90,76 @@ def _quad_oct_patterns(bound, oct_cap):
                       for x in range(1, (bound if k < 7 else octs) + 1)])
 
 
-def _join(tri, pattern_streams, max_octs=None):
+def _values_at(slots):
+    """The function taking a signature to its values at slots, a tuple;
+    slots come three per face, so itemgetter gives a tuple."""
+    return itemgetter(*slots) if slots else lambda sig: ()
+
+
+def _join(tri, pattern_lists, max_octs=None):
     """
-    Assemble per-tetrahedron streams of (pattern, signature) pairs into
-    global vectors satisfying every matching equation, keeping of each
-    stream only the patterns that pass its tetrahedron's self-gluing
-    checks.  Each distinct stream object is read once, in one pass for
-    all the tetrahedra given it.  When max_octs is given, at most that
-    many chosen patterns may carry an octagon.
+    Assemble per-tetrahedron lists of (pattern, signature) pairs into
+    global vectors satisfying every matching equation.  A tetrahedron
+    keeps only the patterns that pass its self-gluing checks and whose arc
+    counts on the faces it shares with each other tetrahedron are counts
+    that tetrahedron makes there: a semi-join both ways across every pair
+    of glued tetrahedra, on hashes of the counts (a collision keeps a
+    pattern that the join then drops).  Each distinct list is streamed
+    once to collect the hashes, if any face joins two tetrahedra, and once
+    to keep its patterns, each time for all the tetrahedra given it.  When
+    max_octs is given, at most that many chosen patterns may carry an
+    octagon.
     """
     n = tri.tet_count
-    self_classes = [[] for _ in range(n)]
-    cross_classes = [[] for _ in range(n)]
-    for (side1, side2, perm) in tri.face_classes:
-        (t1, f1), (t2, f2) = side1, side2
-        if t1 == t2:
-            self_classes[t1].append((f1, f2, perm))
-        else:
-            cross_classes[t2].append((t1, f1, f2, perm))
+    self_checks = [[] for _ in range(n)]
+    links = {}                    # (t1, t2) -> their slots, glued in order
+    for (t1, f1), (t2, f2), perm in tri.face_classes:
+        for w in range(4):
+            if w != f1:
+                a, b = ARC_SLOT[(f1, w)], ARC_SLOT[(f2, perm[w])]
+                if t1 == t2:
+                    self_checks[t1].append((a, b))
+                else:
+                    slots1, slots2 = links.setdefault((t1, t2), ([], []))
+                    slots1.append(a)
+                    slots2.append(b)
+    # Per tetrahedron and neighbour: its counts on their common faces, the
+    # hashes of those it makes, and of those the neighbour makes.  A later
+    # tetrahedron's patterns are grouped by their counts on the faces of
+    # earlier ones, and looked up by the earlier ones' counts.
+    sides = [[] for _ in range(n)]
+    own_slots = [[] for _ in range(n)]
+    partner_slots = [[] for _ in range(n)]
+    for (t1, t2), (slots1, slots2) in links.items():
+        made1, made2 = set(), set()
+        sides[t1].append((_values_at(slots1), made1, made2))
+        sides[t2].append((_values_at(slots2), made2, made1))
+        own_slots[t2] += slots2
+        partner_slots[t2] += [(t1, s) for s in slots1]
 
     grouped = [{} for _ in range(n)]
-    readers = {}                  # stream id -> (stream, its filters)
+    readers = {}                  # list id -> (list, its filters)
     for t in range(n):
-        own_slots = [ARC_SLOT[(f2, perm[w])]
-                     for (t1, f1, f2, perm) in cross_classes[t]
-                     for w in range(4) if w != f1]
-        self_checks = [(ARC_SLOT[(f1, w)], ARC_SLOT[(f2, perm[w])])
-                       for (f1, f2, perm) in self_classes[t]
-                       for w in range(4) if w != f1]
-        stream = pattern_streams[t]
-        readers.setdefault(id(stream), (stream, []))[1].append(
-            (grouped[t], own_slots, self_checks))
-    for stream, filters in readers.values():
-        for entry in stream:
-            sig = entry[1]
-            for groups, own_slots, self_checks in filters:
-                if any(sig[a] != sig[b] for a, b in self_checks):
-                    continue
-                key = tuple(sig[s] for s in own_slots)
-                groups.setdefault(key, []).append(entry)
-
-    partner_slots = []
-    for t in range(n):
-        partner_slots.append([(t1, ARC_SLOT[(f1, w)])
-                              for (t1, f1, f2, perm) in cross_classes[t]
-                              for w in range(4) if w != f1])
+        patterns = pattern_lists[t]
+        same = [_values_at(slots) for slots in zip(*self_checks[t])]
+        readers.setdefault(id(patterns), (patterns, []))[1].append(
+            (grouped[t], _values_at(own_slots[t]), same, sides[t]))
+    for collect in (True, False) if links else (False,):
+        for patterns, filters in readers.values():
+            for entry in patterns:
+                sig = entry[1]
+                for groups, key, same, tet_sides in filters:
+                    if same and same[0](sig) != same[1](sig):
+                        continue
+                    if collect:
+                        for counts, made, _ in tet_sides:
+                            made.add(hash(counts(sig)))
+                        continue
+                    for counts, _, theirs in tet_sides:
+                        if hash(counts(sig)) not in theirs:
+                            break
+                    else:
+                        groups.setdefault(key(sig), []).append(entry)
 
     results = []
     _assign(0, 0, grouped, partner_slots, max_octs, [None] * n, results)
@@ -162,8 +196,8 @@ def enumerate_solutions(tri, bound, support):
     boxes = [frozenset(j % COORDS_PER_TET for j in support
                        if j // COORDS_PER_TET == t)
              for t in range(tri.tet_count)]
-    streams = {box: _patterns(box, bound) for box in dict.fromkeys(boxes)}
-    return _join(tri, [streams[box] for box in boxes])
+    lists = {box: _patterns(box, bound) for box in dict.fromkeys(boxes)}
+    return _join(tri, [lists[box] for box in boxes])
 
 
 def enumerate_quad_oct_solutions(tri, bound, max_octs=None):

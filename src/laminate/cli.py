@@ -126,8 +126,7 @@ def cmd_tri_info(args):
     }
 
 
-def _solution_listing(args, key, solve, oracle):
-    _load("enumerate_quad_oct_solutions")
+def _solution_listing(args, key, solve, oracle, *oracle_names):
     tri = _load_triangulation(args)
     solutions = solve(tri, args.almost_normal, args.max_coeff_bits)
     payload = {
@@ -139,6 +138,8 @@ def _solution_listing(args, key, solve, oracle):
         # The admissible points: whether a point is an extreme ray or
         # irreducible depends only on its own support, so one check over
         # them all agrees exactly when every maximal orthant's check does.
+        # The brute-force oracles load only here.
+        _load("enumerate_quad_oct_solutions", *oracle_names)
         points = enumerate_quad_oct_solutions(tri, args.bound,
                                               int(args.almost_normal))
         payload["oracle_bound"] = args.bound
@@ -147,19 +148,20 @@ def _solution_listing(args, key, solve, oracle):
 
 
 def cmd_ns_vertex(args):
-    _load("vertex_solutions", "extreme_ray_oracle", "matching_system",
-          "vector_length")
+    _load("vertex_solutions")
     return _solution_listing(
         args, "vertex_solutions", vertex_solutions,
         lambda tri, points: extreme_ray_oracle(
-            points, matching_system(tri).rows, range(vector_length(tri))))
+            points, matching_system(tri).rows, range(vector_length(tri))),
+        "extreme_ray_oracle", "matching_system", "vector_length")
 
 
 def cmd_ns_fundamental(args):
-    _load("fundamental_solutions", "hilbert_oracle")
+    _load("fundamental_solutions")
     return _solution_listing(args, "fundamental_solutions",
                              fundamental_solutions,
-                             lambda tri, points: hilbert_oracle(points))
+                             lambda tri, points: hilbert_oracle(points),
+                             "hilbert_oracle")
 
 
 def cmd_ns_build(args):

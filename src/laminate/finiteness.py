@@ -24,7 +24,6 @@ S(w) is connected and one-sided.
 from math import gcd
 
 from .branched import carries_nonneg_chi
-from .bruteforce import enumerate_solutions
 from .errors import (GenusTooSmall, InternalCheckFailed, UnboundedRefusal,
                      WorkBudgetExceeded)
 from .surfaces import build_surface, surface_topology
@@ -221,6 +220,7 @@ def brute_force_genus_list(model, genus):
     bound = ((2 * genus - 2) // min(deficits)) * max(max(f) for f in funds)
     if bound <= 0:
         return []
+    from .bruteforce import enumerate_solutions
     points = enumerate_solutions(model.triangulation, bound, model.support)
     out = []
     for v in points:

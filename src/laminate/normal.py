@@ -43,6 +43,7 @@ two octagon types whose pairs separate f from v.
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import mul
 
 from .cones import RationalCone, extreme_rays, hilbert_basis
@@ -153,7 +154,15 @@ class MatchingSystem:
         self._entries = tuple(entries)
 
     def residual(self, v):
-        return tuple(sum([c * v[j] for j, c in row]) for row in self._entries)
+        # Plain loops: a comprehension per row costs a frame per row, and
+        # every surface rebuild opens with this check.
+        out = []
+        for row in self._entries:
+            total = 0
+            for j, c in row:
+                total += c * v[j]
+            out.append(total)
+        return tuple(out)
 
     def __len__(self):
         return len(self.rows)
@@ -209,15 +218,17 @@ def is_admissible(tri, v):
     if len(v) != vector_length(tri):
         raise Inadmissible("vector has length %d, expected %d"
                            % (len(v), vector_length(tri)))
-    if any(x < 0 for x in v):
+    if min(v) < 0:
         raise Inadmissible("vector has negative entries")
     system = matching_system(tri)
     matching_failures = []
     for label, value in zip(system.labels, system.residual(v)):
         if value != 0:
             matching_failures.append((label[0], label[1], value))
-    quad_violations = [t for t in range(tri.tet_count)
-                       if len(quad_oct_profile(v, t)) > 1]
+    # Two or more of a tetrahedron's six quad/oct coordinates are nonzero.
+    quad_violations = [
+        t for t in range(tri.tet_count)
+        if v[COORDS_PER_TET * t + 4:COORDS_PER_TET * t + 10].count(0) < 5]
     almost = []
     octs = [(t, q, v[oct_index(t, q)]) for t in range(tri.tet_count)
             for q in range(3) if v[oct_index(t, q)] != 0]
@@ -388,17 +399,18 @@ def chi_functional_coefficients(tri):
 
     Per disk type: 1 (the disk) - arcs/2 (each boundary arc is shared by
     two disks) + sum over edge intersections of 1/deg (each point on an
-    edge class of degree d is shared by d disk corners).
+    edge class of degree d is shared by d disk corners).  The terms are
+    summed as integer numerators over lcm(2, degrees).
     """
     degrees = tri.edge_degrees()
+    denom = lcm(2, *degrees)
     coeffs = []
     for t in range(tri.tet_count):
-        for k in range(COORDS_PER_TET):
-            c = Fraction(1) - Fraction(ARC_COUNT_PER_DISK[k], 2)
-            for e in range(6):
-                mult = DISK_EDGE_WEIGHTS[k][e]
-                if mult:
-                    cls, _ = tri.edge_class_of[(t, e)]
-                    c += Fraction(mult, degrees[cls])
-            coeffs.append(c)
+        # denom / deg per edge of the tetrahedron.
+        shares = [denom // degrees[tri.edge_class_of[(t, e)][0]]
+                  for e in range(6)]
+        for arcs, meets in zip(ARC_COUNT_PER_DISK, DISK_EDGE_WEIGHTS):
+            coeffs.append(Fraction(
+                denom - arcs * denom // 2
+                + sum(map(mul, meets, shares)), denom))
     return tuple(coeffs)

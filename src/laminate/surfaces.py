@@ -3,34 +3,29 @@ Rebuilding the embedded surface of a coordinate vector as a cell complex.
 
 Every unit of every coordinate becomes one disk, numbered by tetrahedron,
 then by local coordinate index, then by copy.  Parallel disks are ordered
-by their position along the edges of their tetrahedron:
-
-- the k-th triangle of type i is the k-th disk from vertex i;
-- the k-th quad of type q is the k-th disk from the pair edge containing
-  vertex 0 (QUAD_PAIRS[q][0]);
-- the k-th octagon of type q is the k-th disk from the QUAD_PAIRS[q][0]
-  side (octagon copies are nested; copy 0 has the smallest region on the
-  side containing the QUAD_PAIRS[q][0] vertices).
+by their position along the edges of their tetrahedron: the k-th triangle
+of type i is the k-th disk from vertex i, and the k-th quad or octagon of
+type q the k-th disk from the QUAD_PAIRS[q][0] side (octagon copies are
+nested; copy 0 has the smallest region on the side containing the
+QUAD_PAIRS[q][0] vertices).
 
 Boundary arcs in a face are ranked by distance from the corner they cut
 off, and a face gluing identifies equal-ranked arcs of equal arc type.
-The corners of a disk kind's copies are resolved together, through the
-triangulation's gluing_table, to points (edge class, position along the
-class) and to whether the disk's reference side points along the class.
-Orientability is decided by propagating a transverse orientation across
-glued arcs with a parity union-find.  The builder asserts, raising
-InternalCheckFailed:
-
-- every tetrahedron edge sees as many points as its edge class;
-- no two arcs claim the same (tetrahedron, face, corner, rank) slot;
-- the arc counts on the two sides of every face gluing agree;
-- glued arcs end at the same points, with the same orientation relation
-  at both ends (and on edges of one class, which gluing_table checks);
-- every component has an even number of arc sides;
-- the vertex count equals the weight and the disk count equals the
-  coordinate sum.
-
-The point check exercises the entire frozen disk-type table.
+The copies of a disk kind fill one range of ranks, a piece, in each slot
+(tetrahedron, face, corner) they have arcs in.  Their corners are
+resolved together, through the triangulation's gluing_table, to points,
+the integers K * position + class for K edge classes, and to whether the
+reference side points along the class.  A parity union-find, one union
+per overlap of glued pieces, decides orientability.  build_surface
+asserts, raising InternalCheckFailed, that every tetrahedron edge sees as
+many points as its edge class; that the pieces of every slot tile its
+ranks; that the arc counts on the two sides of every face gluing agree;
+that glued arcs end at the same points (the glued slots' point lists are
+compared whole) with the same orientation relation at both ends (and on
+edges of one class, which gluing_table checks); that every component has
+an even number of arc sides; and that the vertex count equals the weight
+and the disk count the coordinate sum.  The point check exercises the
+entire frozen disk-type table.
 
 surface_topology answers only the number of components and whether they
 are all orientable, with the same checks made once per range of parallel
@@ -39,6 +34,7 @@ vector of more than SURFACE_DISK_CAP disks (WorkBudgetExceeded) before
 any per-disk state is allocated.
 """
 
+from itertools import chain
 from operator import mul
 
 from .errors import Inadmissible, InternalCheckFailed, WorkBudgetExceeded
@@ -227,81 +223,102 @@ def build_surface(tri, v):
     """
     report = _check_rebuildable(tri, v)
     ends, glued = tri.gluing_table
-    disk_points = []              # per disk: its corners' (class, position)
-    disk_arcs = []                # per disk: its number of boundary arcs
-    # slot -> {rank: (disk, point a, along a, point b, along b)}, an arc's
-    # ends with whether the disk's reference side points along the class.
-    slots = {}
+    k, disk, slots = tri.edge_count, 0, [()] * len(ends)
+    corner_points, corner_disks, disk_arcs = [], [], []
     for t, copies, shift, arc_plan, corners in _disk_kinds(tri, v, ends):
-        first = len(disk_points)
-        disk_points += [[(cls, p + dp * k) for _, cls, p, dp in corners]
-                        for k in range(copies)]
+        points = []
+        for _, cls, p, dp in corners:
+            points.append(range(k * p + cls, k * (p + dp * copies) + cls,
+                                k * dp))
+        corner_points += points
+        corner_disks += [range(disk, disk + copies)] * len(points)
         disk_arcs += [len(arc_plan)] * copies
+        # A slot's pieces by rank: (end rank, d0, step, whether the reference
+        # side points along the class at the first and at the second ends,
+        # the point ids there by rank); the disk at rank r is d0 + step * r.
         for f, w, base, rev, a, b in arc_plan:
-            arcs = slots.setdefault(16 * t + 4 * f + w, {})
-            along_a, along_b = corners[a][0], corners[b][0]
-            for k in range(copies):
-                rank = shift[base] + (copies - 1 - k if rev else k)
-                if rank in arcs:
-                    raise InternalCheckFailed(
-                        "duplicate arc slot %s" % ((t, f, w, rank),))
-                pts = disk_points[first + k]
-                arcs[rank] = (first + k, pts[a], along_a, pts[b], along_b)
+            slot, lo = 16 * t + 4 * f + w, shift[base]
+            pieces = slots[slot]
+            if lo != (pieces[-1][0] if pieces else 0):
+                raise InternalCheckFailed("slot pieces overlap or leave gaps")
+            slots[slot] = pieces + ((lo + copies, disk + copies - 1 + lo, -1,
+                             corners[a][0], corners[b][0], points[a][::-1],
+                             points[b][::-1]) if rev else
+                            (lo + copies, disk - lo, 1, corners[a][0],
+                             corners[b][0], points[a], points[b]),)
+        disk += copies
 
-    parity = ParityUnionFind(len(disk_points))
-    conflicts = []                # disks glued against their parity
-    arc_pair_count = 0
+    parity, conflicts, arc_pair_count = ParityUnionFind(disk), [], 0
     for slot1, slot2, crossed in glued:
-        one, two = slots.get(slot1, {}), slots.get(slot2, {})
-        if len(one) != len(two):
+        one, two = slots[slot1], slots[slot2]
+        count = one[-1][0] if one else 0
+        if count != (two[-1][0] if two else 0):
             raise InternalCheckFailed(
                 "arc counts differ across face gluing %s -> %s"
                 % (divmod(slot1 >> 2, 4), divmod(slot2 >> 2, 4)))
-        arc_pair_count += len(one)
-        for rank in range(len(one)):
-            d1, p1a, along1a, p1b, along1b = one[rank]
-            d2, p2a, along2a, p2b, along2b = two[rank]
+        ends1, ends2 = [], []     # the first ends by rank, then the second
+        for piece in one:
+            ends1 += piece[5]
+        for piece in one:
+            ends1 += piece[6]
+        for piece in two:
+            ends2 += piece[6 if crossed else 5]
+        for piece in two:
+            ends2 += piece[5 if crossed else 6]
+        if ends1 != ends2:
+            raise InternalCheckFailed("glued arc endpoints land on different "
+                                      "points (tets %d,%d)"
+                                      % (slot1 >> 4, slot2 >> 4))
+        arc_pair_count += count
+        i = j = lo = 0            # one union per overlap of two pieces
+        while lo < count:
+            hi1, d1, s1, along1a, along1b, _, _ = one[i]
+            hi2, d2, s2, along2a, along2b, _, _ = two[j]
             if crossed:
-                p2a, along2a, p2b, along2b = p2b, along2b, p2a, along2a
-            if (p1a, p1b) != (p2a, p2b):
-                raise InternalCheckFailed(
-                    "glued arc endpoints land on different points: %s vs %s "
-                    "(tets %d,%d)" % ((p1a, p1b), (p2a, p2b), slot1 >> 4,
-                                      slot2 >> 4))
+                along2a, along2b = along2b, along2a
             rel = along1a != along2a
             if rel != (along1b != along2b):
-                raise InternalCheckFailed(
-                    "orientation relation differs at the two ends of a "
-                    "glued arc")
-            if not parity.union(d1, d2, rel):
-                conflicts.append(d1)
+                raise InternalCheckFailed("orientation relation differs at "
+                                          "the two ends of a glued arc")
+            hi = hi1 if hi1 < hi2 else hi2
+            d1, d2 = d1 + s1 * lo, d2 + s2 * lo
+            if not parity.union(d1, d2, rel, hi - lo, s1, s2):
+                conflicts.append((d1, d2, rel, hi - lo, s1, s2))
+            i, j, lo = i + (hi1 == hi), j + (hi2 == hi), hi
 
-    # Components, Euler characteristics, orientability, sorted by their
-    # least disk.
-    one_sided = {parity.find(d)[0] for d in conflicts}
-    total_vertices = set()
-    components = []
-    for root, group in parity.groups().items():
-        points = set()
-        arcs_in_component = 0
+    # Re-uniting a pair once all are united changes nothing and reports
+    # whether it is glued against its parity, as it was at its union.
+    one_sided = set()
+    for x, y, rel, count, dx, dy in conflicts:
+        for i in range(count):
+            if not parity.union(x + i * dx, y + i * dy, rel):
+                one_sided.add(parity.find(x + i * dx)[0])
+    # The point check chains the corners at a point around its edge, so
+    # the point lies on the component of any disk with a corner there.
+    point_disk = dict(zip(chain.from_iterable(corner_points),
+                          chain.from_iterable(corner_disks)))
+    groups = parity.groups()
+    roots = [0] * disk
+    for root, group in groups.items():
         for d in group:
-            points.update(disk_points[d])
-            arcs_in_component += disk_arcs[d]
-        if arcs_in_component % 2:
+            roots[d] = root
+    vertices = dict.fromkeys(groups, 0)
+    for d in point_disk.values():
+        vertices[roots[d]] += 1
+    components = []
+    for root, group in groups.items():
+        arcs = sum(map(disk_arcs.__getitem__, group))
+        if arcs % 2:
             raise InternalCheckFailed("odd arc count in a component")
-        chi = len(points) - arcs_in_component // 2 + len(group)
-        components.append(SurfaceComponent(group, chi, root not in one_sided))
-        total_vertices |= points
-
-    surface = NormalSurface(tri, tuple(v), components,
-                            vertex_count=len(total_vertices),
-                            arc_pair_count=arc_pair_count,
-                            disk_count=len(disk_points), admissibility=report)
-    if surface.vertex_count != weight(tri, v):
+        components.append(SurfaceComponent(
+            group, vertices[root] - arcs // 2 + len(group),
+            root not in one_sided))
+    if len(point_disk) != weight(tri, v):
         raise InternalCheckFailed("vertex count differs from weight")
-    if surface.disk_count != sum(v):
+    if disk != sum(v):
         raise InternalCheckFailed("disk count differs from coordinate sum")
-    return surface
+    return NormalSurface(tri, tuple(v), components, len(point_disk),
+                         arc_pair_count, disk, report)
 
 
 def surface_topology(tri, v):
@@ -347,7 +364,7 @@ def surface_topology(tri, v):
             lo2, hi2, d2, c2, s2, end2a, end2b = two[j]
             if crossed:
                 end2a, end2b = end2b, end2a
-            hi = min(hi1, hi2)
+            hi = hi1 if hi1 < hi2 else hi2
             c1 += s1 * (lo - lo1)                 # the copies at rank lo
             c2 += s2 * (lo - lo2)
             for (_, cls1, p1, q1), (_, cls2, p2, q2) in ((end1a, end2a),

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from laminate import surfaces
 from laminate.branched import from_support
-from laminate.normal import COORDS_PER_TET, fundamental_solutions, tri_index
-from laminate.triangulation import parse_triangulation
+from laminate.errors import InternalCheckFailed
+from laminate.normal import (COORDS_PER_TET, fundamental_solutions, tri_index,
+                             weight)
+from laminate.triangulation import ParityUnionFind, parse_triangulation
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -57,6 +60,96 @@ def every_orthant_support(tri, include_octs=False):
                 if choice is not None:
                     support.add(COORDS_PER_TET * t + choice)
             yield frozenset(support)
+
+
+def elementwise_surface(tri, v):
+    """
+    The surface of v built one arc at a time: the reference that
+    surfaces.build_surface, which works on ranges of parallel copies,
+    must agree with in every field.  Each disk gets its list of corner
+    points (class, position), each arc its (tetrahedron, face, corner,
+    rank) slot, each glued pair of arcs its own point and orientation
+    checks and its own union, and each component its set of points.
+    """
+    report = surfaces._check_rebuildable(tri, v)
+    ends, glued = tri.gluing_table
+    disk_points = []              # per disk: its corners' (class, position)
+    disk_arcs = []                # per disk: its number of boundary arcs
+    # slot -> {rank: (disk, point a, along a, point b, along b)}, an arc's
+    # ends with whether the disk's reference side points along the class.
+    slots = {}
+    for t, copies, shift, arc_plan, corners in surfaces._disk_kinds(
+            tri, v, ends):
+        first = len(disk_points)
+        disk_points += [[(cls, p + dp * k) for _, cls, p, dp in corners]
+                        for k in range(copies)]
+        disk_arcs += [len(arc_plan)] * copies
+        for f, w, base, rev, a, b in arc_plan:
+            arcs = slots.setdefault(16 * t + 4 * f + w, {})
+            along_a, along_b = corners[a][0], corners[b][0]
+            for k in range(copies):
+                rank = shift[base] + (copies - 1 - k if rev else k)
+                if rank in arcs:
+                    raise InternalCheckFailed(
+                        "duplicate arc slot %s" % ((t, f, w, rank),))
+                pts = disk_points[first + k]
+                arcs[rank] = (first + k, pts[a], along_a, pts[b], along_b)
+
+    parity = ParityUnionFind(len(disk_points))
+    conflicts = []                # disks glued against their parity
+    arc_pair_count = 0
+    for slot1, slot2, crossed in glued:
+        one, two = slots.get(slot1, {}), slots.get(slot2, {})
+        if len(one) != len(two):
+            raise InternalCheckFailed("arc counts differ across face gluing")
+        arc_pair_count += len(one)
+        for rank in range(len(one)):
+            d1, p1a, along1a, p1b, along1b = one[rank]
+            d2, p2a, along2a, p2b, along2b = two[rank]
+            if crossed:
+                p2a, along2a, p2b, along2b = p2b, along2b, p2a, along2a
+            if (p1a, p1b) != (p2a, p2b):
+                raise InternalCheckFailed(
+                    "glued arc endpoints land on different points")
+            rel = along1a != along2a
+            if rel != (along1b != along2b):
+                raise InternalCheckFailed(
+                    "orientation relation differs at the two ends of a "
+                    "glued arc")
+            if not parity.union(d1, d2, rel):
+                conflicts.append(d1)
+
+    one_sided = {parity.find(d)[0] for d in conflicts}
+    total_vertices = set()
+    components = []
+    for root, group in parity.groups().items():
+        points = set()
+        arcs_in_component = 0
+        for d in group:
+            points.update(disk_points[d])
+            arcs_in_component += disk_arcs[d]
+        if arcs_in_component % 2:
+            raise InternalCheckFailed("odd arc count in a component")
+        chi = len(points) - arcs_in_component // 2 + len(group)
+        components.append(surfaces.SurfaceComponent(group, chi,
+                                                    root not in one_sided))
+        total_vertices |= points
+    surface = surfaces.NormalSurface(
+        tri, tuple(v), components, vertex_count=len(total_vertices),
+        arc_pair_count=arc_pair_count, disk_count=len(disk_points),
+        admissibility=report)
+    if surface.vertex_count != weight(tri, v):
+        raise InternalCheckFailed("vertex count differs from weight")
+    if surface.disk_count != sum(v):
+        raise InternalCheckFailed("disk count differs from coordinate sum")
+    return surface
+
+
+def surface_fields(surface):
+    """Every field of a NormalSurface, disk ids included."""
+    return (surface.vector, surface.vertex_count, surface.arc_pair_count,
+            surface.disk_count,
+            [(c.disk_ids, c.chi, c.orientable) for c in surface.components])
 
 
 def load_model(name):

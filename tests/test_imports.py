@@ -73,7 +73,14 @@ def test_unknown_attribute_raises_attribute_error():
     (["split", "traintrack", "--file", "fixtures/figure_sp1.json",
       "--branch", "b"],
      {"laminate.triangulation", "laminate.normal", "laminate.surfaces"}),
-], ids=["version", "tri-info", "split-traintrack"])
+    # The brute-force oracles load only under --bound.
+    (["ns", "fundamental", "--input", "fixtures/two_tet.tri"],
+     {"laminate.bruteforce"}),
+    (["heegaard", "enumerate", "--input", "fixtures/three_tet.tri",
+      "--support", "2,4,11,13,15,20,21,22,23,29", "-g", "2"],
+     {"laminate.bruteforce"}),
+], ids=["version", "tri-info", "split-traintrack", "ns-fundamental",
+        "heegaard-enumerate"])
 def test_cli_loads_only_its_command_modules(argv, unloaded):
     modules = loaded("import laminate.cli\n"
                      "try:\n"

@@ -19,7 +19,8 @@ from laminate.normal import (chi_functional_coefficients, haken_sum,
                              vector_length, vertex_solutions, weight)
 from laminate.surfaces import build_surface, surface_topology
 from laminate.triangulation import parse_triangulation
-from tests.conftest import MODEL_NAMES, load_model
+from tests.conftest import (MODEL_NAMES, elementwise_surface, load_model,
+                            surface_fields)
 from tests.test_normal import (CENSUS, CENSUS_NAMES, DATA, SOLUTIONS_GOLDEN,
                                all_triangles_one)
 
@@ -209,6 +210,31 @@ def test_klein_bottle_double_is_one_orientable_surface():
     assert surface_topology(tri, kb) == (1, False)
     assert surface_topology(tri, tuple(2 * x for x in kb)) == (1, True)
     _check_multiples(tri, kb)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data(), st.integers(1, 4))
+def test_builder_agrees_with_the_elementwise_oracle(data, m):
+    # Every field, disk ids and component order included, on sums with and
+    # without octagons, the Klein bottle, and their multiples.
+    tri, v = _draw_sum(data, VERTEX_SOLUTION_CENSUS + WALK_SOURCES
+                       + [KLEIN_SOURCE])
+    v = tuple(m * x for x in v)
+    assert surface_fields(build_surface(tri, v)) == \
+        surface_fields(elementwise_surface(tri, v))
+
+
+def test_one_sided_rescan_marks_only_the_klein_bottle():
+    # Three Klein bottles are a torus (copies 0 and 2) and a Klein bottle
+    # (copy 1).  One union run covers all three copies of a slot and
+    # reports the middle pair's conflict; only its component is one-sided.
+    tri, (kb,) = KLEIN_SOURCE
+    v = tuple(3 * x for x in kb)
+    surface = build_surface(tri, v)
+    assert [(c.disk_ids, c.chi, c.orientable) for c in surface.components] \
+        == [([0, 2, 3, 5], 0, True), ([1, 4], 0, False)]
+    assert surface_fields(surface) == \
+        surface_fields(elementwise_surface(tri, v))
 
 
 def test_vertex_link_builds_sphere(triangulations):
@@ -517,6 +543,22 @@ def test_flipped_corner_step_fails_the_topology_step_check(monkeypatch,
         with pytest.raises(InternalCheckFailed,
                            match="glued arc endpoints land on different"):
             rebuild(three_tet, double)
+
+
+def test_late_piece_fails_the_tiling_check(monkeypatch, two_tet):
+    # Every kind's copies start one rank late, leaving rank 0 of each slot
+    # of the Klein bottle's quads empty; build_surface must refuse that
+    # before it compares any points.
+    real = surfaces._disk_kinds
+
+    def late(tri, v, ends):
+        for t, copies, shift, arc_plan, corners in real(tri, v, ends):
+            yield t, copies, [x + 1 for x in shift], arc_plan, corners
+
+    monkeypatch.setattr(surfaces, "_disk_kinds", late)
+    with pytest.raises(InternalCheckFailed,
+                       match="slot pieces overlap or leave gaps"):
+        build_surface(two_tet, _klein_bottle(two_tet))
 
 
 def test_gluing_table_checks_the_classes_of_glued_edges(three_tet):
