@@ -82,15 +82,18 @@ def _check_limits(args):
                          % args.max_coeff_bits)
 
 
-def _emit(payload, args):
-    if args.pretty:
+def _emit(payload, output, pretty):
+    if pretty:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         text = json.dumps(payload, sort_keys=True,
                           separators=(",", ":")) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    if output:
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError("cannot write %s: %s" % (output, exc))
     else:
         sys.stdout.write(text)
 
@@ -338,15 +341,17 @@ def main(argv=None):
     try:
         _thread_cap()
         _check_limits(args)
-        payload = args.func(args)
-    except Refusal as exc:
-        _emit({"error": {"kind": exc.kind, "message": str(exc)}}, args)
-        return 2
+        payload, code = args.func(args), 0
     except LaminateError as exc:
-        _emit({"error": {"kind": exc.kind, "message": str(exc)}}, args)
+        payload = {"error": {"kind": exc.kind, "message": str(exc)}}
+        code = 2 if isinstance(exc, Refusal) else 1
+    try:
+        _emit(payload, args.output, args.pretty)
+    except InputError as exc:      # an unwritable --output: report on stdout
+        _emit({"error": {"kind": exc.kind, "message": str(exc)}}, None,
+              args.pretty)
         return 1
-    _emit(payload, args)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

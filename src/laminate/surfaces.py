@@ -13,28 +13,30 @@ Boundary arcs in a face are ranked by distance from the corner they cut
 off, and a face gluing identifies equal-ranked arcs of equal arc type.
 The copies of a disk kind fill one range of ranks, a piece, in each slot
 (tetrahedron, face, corner) they have arcs in.  Their corners are
-resolved together, through the triangulation's gluing_table, to points,
-the integers K * position + class for K edge classes, and to whether the
-reference side points along the class.  A parity union-find, one union
-per overlap of glued pieces, decides orientability.  build_surface
-asserts, raising InternalCheckFailed, that every tetrahedron edge sees as
-many points as its edge class; that the pieces of every slot tile its
-ranks; that the arc counts on the two sides of every face gluing agree;
-that glued arcs end at the same points (the glued slots' point lists are
-compared whole) with the same orientation relation at both ends (and on
-edges of one class, which gluing_table checks); that every component has
-an even number of arc sides; and that the vertex count equals the weight
-and the disk count the coordinate sum.  The point check exercises the
-entire frozen disk-type table.
+resolved together, through the triangulation's gluing_table, to points
+(edge class, position along it) and to whether the reference side points
+along the class.  One gluing pass, shared by both rebuilders, walks each
+face gluing overlap by overlap of its two sides' pieces and makes one
+union of a parity union-find per overlap, which decides components and
+orientability.  It asserts, raising InternalCheckFailed, that every
+tetrahedron edge sees as many points as its edge class; that the pieces
+of every slot tile its ranks; that the arc counts on the two sides of
+every face gluing agree; and that glued arcs end at the same points
+(checked at the first rank of an overlap and by the steps across it) with
+the same orientation relation at both ends (and on edges of one class,
+which gluing_table checks).  The point check exercises the entire frozen
+disk-type table.
 
 surface_topology answers only the number of components and whether they
-are all orientable, with the same checks made once per range of parallel
-arcs; the genus filter calls it before it builds anything.  Both refuse a
-vector of more than SURFACE_DISK_CAP disks (WorkBudgetExceeded) before
-any per-disk state is allocated.
+are all orientable, from that pass alone; the genus filter calls it
+before it builds anything.  build_surface completes the pass per disk:
+it finds the one-sided components, maps points to disks for the vertex
+counts, and asserts that every component has an even number of arc
+sides, that the vertex count equals the weight and the disk count the
+coordinate sum.  Both refuse a vector of more than SURFACE_DISK_CAP disks
+(WorkBudgetExceeded) before any per-disk state is allocated.
 """
 
-from itertools import chain
 from operator import mul
 
 from .errors import Inadmissible, InternalCheckFailed, WorkBudgetExceeded
@@ -211,6 +213,76 @@ def _disk_kinds(tri, v, ends):
             yield t, copies, shift, arc_plan, corners
 
 
+def _glue(tri, v):
+    """
+    The gluing pass both rebuilders share: (admissibility report, disk
+    kinds as listed by _disk_kinds, parity union-find over the disks,
+    conflicts), conflicts being the overlaps whose union met a pair of
+    disks already united against its parity, as union arguments.
+
+    The copies of a disk kind fill one range of ranks, a piece, in each
+    slot they have arcs in: the triangles of the cutoff type, then the
+    tetrahedron's quad or octagon.  Where pieces of two glued slots
+    overlap, one affine map takes disks to disks with one orientation
+    relation, so the overlap is checked and united once.  At each end of
+    an arc the position along the edge is affine in the copy, and the
+    copy in the rank, on either side: equal classes and positions at the
+    overlap's first rank and, unless it is one rank, equal steps per rank
+    give equal points at every rank, and unequal ones differ at its
+    second.
+    """
+    report = _check_rebuildable(tri, v)
+    ends, glued = tri.gluing_table
+    kinds = list(_disk_kinds(tri, v, ends))
+    disk, slots = 0, [()] * len(ends)
+    # A slot's pieces by rank: (end rank, disk of copy 0, copy step per
+    # rank, copy at rank 0, corners of the arc's two ends).
+    for t, copies, shift, arc_plan, corners in kinds:
+        for f, w, base, rev, a, b in arc_plan:
+            slot, lo = 16 * t + 4 * f + w, shift[base]
+            pieces = slots[slot]
+            if lo != (pieces[-1][0] if pieces else 0):
+                raise InternalCheckFailed("slot pieces overlap or leave gaps")
+            s, c0 = (-1, copies - 1 + lo) if rev else (1, -lo)
+            slots[slot] = pieces + ((lo + copies, disk, s, c0, corners[a],
+                                     corners[b]),)
+        disk += copies
+
+    parity, conflicts = ParityUnionFind(disk), []
+    for slot1, slot2, crossed in glued:
+        one, two = slots[slot1], slots[slot2]
+        count = one[-1][0] if one else 0
+        if count != (two[-1][0] if two else 0):
+            raise InternalCheckFailed(
+                "arc counts differ across face gluing %s -> %s"
+                % (divmod(slot1 >> 2, 4), divmod(slot2 >> 2, 4)))
+        i = j = lo = 0
+        while lo < count:
+            hi1, d1, s1, c1, end1a, end1b = one[i]
+            hi2, d2, s2, c2, end2a, end2b = two[j]
+            if crossed:
+                end2a, end2b = end2b, end2a
+            hi = hi1 if hi1 < hi2 else hi2
+            c1 += s1 * lo                         # the copies at rank lo
+            c2 += s2 * lo
+            for (_, cls1, p1, q1), (_, cls2, p2, q2) in ((end1a, end2a),
+                                                         (end1b, end2b)):
+                if cls1 != cls2 or p1 + q1 * c1 != p2 + q2 * c2 or \
+                        q1 * s1 != q2 * s2 and hi - lo > 1:
+                    raise InternalCheckFailed(
+                        "glued arc endpoints land on different "
+                        "points (tets %d,%d)" % (slot1 >> 4, slot2 >> 4))
+            rel = end1a[0] != end2a[0]
+            if rel != (end1b[0] != end2b[0]):
+                raise InternalCheckFailed("orientation relation differs at "
+                                          "the two ends of a glued arc")
+            d1, d2 = d1 + c1, d2 + c2
+            if not parity.union(d1, d2, rel, hi - lo, s1, s2):
+                conflicts.append((d1, d2, rel, hi - lo, s1, s2))
+            i, j, lo = i + (hi1 == hi), j + (hi2 == hi), hi
+    return report, kinds, parity, conflicts
+
+
 def build_surface(tri, v):
     """
     Rebuild the surface of a coordinate vector.
@@ -221,71 +293,7 @@ def build_surface(tri, v):
     even when they are not almost normal.  A vector of more than
     SURFACE_DISK_CAP disks is refused (WorkBudgetExceeded).
     """
-    report = _check_rebuildable(tri, v)
-    ends, glued = tri.gluing_table
-    k, disk, slots = tri.edge_count, 0, [()] * len(ends)
-    corner_points, corner_disks, disk_arcs = [], [], []
-    for t, copies, shift, arc_plan, corners in _disk_kinds(tri, v, ends):
-        points = []
-        for _, cls, p, dp in corners:
-            points.append(range(k * p + cls, k * (p + dp * copies) + cls,
-                                k * dp))
-        corner_points += points
-        corner_disks += [range(disk, disk + copies)] * len(points)
-        disk_arcs += [len(arc_plan)] * copies
-        # A slot's pieces by rank: (end rank, d0, step, whether the reference
-        # side points along the class at the first and at the second ends,
-        # the point ids there by rank); the disk at rank r is d0 + step * r.
-        for f, w, base, rev, a, b in arc_plan:
-            slot, lo = 16 * t + 4 * f + w, shift[base]
-            pieces = slots[slot]
-            if lo != (pieces[-1][0] if pieces else 0):
-                raise InternalCheckFailed("slot pieces overlap or leave gaps")
-            slots[slot] = pieces + ((lo + copies, disk + copies - 1 + lo, -1,
-                             corners[a][0], corners[b][0], points[a][::-1],
-                             points[b][::-1]) if rev else
-                            (lo + copies, disk - lo, 1, corners[a][0],
-                             corners[b][0], points[a], points[b]),)
-        disk += copies
-
-    parity, conflicts, arc_pair_count = ParityUnionFind(disk), [], 0
-    for slot1, slot2, crossed in glued:
-        one, two = slots[slot1], slots[slot2]
-        count = one[-1][0] if one else 0
-        if count != (two[-1][0] if two else 0):
-            raise InternalCheckFailed(
-                "arc counts differ across face gluing %s -> %s"
-                % (divmod(slot1 >> 2, 4), divmod(slot2 >> 2, 4)))
-        ends1, ends2 = [], []     # the first ends by rank, then the second
-        for piece in one:
-            ends1 += piece[5]
-        for piece in one:
-            ends1 += piece[6]
-        for piece in two:
-            ends2 += piece[6 if crossed else 5]
-        for piece in two:
-            ends2 += piece[5 if crossed else 6]
-        if ends1 != ends2:
-            raise InternalCheckFailed("glued arc endpoints land on different "
-                                      "points (tets %d,%d)"
-                                      % (slot1 >> 4, slot2 >> 4))
-        arc_pair_count += count
-        i = j = lo = 0            # one union per overlap of two pieces
-        while lo < count:
-            hi1, d1, s1, along1a, along1b, _, _ = one[i]
-            hi2, d2, s2, along2a, along2b, _, _ = two[j]
-            if crossed:
-                along2a, along2b = along2b, along2a
-            rel = along1a != along2a
-            if rel != (along1b != along2b):
-                raise InternalCheckFailed("orientation relation differs at "
-                                          "the two ends of a glued arc")
-            hi = hi1 if hi1 < hi2 else hi2
-            d1, d2 = d1 + s1 * lo, d2 + s2 * lo
-            if not parity.union(d1, d2, rel, hi - lo, s1, s2):
-                conflicts.append((d1, d2, rel, hi - lo, s1, s2))
-            i, j, lo = i + (hi1 == hi), j + (hi2 == hi), hi
-
+    report, kinds, parity, conflicts = _glue(tri, v)
     # Re-uniting a pair once all are united changes nothing and reports
     # whether it is glued against its parity, as it was at its union.
     one_sided = set()
@@ -295,8 +303,14 @@ def build_surface(tri, v):
                 one_sided.add(parity.find(x + i * dx)[0])
     # The point check chains the corners at a point around its edge, so
     # the point lies on the component of any disk with a corner there.
-    point_disk = dict(zip(chain.from_iterable(corner_points),
-                          chain.from_iterable(corner_disks)))
+    k, disk, point_disk, disk_arcs = tri.edge_count, 0, {}, []
+    for _, copies, _, arc_plan, corners in kinds:
+        for _, cls, p, dp in corners:
+            point_disk.update(zip(range(k * p + cls,
+                                        k * (p + dp * copies) + cls, k * dp),
+                                  range(disk, disk + copies)))
+        disk_arcs += [len(arc_plan)] * copies
+        disk += copies
     groups = parity.groups()
     roots = [0] * disk
     for root, group in groups.items():
@@ -305,11 +319,14 @@ def build_surface(tri, v):
     vertices = dict.fromkeys(groups, 0)
     for d in point_disk.values():
         vertices[roots[d]] += 1
-    components = []
+    # Every arc side is glued to exactly one other: arc pairs are half
+    # the arc sides.
+    components, arc_count = [], 0
     for root, group in groups.items():
         arcs = sum(map(disk_arcs.__getitem__, group))
         if arcs % 2:
             raise InternalCheckFailed("odd arc count in a component")
+        arc_count += arcs
         components.append(SurfaceComponent(
             group, vertices[root] - arcs // 2 + len(group),
             root not in one_sided))
@@ -318,75 +335,19 @@ def build_surface(tri, v):
     if disk != sum(v):
         raise InternalCheckFailed("disk count differs from coordinate sum")
     return NormalSurface(tri, tuple(v), components, len(point_disk),
-                         arc_pair_count, disk, report)
+                         arc_count // 2, disk, report)
 
 
 def surface_topology(tri, v):
     """
     (components, orientable) of the surface of a coordinate vector: its
     number of connected components, and whether every one of them is
-    orientable, found without building the cell complex.
-
-    Disks are numbered as in build_surface.  The arcs of a slot come in at
-    most two pieces, ranges of ranks filled by the copies of one disk
-    kind: the triangles of the cutoff type, then the tetrahedron's quad or
-    octagon.  Where pieces of two glued slots overlap, one affine map
-    takes disks to disks with one orientation relation, so the overlap is
-    united by one union call of a parity union-find, and the checks of
-    build_surface (points at its first and last rank, which fix them in
-    between) are made once per overlap.  Refusals are as by build_surface.
+    orientable, found by the gluing pass of build_surface without
+    building the cell complex.  Checks and refusals are as by
+    build_surface up to its per-disk counts.
     """
-    _check_rebuildable(tri, v)
-    ends, glued = tri.gluing_table
-    # slot -> pieces in rank order: (first rank, end rank, disk of copy 0,
-    # copy at the first rank, copy step per rank, corners of its two ends).
-    pieces = {}
-    disk = 0
-    for t, copies, shift, arc_plan, corners in _disk_kinds(tri, v, ends):
-        for f, w, base, rev, a, b in arc_plan:
-            lo = shift[base]
-            pieces.setdefault(16 * t + 4 * f + w, []).append(
-                (lo, lo + copies, disk, copies - 1 if rev else 0,
-                 1 - 2 * rev, corners[a], corners[b]))
-        disk += copies
-
-    parity = ParityUnionFind(disk)
-    orientable = True
-    for slot1, slot2, crossed in glued:
-        one, two = pieces.get(slot1, ()), pieces.get(slot2, ())
-        if (one[-1][1] if one else 0) != (two[-1][1] if two else 0):
-            raise InternalCheckFailed(
-                "arc counts differ across face gluing %s -> %s"
-                % (divmod(slot1 >> 2, 4), divmod(slot2 >> 2, 4)))
-        i = j = lo = 0
-        while i < len(one):
-            lo1, hi1, d1, c1, s1, end1a, end1b = one[i]
-            lo2, hi2, d2, c2, s2, end2a, end2b = two[j]
-            if crossed:
-                end2a, end2b = end2b, end2a
-            hi = hi1 if hi1 < hi2 else hi2
-            c1 += s1 * (lo - lo1)                 # the copies at rank lo
-            c2 += s2 * (lo - lo2)
-            for (_, cls1, p1, q1), (_, cls2, p2, q2) in ((end1a, end2a),
-                                                         (end1b, end2b)):
-                # Equal points at rank lo, and equal steps unless the
-                # overlap is one rank, give equal points at rank hi - 1.
-                if cls1 != cls2 or p1 + q1 * c1 != p2 + q2 * c2 or \
-                        q1 * s1 != q2 * s2 and hi - lo > 1:
-                    raise InternalCheckFailed(
-                        "glued arc endpoints land on different "
-                        "points (tets %d,%d)" % (slot1 >> 4, slot2 >> 4))
-            rel = end1a[0] != end2a[0]
-            if rel != (end1b[0] != end2b[0]):
-                raise InternalCheckFailed(
-                    "orientation relation differs at the two ends of a "
-                    "glued arc")
-            if not parity.union(d1 + c1, d2 + c2, rel, hi - lo, s1, s2):
-                orientable = False
-            i += hi1 == hi
-            j += hi2 == hi
-            lo = hi
-    return parity.classes, orientable
+    _, _, parity, conflicts = _glue(tri, v)
+    return parity.classes, not conflicts
 
 
 __all__ = ["build_surface", "surface_topology", "NormalSurface",

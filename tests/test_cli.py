@@ -281,9 +281,12 @@ def test_parse_error_reports_kind(capsys, tmp_path):
     (("split", "traintrack", "--file", "{tmp}/latin1"), "InputError"),
     (("tri", "info", "--input", "{tmp}/latin1"), "InputError"),
     (("tri", "info", "--input", "{tmp}/empty.tri"), "UnglueedFace"),
+    (("tri", "info", "--input", "{two_tet}", "--output",
+      "{tmp}/missing/out.json"), "InputError"),
 ], ids=["support not integers", "support out of range", "missing track",
         "bad track JSON", "bad track structure", "track not UTF-8",
-        "triangulation not UTF-8", "empty triangulation"])
+        "triangulation not UTF-8", "empty triangulation",
+        "output not writable"])
 def test_bad_input_is_a_typed_input_error(capsys, tmp_path, argv, kind):
     (tmp_path / "truncated.json").write_text('{"branches": [')
     (tmp_path / "no_switches.json").write_text('{"branches": ["b"]}')

@@ -152,8 +152,10 @@ def _draw_sum(data, sources):
 
 
 def _check_random_sum(data, sources):
+    # The per-arc oracle, not build_surface: that shares surface_topology's
+    # gluing pass, so agreeing with it would prove little.
     tri, v = _draw_sum(data, sources)
-    surface = build_surface(tri, v)
+    surface = elementwise_surface(tri, v)
     assert surface_topology(tri, v) == (
         len(surface.components),
         all(c.orientable for c in surface.components))
@@ -508,9 +510,9 @@ def test_flipped_corner_step_fails_the_topology_step_check(monkeypatch,
     # along its edge, with copy 0 where it was: triangle arcs rank their
     # copies from 0, so every arc of that corner keeps its first-rank
     # point.  On the vertex link, one copy per kind, every check passes;
-    # on its double, every slot is one range of two ranks, so
-    # surface_topology can only catch the flip by comparing the steps of
-    # the glued ranges, while build_surface meets copy 1 on another point.
+    # on its double, every slot is one range of two ranks, so the gluing
+    # pass both functions share can only catch the flip by comparing the
+    # steps of the glued ranges.
     # On an edge of degree one (tetrahedron 0's edge 23 here) the corner's
     # arcs are glued only to each other: the flip swaps the two points
     # consistently and neither function may object.
@@ -545,10 +547,12 @@ def test_flipped_corner_step_fails_the_topology_step_check(monkeypatch,
             rebuild(three_tet, double)
 
 
-def test_late_piece_fails_the_tiling_check(monkeypatch, two_tet):
+@pytest.mark.parametrize("rebuild", [build_surface, surface_topology],
+                         ids=["build_surface", "surface_topology"])
+def test_late_piece_fails_the_tiling_check(monkeypatch, two_tet, rebuild):
     # Every kind's copies start one rank late, leaving rank 0 of each slot
-    # of the Klein bottle's quads empty; build_surface must refuse that
-    # before it compares any points.
+    # of the Klein bottle's quads empty; both rebuilders must refuse that
+    # before they compare any points.
     real = surfaces._disk_kinds
 
     def late(tri, v, ends):
@@ -558,7 +562,7 @@ def test_late_piece_fails_the_tiling_check(monkeypatch, two_tet):
     monkeypatch.setattr(surfaces, "_disk_kinds", late)
     with pytest.raises(InternalCheckFailed,
                        match="slot pieces overlap or leave gaps"):
-        build_surface(two_tet, _klein_bottle(two_tet))
+        rebuild(two_tet, _klein_bottle(two_tet))
 
 
 def test_gluing_table_checks_the_classes_of_glued_edges(three_tet):
