@@ -26,7 +26,7 @@ from math import gcd
 from .branched import carries_nonneg_chi
 from .errors import (GenusTooSmall, InternalCheckFailed, UnboundedRefusal,
                      WorkBudgetExceeded)
-from .surfaces import build_surface, surface_topology
+from .surfaces import build_surface
 
 # The most disks, summed over the multiplicity tuples of one genus, that
 # the genus filter may be asked to test, and the most cells of the table
@@ -59,26 +59,26 @@ class GenusEnumeration:
 
 def _accepts(model, v, genus):
     """The common surface filter: almost-normal weight, connectivity,
-    orientability, genus.  Connectivity and orientability come from
-    surface_topology first, so only a connected orientable candidate has
-    its cell complex built, which must agree.  A multiple m*w (m the gcd
-    of v) is decided from w by the rule of the module docstring: rejected
-    for m >= 3, and for m = 2 kept only when S(w) is connected and
-    one-sided, so surface_topology sees w, never v.  A kept multiple is
-    still built at full size, so the cell complex checks the rule too."""
-    if model.oct_sector is not None and v[model.oct_sector] != 1:
+    orientability, read off the gluing pass of build_surface.  A multiple
+    m*w (m the gcd of v) is decided from w by the rule of the module
+    docstring: rejected for m >= 3, and for m = 2 kept only when S(w) is
+    connected and one-sided; a kept multiple is still built at full size,
+    which must agree.  Callers pass only sums of chi 2 - 2g, so a kept
+    sum of another genus is a bug (InternalCheckFailed)."""
+    m = gcd(*v)
+    if m > 2 or model.oct_sector is not None and v[model.oct_sector] != 1:
         return False
     tri = model.triangulation
-    m = gcd(*v)
-    w = tuple(x // m for x in v)
-    if m > 2 or surface_topology(tri, w) != (1, m == 1):
+    surface = build_surface(tri, tuple(x // m for x in v))
+    if not surface.connected or surface.orientable != (m == 1):
         return False
-    surface = build_surface(tri, v)
-    if not (surface.connected and surface.components[0].orientable):
-        raise InternalCheckFailed(
-            "the cell complex of %s is not the connected orientable surface "
-            "that surface_topology reports" % (v,))
-    return surface.components[0].genus_or_crosscap == genus
+    if m == 2:
+        surface = build_surface(tri, v)
+    if not (surface.connected and surface.orientable
+            and surface.components[0].genus_or_crosscap == genus):
+        raise InternalCheckFailed("the surface of %s is not connected, "
+                                  "orientable and of genus %d" % (v, genus))
+    return True
 
 
 def _all_negative_verdict(model, genus):

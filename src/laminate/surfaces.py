@@ -15,7 +15,7 @@ The copies of a disk kind fill one range of ranks, a piece, in each slot
 (tetrahedron, face, corner) they have arcs in.  Their corners are
 resolved together, through the triangulation's gluing_table, to points
 (edge class, position along it) and to whether the reference side points
-along the class.  One gluing pass, shared by both rebuilders, walks each
+along the class.  build_surface makes one gluing pass: it walks each
 face gluing overlap by overlap of its two sides' pieces and makes one
 union of a parity union-find per overlap, which decides components and
 orientability.  It asserts, raising InternalCheckFailed, that every
@@ -25,16 +25,16 @@ every face gluing agree; and that glued arcs end at the same points
 (checked at the first rank of an overlap and by the steps across it) with
 the same orientation relation at both ends (and on edges of one class,
 which gluing_table checks).  The point check exercises the entire frozen
-disk-type table.
-
-surface_topology answers only the number of components and whether they
-are all orientable, from that pass alone; the genus filter calls it
-before it builds anything.  build_surface completes the pass per disk:
-it finds the one-sided components, maps points to disks for the vertex
-counts, and asserts that every component has an even number of arc
-sides, that the vertex count equals the weight and the disk count the
-coordinate sum.  Both refuse a vector of more than SURFACE_DISK_CAP disks
+disk-type table.  A vector of more than SURFACE_DISK_CAP disks is refused
 (WorkBudgetExceeded) before any per-disk state is allocated.
+
+The surface it returns answers connected and orientable from that pass
+alone, so a rejected candidate has no cells counted.  The first read of
+a cell count completes the pass per disk: it finds the one-sided
+components, maps points to disks for the vertex counts, and asserts
+that every component has an even number of arc sides, that the vertex
+count equals the weight and the disk count the coordinate sum; the pass
+is then dropped.
 """
 
 from operator import mul
@@ -128,29 +128,38 @@ class SurfaceComponent:
         }
 
 
+# The cell counts, in the order _count_cells returns them.
+_CELLS = ("components", "vertex_count", "arc_pair_count", "disk_count")
+
+
 class NormalSurface:
     """
     The cell complex of an embeddable coordinate vector, with components,
     Euler characteristics, orientability, genus and admissibility data.
+    connected and orientable (every component is) come from the gluing
+    pass; the fields of _CELLS are counted on the first read of any.
     """
 
-    def __init__(self, tri, vector, components, vertex_count, arc_pair_count,
-                 disk_count, admissibility):
+    def __init__(self, tri, vector, admissibility, kinds, parity, conflicts):
         self.triangulation = tri
         self.vector = vector
-        self.components = components
-        self.vertex_count = vertex_count
-        self.arc_pair_count = arc_pair_count
-        self.disk_count = disk_count
         self.admissibility = admissibility
+        self.connected = parity.classes == 1
+        self.orientable = not conflicts
+        self._pass = kinds, parity, conflicts
+
+    def __getattr__(self, name):
+        # Reached only while the cells are not counted yet.
+        if name not in _CELLS:
+            raise AttributeError(name)
+        self.__dict__.update(zip(_CELLS, _count_cells(
+            self.triangulation, self.vector, *self._pass)))
+        del self._pass
+        return self.__dict__[name]
 
     @property
     def chi(self):
         return sum(c.chi for c in self.components)
-
-    @property
-    def connected(self):
-        return len(self.components) == 1
 
     def to_json_dict(self):
         return {
@@ -215,8 +224,8 @@ def _disk_kinds(tri, v, ends):
 
 def _glue(tri, v):
     """
-    The gluing pass both rebuilders share: (admissibility report, disk
-    kinds as listed by _disk_kinds, parity union-find over the disks,
+    The gluing pass of build_surface: (admissibility report, disk kinds
+    as listed by _disk_kinds, parity union-find over the disks,
     conflicts), conflicts being the overlaps whose union met a pair of
     disks already united against its parity, as union arguments.
 
@@ -293,7 +302,11 @@ def build_surface(tri, v):
     even when they are not almost normal.  A vector of more than
     SURFACE_DISK_CAP disks is refused (WorkBudgetExceeded).
     """
-    report, kinds, parity, conflicts = _glue(tri, v)
+    return NormalSurface(tri, tuple(v), *_glue(tri, v))
+
+
+def _count_cells(tri, v, kinds, parity, conflicts):
+    """The values of _CELLS for the surface of v from its gluing pass."""
     # Re-uniting a pair once all are united changes nothing and reports
     # whether it is glued against its parity, as it was at its union.
     one_sided = set()
@@ -334,21 +347,7 @@ def build_surface(tri, v):
         raise InternalCheckFailed("vertex count differs from weight")
     if disk != sum(v):
         raise InternalCheckFailed("disk count differs from coordinate sum")
-    return NormalSurface(tri, tuple(v), components, len(point_disk),
-                         arc_count // 2, disk, report)
+    return components, len(point_disk), arc_count // 2, disk
 
 
-def surface_topology(tri, v):
-    """
-    (components, orientable) of the surface of a coordinate vector: its
-    number of connected components, and whether every one of them is
-    orientable, found by the gluing pass of build_surface without
-    building the cell complex.  Checks and refusals are as by
-    build_surface up to its per-disk counts.
-    """
-    _, _, parity, conflicts = _glue(tri, v)
-    return parity.classes, not conflicts
-
-
-__all__ = ["build_surface", "surface_topology", "NormalSurface",
-           "SurfaceComponent"]
+__all__ = ["build_surface", "NormalSurface", "SurfaceComponent"]

@@ -2,6 +2,7 @@ import json
 import os
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -134,10 +135,10 @@ def elementwise_surface(tri, v):
         components.append(surfaces.SurfaceComponent(group, chi,
                                                     root not in one_sided))
         total_vertices |= points
-    surface = surfaces.NormalSurface(
-        tri, tuple(v), components, vertex_count=len(total_vertices),
-        arc_pair_count=arc_pair_count, disk_count=len(disk_points),
-        admissibility=report)
+    surface = SimpleNamespace(
+        vector=tuple(v), components=components,
+        vertex_count=len(total_vertices), arc_pair_count=arc_pair_count,
+        disk_count=len(disk_points), admissibility=report)
     if surface.vertex_count != weight(tri, v):
         raise InternalCheckFailed("vertex count differs from weight")
     if surface.disk_count != sum(v):
@@ -146,7 +147,8 @@ def elementwise_surface(tri, v):
 
 
 def surface_fields(surface):
-    """Every field of a NormalSurface, disk ids included."""
+    """Every cell field of a NormalSurface or of elementwise_surface's
+    record, disk ids included."""
     return (surface.vector, surface.vertex_count, surface.arc_pair_count,
             surface.disk_count,
             [(c.disk_ids, c.chi, c.orientable) for c in surface.components])

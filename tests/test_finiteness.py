@@ -1,22 +1,29 @@
 import gc
 import tracemalloc
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laminate import finiteness
-from laminate.branched import carries_nonneg_chi
+from laminate import finiteness, surfaces
+from laminate.branched import carries_nonneg_chi, from_support
 from laminate.bruteforce import enumerate_quad_oct_solutions
 from laminate.cones import decompose_over
-from laminate.errors import (GenusTooSmall, UnboundedRefusal,
-                             WorkBudgetExceeded)
+from laminate.errors import (GenusTooSmall, InternalCheckFailed,
+                             UnboundedRefusal, WorkBudgetExceeded)
 from laminate.finiteness import (GenusEnumeration, antichain_certificate,
                                  brute_force_genus_list, enumerate_genus)
 from laminate.normal import (MatchingSystem, fundamental_solutions,
                              is_admissible, quad_index, vector_length)
-from laminate.surfaces import build_surface, surface_topology
+from laminate.surfaces import build_surface
+from laminate.triangulation import parse_triangulation
 from tests.conftest import load_model, load_triangulation
+from tests.test_normal import CENSUS
+
+# A t5_1 model of six fundamentals (chi -2, -4, -2, -4, -6, -6) whose
+# genus-5 list holds two doubles.
+T5_1_SUPPORT = [1, 3, 5, 10, 13, 16, 20, 22, 25, 31, 35, 41, 42, 46]
 
 
 def test_refusal_when_carrying_nonnegative_chi(models):
@@ -109,30 +116,96 @@ def test_enumeration_soundness(models):
 def test_each_distinct_candidate_is_built_once(monkeypatch):
     # With fundamentals (f, 2f) the sums 2f and 4f arise from several
     # multiplicity tuples; each is rejected (parallel copies) and must be
-    # tested no more than once per enumeration.  2f is decided from f by
-    # surface_topology (f is two-sided, so 2f is two copies of it), 4f
-    # by its gcd alone; a rejected candidate never gets a cell complex.
+    # tested no more than once per enumeration.  2f is decided from the
+    # gluing pass of f (f is two-sided, so 2f is two copies of it), 4f by
+    # its gcd alone; a rejected candidate never has its cells counted.
     model = load_model("three_tet_normal_genus2.json")
     (f,) = model.fundamentals()
     monkeypatch.setattr(model, "fundamentals",
                         lambda: (f, tuple(2 * x for x in f)))
-    tested, built = [], []
-
-    def counting_topology(tri, v):
-        tested.append(v)
-        return surface_topology(tri, v)
+    built, counted = [], []
+    count_cells = surfaces._count_cells
 
     def counting_build(tri, v):
         built.append(v)
         return build_surface(tri, v)
 
-    monkeypatch.setattr(finiteness, "surface_topology", counting_topology)
+    def counting_cells(tri, v, *glued):
+        counted.append(v)
+        return count_cells(tri, v, *glued)
+
     monkeypatch.setattr(finiteness, "build_surface", counting_build)
+    monkeypatch.setattr(surfaces, "_count_cells", counting_cells)
     for genus, seen in ((3, [f]), (5, [])):
-        tested.clear()
+        built.clear()
         assert enumerate_genus(model, genus).vectors == ()
-        assert tested == seen
-        assert built == []
+        assert built == seen
+        assert counted == []
+
+
+def _t5_1_model():
+    tri = parse_triangulation((CENSUS / "t5_1.tri").read_text())
+    return from_support(tri, T5_1_SUPPORT)
+
+
+def test_t5_1_genus_five_list_keeps_two_doubles():
+    # The kept m = 2 branch on a census input: two of the three listed
+    # sums are doubles of one-sided surfaces, each rebuilt at full size.
+    enumeration = enumerate_genus(_t5_1_model(), 5)
+    assert enumeration.to_json_dict() == {
+        "genus": 5, "count": 3,
+        "vectors": [
+            [0, 2, 0, 2, 0, 4, 0, 0, 0, 0, 4, 0, 0, 2, 0, 0, 2, 0, 0, 0,
+             4, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0,
+             0, 0, 2, 0, 0, 0, 4, 0, 0, 0],
+            [0, 3, 0, 3, 0, 1, 0, 0, 0, 0, 1, 0, 0, 3, 0, 0, 3, 0, 0, 0,
+             3, 0, 1, 0, 0, 3, 0, 0, 0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 0,
+             0, 3, 1, 0, 0, 0, 3, 0, 0, 0],
+            [0, 4, 0, 4, 0, 2, 0, 0, 0, 0, 2, 0, 0, 4, 0, 0, 4, 0, 0, 0,
+             6, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 6, 0, 0, 0, 2, 0, 0, 0, 0,
+             0, 2, 0, 0, 0, 0, 6, 0, 0, 0]],
+        "decompositions": [[0, 0, 0, 2, 0, 0], [0, 0, 1, 0, 0, 1],
+                           [2, 0, 2, 0, 0, 0]]}
+    assert [gcd(*v) for v in enumeration.vectors] == [2, 1, 2]
+
+
+@pytest.mark.parametrize("genus", [5, 10])
+def test_each_candidate_is_glued_once(monkeypatch, genus):
+    # One gluing pass per distinct candidate of gcd at most 2, and one
+    # more per kept double, rebuilt at full size; a sum of gcd 3 or more
+    # is never glued.
+    model = _t5_1_model()
+    tested, glued = [], []
+    accepts, glue = finiteness._accepts, surfaces._glue
+
+    def recording_accepts(model, v, genus):
+        tested.append(v)
+        return accepts(model, v, genus)
+
+    def counting_glue(tri, v):
+        glued.append(v)
+        return glue(tri, v)
+
+    monkeypatch.setattr(finiteness, "_accepts", recording_accepts)
+    monkeypatch.setattr(surfaces, "_glue", counting_glue)
+    listed = enumerate_genus(model, genus).vectors
+    assert len(tested) == len(set(tested))
+    assert len(glued) == sum(gcd(*v) <= 2 for v in tested) + \
+        sum(gcd(*v) == 2 for v in listed)
+
+
+def test_genus_mismatch_is_a_bug(models):
+    # A kept sum whose cell complex has another genus than the walk's is
+    # a bug, not a rejection: on a listed m = 1 sum and on listed doubles.
+    listed = [(models["three_tet_normal_genus2.json"], 2),
+              (models["three_tet_almost_normal.json"], 3),
+              (_t5_1_model(), 5)]
+    for model, genus in listed:
+        for v in enumerate_genus(model, genus).vectors:
+            assert finiteness._accepts(model, v, genus)
+            with pytest.raises(InternalCheckFailed, match="genus %d" %
+                               (genus + 1)):
+                finiteness._accepts(model, v, genus + 1)
 
 
 def _unpruned_sums(funds, deficits, idx, remaining, counts, acc):
@@ -205,7 +278,7 @@ def test_genus_walk_over_the_disk_budget_is_refused(models, monkeypatch):
     model = models["three_tet_normal_genus2.json"]
     (f,) = model.fundamentals()
     monkeypatch.setattr(finiteness, "GENUS_DISK_CAP", 19 * sum(f) - 1)
-    monkeypatch.setattr(finiteness, "surface_topology", None)
+    monkeypatch.setattr(finiteness, "build_surface", None)
     with pytest.raises(WorkBudgetExceeded):
         enumerate_genus(model, 20)
     monkeypatch.undo()

@@ -2,6 +2,7 @@ import copy
 import json
 import random
 from math import lcm
+from operator import attrgetter, methodcaller
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from laminate.normal import (chi_functional_coefficients, haken_sum,
                              iter_orthant_supports, matching_system,
                              quad_oct_profile, quad_index, tri_index,
                              vector_length, vertex_solutions, weight)
-from laminate.surfaces import build_surface, surface_topology
+from laminate.surfaces import build_surface
 from laminate.triangulation import parse_triangulation
 from tests.conftest import (MODEL_NAMES, elementwise_surface, load_model,
                             surface_fields)
@@ -93,12 +94,18 @@ def test_builder_reproduces_golden_surfaces(triangulations, fundamentals,
                              tuple(g["vector"])) == g
 
 
+def _topology(surface):
+    """(connected, orientable) of a built surface, both read off its
+    gluing pass."""
+    return surface.connected, surface.orientable
+
+
 def test_topology_agrees_with_golden_surfaces(triangulations):
     for g in json.loads(GOLDEN.read_text()):
         tri = triangulations[g["triangulation"]]
         surface = g["surface"]
-        assert surface_topology(tri, tuple(g["vector"])) == (
-            len(surface["components"]),
+        assert _topology(build_surface(tri, tuple(g["vector"]))) == (
+            len(surface["components"]) == 1,
             all(c["orientable"] for c in surface["components"]))
 
 
@@ -152,13 +159,13 @@ def _draw_sum(data, sources):
 
 
 def _check_random_sum(data, sources):
-    # The per-arc oracle, not build_surface: that shares surface_topology's
-    # gluing pass, so agreeing with it would prove little.
+    # The per-arc oracle, not the cell counts: those complete the same
+    # gluing pass, so agreeing with them would prove little.
     tri, v = _draw_sum(data, sources)
-    surface = elementwise_surface(tri, v)
-    assert surface_topology(tri, v) == (
-        len(surface.components),
-        all(c.orientable for c in surface.components))
+    oracle = elementwise_surface(tri, v)
+    assert _topology(build_surface(tri, v)) == (
+        len(oracle.components) == 1,
+        all(c.orientable for c in oracle.components))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -192,10 +199,12 @@ def _check_multiples(tri, w):
     components = build_surface(tri, w).components
     one_sided = sum(not c.orientable for c in components)
     for m in range(2, 5):
-        predicted = ((len(components) - one_sided) * m
-                     + one_sided * (m // 2 + m % 2),
-                     m % 2 == 0 or not one_sided)
-        assert surface_topology(tri, tuple(m * x for x in w)) == predicted
+        count = ((len(components) - one_sided) * m
+                 + one_sided * (m // 2 + m % 2))
+        surface = build_surface(tri, tuple(m * x for x in w))
+        assert _topology(surface) == (count == 1,
+                                      m % 2 == 0 or not one_sided)
+        assert len(surface.components) == count
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -209,8 +218,9 @@ def test_multiples_are_predicted_from_the_single_surface(data):
 
 def test_klein_bottle_double_is_one_orientable_surface():
     tri, (kb,) = KLEIN_SOURCE
-    assert surface_topology(tri, kb) == (1, False)
-    assert surface_topology(tri, tuple(2 * x for x in kb)) == (1, True)
+    assert _topology(build_surface(tri, kb)) == (True, False)
+    assert _topology(build_surface(tri, tuple(2 * x for x in kb))) == \
+        (True, True)
     _check_multiples(tri, kb)
 
 
@@ -237,6 +247,27 @@ def test_one_sided_rescan_marks_only_the_klein_bottle():
         == [([0, 2, 3, 5], 0, True), ([1, 4], 0, False)]
     assert surface_fields(surface) == \
         surface_fields(elementwise_surface(tri, v))
+
+
+def test_cells_are_counted_and_checked_on_first_read(monkeypatch, two_tet):
+    # The gluing pass answers connectivity and orientability; every cell
+    # field waits for the completion checks, which fail here on a weight
+    # one too large, and fail again on the next read.  With the weight
+    # mended the same surface counts its cells and drops the pass.
+    monkeypatch.setattr(surfaces, "weight", lambda tri, v: weight(tri, v) + 1)
+    link = all_triangles_one(two_tet)
+    surface = build_surface(two_tet, link)
+    assert _topology(surface) == (True, True)
+    reads = [attrgetter(name) for name in ("components", "chi", "vertex_count",
+                                           "arc_pair_count", "disk_count")]
+    for read in reads + [methodcaller("to_json_dict")]:
+        with pytest.raises(InternalCheckFailed,
+                           match="vertex count differs from weight"):
+            read(surface)
+    monkeypatch.undo()
+    assert (surface.chi, surface.vertex_count, surface.disk_count) == \
+        (2, weight(two_tet, link), sum(link))
+    assert "_pass" not in vars(surface)
 
 
 def test_vertex_link_builds_sphere(triangulations):
@@ -449,11 +480,13 @@ def test_inverted_edge_flip_fails_the_per_arc_check(three_tet, incidence):
 @pytest.mark.parametrize("incidence", [(0, 0), (1, 2), (2, 5)])
 def test_inverted_edge_flip_fails_the_topology_point_check(three_tet,
                                                            incidence):
-    # The same corruption, caught at the first or last rank of a range.
+    # The same corruption on stacked links, whose slots are ranges of two
+    # and three ranks: caught at the first rank of a range or by its steps.
     tri = _flip_edge(three_tet, incidence)
-    with pytest.raises(InternalCheckFailed,
-                       match="glued arc endpoints land on different points"):
-        surface_topology(tri, all_triangles_one(tri))
+    for m in (2, 3):
+        with pytest.raises(InternalCheckFailed,
+                           match="glued arc endpoints land on different"):
+            build_surface(tri, tuple(m * x for x in all_triangles_one(tri)))
 
 
 @pytest.mark.parametrize("corner", range(12))
@@ -465,10 +498,9 @@ def test_crossed_glued_corner_fails_both_point_checks(two_tet, corner):
     tri = copy.copy(two_tet)
     tri.gluing_table = (ends, glued[:corner] + ((slot1, slot2, not crossed),)
                         + glued[corner + 1:])
-    for rebuild in (build_surface, surface_topology):
-        with pytest.raises(InternalCheckFailed,
-                           match="glued arc endpoints land on different"):
-            rebuild(tri, all_triangles_one(tri))
+    with pytest.raises(InternalCheckFailed,
+                       match="glued arc endpoints land on different"):
+        build_surface(tri, all_triangles_one(tri))
 
 
 def test_broken_edge_point_count_fails_both(monkeypatch, three_tet):
@@ -479,10 +511,9 @@ def test_broken_edge_point_count_fails_both(monkeypatch, three_tet):
                         lambda tri, v: None)
     v = list(all_triangles_one(three_tet))
     v[tri_index(0, 0)] += 1
-    for rebuild in (build_surface, surface_topology):
-        with pytest.raises(InternalCheckFailed,
-                           match="edge class .* sees .* points"):
-            rebuild(three_tet, tuple(v))
+    with pytest.raises(InternalCheckFailed,
+                       match="edge class .* sees .* points"):
+        build_surface(three_tet, tuple(v))
 
 
 def test_flipped_reference_side_fails_both_orientation_checks(monkeypatch,
@@ -495,10 +526,9 @@ def test_flipped_reference_side_fails_both_orientation_checks(monkeypatch,
     flipped = ((pair, base, rev, not toward_y),) + corners[1:]
     monkeypatch.setattr(surfaces, "_DISK_TEMPLATES",
                         ((flipped, arcs),) + surfaces._DISK_TEMPLATES[1:])
-    for rebuild in (build_surface, surface_topology):
-        with pytest.raises(InternalCheckFailed,
-                           match="orientation relation differs"):
-            rebuild(three_tet, all_triangles_one(three_tet))
+    with pytest.raises(InternalCheckFailed,
+                       match="orientation relation differs"):
+        build_surface(three_tet, all_triangles_one(three_tet))
 
 
 @pytest.mark.parametrize("kind, corner",
@@ -511,11 +541,11 @@ def test_flipped_corner_step_fails_the_topology_step_check(monkeypatch,
     # copies from 0, so every arc of that corner keeps its first-rank
     # point.  On the vertex link, one copy per kind, every check passes;
     # on its double, every slot is one range of two ranks, so the gluing
-    # pass both functions share can only catch the flip by comparing the
-    # steps of the glued ranges.
+    # pass can only catch the flip by comparing the steps of the glued
+    # ranges.
     # On an edge of degree one (tetrahedron 0's edge 23 here) the corner's
     # arcs are glued only to each other: the flip swaps the two points
-    # consistently and neither function may object.
+    # consistently and build_surface may not object.
     real = surfaces._disk_kinds
     flipped_class = []
 
@@ -530,29 +560,28 @@ def test_flipped_corner_step_fails_the_topology_step_check(monkeypatch,
                 flipped_class.append(cls)
             yield t, copies, shift, arc_plan, corners
 
+    def shape(v):
+        surface = build_surface(three_tet, v)
+        return _topology(surface) + (len(surface.components),)
+
     link = all_triangles_one(three_tet)
     double = tuple(2 * x for x in link)
-    want = surface_topology(three_tet, link), surface_topology(three_tet,
-                                                                double)
+    want = shape(link), shape(double)
     monkeypatch.setattr(surfaces, "_disk_kinds", flipped)
-    assert surface_topology(three_tet, link) == want[0]
+    assert shape(link) == want[0]
     if three_tet.edge_degrees()[flipped_class[0]] == 1:
-        assert surface_topology(three_tet, double) == want[1]
-        assert len(build_surface(three_tet, double).components) == \
-            want[1][0]
+        assert shape(double) == want[1]
         return
-    for rebuild in (build_surface, surface_topology):
-        with pytest.raises(InternalCheckFailed,
-                           match="glued arc endpoints land on different"):
-            rebuild(three_tet, double)
+    with pytest.raises(InternalCheckFailed,
+                       match="glued arc endpoints land on different"):
+        build_surface(three_tet, double)
 
 
-@pytest.mark.parametrize("rebuild", [build_surface, surface_topology],
-                         ids=["build_surface", "surface_topology"])
+@pytest.mark.parametrize("rebuild", [build_surface], ids=["build_surface"])
 def test_late_piece_fails_the_tiling_check(monkeypatch, two_tet, rebuild):
     # Every kind's copies start one rank late, leaving rank 0 of each slot
-    # of the Klein bottle's quads empty; both rebuilders must refuse that
-    # before they compare any points.
+    # of the Klein bottle's quads empty; the gluing pass must refuse that
+    # before it compares any points.
     real = surfaces._disk_kinds
 
     def late(tri, v, ends):
@@ -573,7 +602,7 @@ def test_gluing_table_checks_the_classes_of_glued_edges(three_tet):
     tri.edge_class_of[(0, 0)] = ((cls + 1) % tri.edge_count, flipped)
     with pytest.raises(InternalCheckFailed,
                        match="glued arcs disagree on their edges"):
-        surface_topology(tri, all_triangles_one(tri))
+        build_surface(tri, all_triangles_one(tri))
 
 
 def test_inadmissible_vector_rejected(two_tet):
