@@ -13,7 +13,9 @@ antichain certificate (finiteness), and weighted train-track splitting
 
 ``import laminate`` loads only ``laminate.errors``: each public name
 imports its home module on first access (PEP 562) and is then cached
-here, so a process pays only for the modules it uses.
+here, so a process pays only for the modules it uses.  ``laminate.cli``
+serves the engine names its commands call through the same loader,
+``_lazy_getattr``.
 """
 
 import importlib
@@ -45,14 +47,23 @@ _HOME = {name: home for home, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)
 
 
-def __getattr__(name):
-    home = _HOME.get(name)
-    if home is None:
-        raise AttributeError("module %r has no attribute %r"
-                             % (__name__, name))
-    value = getattr(importlib.import_module("." + home, __name__), name)
-    globals()[name] = value
-    return value
+def _lazy_getattr(namespace, homes):
+    """The PEP 562 ``__getattr__`` of a module's globals namespace: it
+    binds there each name of homes (name -> home module) on first access,
+    read from the home module, so a wrapper put on the name in one
+    namespace (a monkeypatch, a tracer) never reaches another."""
+    def __getattr__(name):
+        home = homes.get(name)
+        if home is None:
+            raise AttributeError("module %r has no attribute %r"
+                                 % (namespace["__name__"], name))
+        value = getattr(importlib.import_module("laminate." + home), name)
+        namespace[name] = value
+        return value
+    return __getattr__
+
+
+__getattr__ = _lazy_getattr(globals(), _HOME)
 
 
 def __dir__():

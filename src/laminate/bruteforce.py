@@ -16,7 +16,7 @@ by pairwise domination, so they can serve as oracles for it.
 from itertools import product
 from operator import itemgetter
 
-from .errors import WorkBudgetExceeded
+from .errors import check_work
 from .linalg import rank
 from .normal import ARC_DISKS, COORDS_PER_TET
 from .cones import primitive
@@ -33,13 +33,6 @@ DISK_ARC_SLOTS = tuple(
 
 # Longer per-tetrahedron pattern lists are refused before they are built.
 _PATTERN_CAP = 2_000_000
-
-
-def _refuse_over_cap(count):
-    if count > _PATTERN_CAP:
-        raise WorkBudgetExceeded(
-            "brute force would list %d per-tetrahedron patterns (budget %d)"
-            % (count, _PATTERN_CAP))
 
 
 class _Patterns:
@@ -75,7 +68,8 @@ def _patterns(box, bound, choices=()):
     """The _Patterns of a box, refused here, before any pattern is made,
     when they would be more than _PATTERN_CAP."""
     box = sorted(box)
-    _refuse_over_cap((bound + 1) ** len(box) * (1 + len(choices)))
+    check_work((bound + 1) ** len(box) * (1 + len(choices)), _PATTERN_CAP,
+               "brute force would list %d per-tetrahedron patterns")
     return _Patterns(box, bound, choices)
 
 

@@ -12,44 +12,18 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import _HOME, __version__, _lazy_getattr
 from .errors import InputError, LaminateError, Refusal
 
-# The engine names the commands call, by home module.  A name is
-# imported on first use, by _load or by attribute access (PEP 562), and
-# bound in this module's globals, where the commands read it: a process
-# loads only its command's modules, and a name rebound here (a test's
-# monkeypatch, a perfbench/spans.py wrap) is the one called.  No command
-# calls extreme_rays, hilbert_basis, matching_cone or
-# iter_orthant_supports: they are entries only for perfbench/spans.py to
-# wrap, and an entry costs no import.
-_ENGINE = {
-    "branched": ("carries_nonneg_chi", "from_support", "zero_chi_locus"),
-    "bruteforce": ("enumerate_quad_oct_solutions", "extreme_ray_oracle",
-                   "hilbert_oracle"),
-    "cones": ("extreme_rays", "hilbert_basis"),
-    "finiteness": ("antichain_certificate", "enumerate_genus"),
-    "normal": ("fundamental_solutions", "is_vertex_linking",
-               "iter_orthant_supports", "matching_cone", "matching_system",
-               "parse_vector", "vector_length", "vertex_solutions"),
-    "surfaces": ("build_surface",),
-    "traintracks": ("TrainTrack", "cone_cover_check", "is_subtrack", "split"),
-    "triangulation": ("parse_triangulation",),
-}
-_HOME = {name: home for home, names in _ENGINE.items() for name in names}
-
-
-def __getattr__(name):
-    home = _HOME.get(name)
-    if home is None:
-        raise AttributeError("module %r has no attribute %r"
-                             % (__name__, name))
-    from importlib import import_module
-    value = getattr(import_module("laminate." + home), name)
-    # globals(), not sys.modules[__name__]: under runpy the running
-    # namespace is no module in sys.modules.
-    globals()[name] = value
-    return value
+# An engine name the commands call is imported on first use, by _load or
+# by attribute access (PEP 562), and bound in this module's globals, where
+# the commands read it: a process loads only its command's modules, and a
+# name rebound here (a test's monkeypatch, a tracing wrapper) is the one
+# called.  The package's public names, and five that are not public.
+__getattr__ = _lazy_getattr(globals(), dict(
+    _HOME, parse_vector="normal", vector_length="normal",
+    enumerate_quad_oct_solutions="bruteforce",
+    extreme_ray_oracle="bruteforce", hilbert_oracle="bruteforce"))
 
 
 def _load(*names):
@@ -98,13 +72,17 @@ def _emit(payload, output, pretty):
         sys.stdout.write(text)
 
 
+def _read(path):
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError("cannot read %s: %s" % (path, exc))
+
+
 def _load_triangulation(args):
     _load("parse_triangulation")
-    try:
-        with open(args.input, encoding="utf-8") as handle:
-            return parse_triangulation(handle.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError("cannot read %s: %s" % (args.input, exc))
+    return parse_triangulation(_read(args.input))
 
 
 def _parse_support(text):
@@ -226,10 +204,7 @@ def cmd_heegaard_enumerate(args):
 def cmd_split_traintrack(args):
     _load("TrainTrack", "split", "cone_cover_check", "is_subtrack")
     try:
-        with open(args.file, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError("cannot read %s: %s" % (args.file, exc))
+        data = json.loads(_read(args.file))
     except json.JSONDecodeError as exc:
         raise InputError("bad track JSON: %s" % exc)
     try:

@@ -12,10 +12,10 @@ coordinate inside the support, ties in input order) and outputs are
 sorted, so equal inputs give identical outputs.
 """
 
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 
-from .errors import CoefficientBudgetExceeded, WorkBudgetExceeded
+from .errors import CoefficientBudgetExceeded, check_work
 from .linalg import adjugate, det, dot, pivot_columns, rank
 
 # The square of the most group elements (delta per simplex) the
@@ -138,10 +138,8 @@ def extreme_rays(cone, max_coeff_bits=None, exclusive=()):
         if not plus or not minus:
             # Rays violating the equation on either side are cut off.
             continue
-        if len(plus) * len(minus) > DD_PAIR_CAP:
-            raise WorkBudgetExceeded(
-                "a double description row combines %d ray pairs (budget %d)"
-                % (len(plus) * len(minus), DD_PAIR_CAP))
+        check_work(len(plus) * len(minus), DD_PAIR_CAP,
+                   "a double description row combines %d ray pairs")
         # The coordinates a minus ray rules out: the others of each group
         # it uses.
         clashes = []
@@ -247,10 +245,9 @@ def hilbert_basis(rays, max_coeff_bits=None):
         delta = abs(det(minor))
         simplices.append((simplex, minor, delta))
         walk += delta
-        if walk ** 2 > PARALLELEPIPED_POINT_CAP:
-            raise WorkBudgetExceeded(
-                "the parallelepiped walk of a Hilbert basis covers more than"
-                " %d group elements" % isqrt(PARALLELEPIPED_POINT_CAP))
+        check_work(walk ** 2, PARALLELEPIPED_POINT_CAP,
+                   "the parallelepiped walk of a Hilbert basis covers %d"
+                   " squared group elements")
     candidates = set(rays)
     for simplex in simplices:
         candidates.update(_parallelepiped_points(*simplex))

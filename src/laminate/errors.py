@@ -76,6 +76,14 @@ class WorkBudgetExceeded(Refusal):
     """A computation would visit more points than the fixed work budget."""
 
 
+def check_work(count, cap, what, *args):
+    """Refuse work of size count over its cap, before it starts: what,
+    formatted with args and then count, is the message's first part."""
+    if count > cap:
+        raise WorkBudgetExceeded((what + " (budget %d)")
+                                 % (*args, count, cap))
+
+
 # --- branched surfaces / finiteness ---
 
 class InvalidSupport(InputError):

@@ -25,7 +25,7 @@ from math import gcd
 
 from .branched import carries_nonneg_chi
 from .errors import (GenusTooSmall, InternalCheckFailed, UnboundedRefusal,
-                     WorkBudgetExceeded)
+                     check_work)
 from .surfaces import build_surface
 
 # The most disks, summed over the multiplicity tuples of one genus, that
@@ -182,17 +182,13 @@ def enumerate_genus(model, genus):
     found = {}
     seen = set()
     if target >= 0:
-        cells = (weight + 1) * (target + 1)
-        if cells > GENUS_DISK_CAP:
-            raise WorkBudgetExceeded(
-                "the genus-%d walk needs a table of %d cells (budget %d)"
-                % (genus, cells, GENUS_DISK_CAP))
+        check_work((weight + 1) * (target + 1), GENUS_DISK_CAP,
+                   "the genus-%d walk needs a table of %d cells", genus)
         masks, tuples, disks = _reachable(costs, [sum(f) for f in funds],
                                           target, weight)
-        if disks > GENUS_DISK_CAP:
-            raise WorkBudgetExceeded(
-                "the genus-%d walk tests %d sums of %d disks in all "
-                "(budget %d)" % (genus, tuples, disks, GENUS_DISK_CAP))
+        check_work(disks, GENUS_DISK_CAP,
+                   "the genus-%d walk tests %d sums of %d disks in all",
+                   genus, tuples)
         if masks[0][weight][target]:
             for counts, v in _sums(funds, costs, masks, 0, (target, weight),
                                    (), (0,) * len(funds[0]) if funds else ()):

@@ -39,7 +39,7 @@ is then dropped.
 
 from operator import mul
 
-from .errors import Inadmissible, InternalCheckFailed, WorkBudgetExceeded
+from .errors import Inadmissible, InternalCheckFailed, check_work
 from .normal import (COORDS_PER_TET, EDGE_DISK_WEIGHTS, QUAD_PAIRS,
                      edge_weights, is_admissible, weight)
 from .triangulation import EDGES, ParityUnionFind
@@ -183,9 +183,7 @@ def _check_rebuildable(tri, v):
     report = is_admissible(tri, v)
     if not report.embeddable:
         raise Inadmissible("; ".join(report.messages()[:4]))
-    if sum(v) > SURFACE_DISK_CAP:
-        raise WorkBudgetExceeded("the surface has %d disks (budget %d)"
-                                 % (sum(v), SURFACE_DISK_CAP))
+    check_work(sum(v), SURFACE_DISK_CAP, "the surface has %d disks")
     return report
 
 

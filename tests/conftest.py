@@ -1,6 +1,6 @@
 import json
 import os
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,7 +8,7 @@ import pytest
 
 from laminate import surfaces
 from laminate.branched import from_support
-from laminate.errors import InternalCheckFailed
+from laminate.errors import InputError, InternalCheckFailed
 from laminate.normal import (COORDS_PER_TET, fundamental_solutions, tri_index,
                              weight)
 from laminate.triangulation import ParityUnionFind, parse_triangulation
@@ -35,6 +35,54 @@ def child_env(**extra):
 
 def load_triangulation(name):
     return parse_triangulation(fixture_path(name).read_text())
+
+
+ODD_PERMS = tuple(p for p in permutations(range(4))
+                  if sum(p[i] > p[j] for i in range(4)
+                         for j in range(i + 1, 4)) % 2)
+
+
+def random_gluing(rng, n):
+    """(t1, f1, t2, f2, perm) for a random pairing of the 4n faces, each
+    pair glued by a random odd permutation (as perfbench/census.py)."""
+    faces = [(t, f) for t in range(n) for f in range(4)]
+    rng.shuffle(faces)
+    gluings = []
+    for i in range(0, len(faces), 2):
+        (t1, f1), (t2, f2) = sorted(faces[i:i + 2])
+        perm = rng.choice([p for p in ODD_PERMS if p[f1] == f2])
+        gluings.append((t1, f1, t2, f2, perm))
+    return sorted(gluings)
+
+
+def _connected(n, gluings):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for (t1, _, t2, _, _) in gluings:
+        parent[find(t1)] = find(t2)
+    return len({find(t) for t in range(n)}) == 1
+
+
+def drawn_triangulation(rng, n):
+    """The first connected gluing of n tetrahedra that rng draws and the
+    parser accepts: a closed orientable triangulation nobody chose."""
+    while True:
+        gluings = random_gluing(rng, n)
+        if not _connected(n, gluings):
+            continue
+        try:
+            return parse_triangulation("".join(
+                "%d:%d -> %d:%d perm=%s\n"
+                % (t1, f1, t2, f2, "".join(map(str, perm)))
+                for t1, f1, t2, f2, perm in gluings))
+        except InputError:
+            continue
 
 
 def every_orthant_support(tri, include_octs=False):

@@ -83,9 +83,10 @@ def test_oracles_on_synthetic_cone():
 def test_pattern_lists_over_the_cap_are_refused(one_tet):
     # 5^10 patterns on the full support, (1001^4)(6001) with quads/octs:
     # both over the cap, refused before any pattern is built.
-    with pytest.raises(WorkBudgetExceeded):
+    with pytest.raises(WorkBudgetExceeded,
+                       match=r"list 9765625 .* \(budget 2000000\)$"):
         enumerate_solutions(one_tet, 4, range(vector_length(one_tet)))
-    with pytest.raises(WorkBudgetExceeded):
+    with pytest.raises(WorkBudgetExceeded, match=r" \(budget 2000000\)$"):
         enumerate_quad_oct_solutions(one_tet, 1000)
 
 

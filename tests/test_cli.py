@@ -118,7 +118,9 @@ def test_double_description_pair_cap_is_refused(capsys, monkeypatch):
     code, out = run_cli(capsys, "ns", "vertex",
                         "--input", str(fixture_path("two_tet.tri")))
     assert code == 2
-    assert json.loads(out)["error"]["kind"] == "WorkBudgetExceeded"
+    error = json.loads(out)["error"]
+    assert error["kind"] == "WorkBudgetExceeded"
+    assert error["message"].endswith(" ray pairs (budget 1)")
 
 
 def test_oracle_bound_over_the_pattern_cap_is_refused(capsys):
@@ -126,7 +128,9 @@ def test_oracle_bound_over_the_pattern_cap_is_refused(capsys):
                         "--input", str(fixture_path("one_tet.tri")),
                         "--bound", "1000")
     assert code == 2
-    assert json.loads(out)["error"]["kind"] == "WorkBudgetExceeded"
+    error = json.loads(out)["error"]
+    assert error["kind"] == "WorkBudgetExceeded"
+    assert error["message"].endswith(" patterns (budget 2000000)")
 
 
 @pytest.mark.parametrize("case", json.loads(LISTING_GOLDEN.read_text()),
@@ -205,6 +209,7 @@ def test_genus_walk_over_budget_is_refused(capsys):
     error = json.loads(out)["error"]
     assert error["kind"] == "WorkBudgetExceeded"
     assert "1 sums of 2249993 disks" in error["message"]
+    assert error["message"].endswith(" in all (budget 2000000)")
 
 
 def test_genus_walk_counts_only_octagon_weight_one(capsys):
@@ -430,7 +435,10 @@ def test_ns_build_over_the_disk_cap_is_refused(capsys):
                         "--input", str(fixture_path("two_tet.tri")),
                         "--vector", vector)
     assert code == 2
-    assert json.loads(out)["error"]["kind"] == "WorkBudgetExceeded"
+    error = json.loads(out)["error"]
+    assert error["kind"] == "WorkBudgetExceeded"
+    assert error["message"] == \
+        "the surface has 8000000000 disks (budget 200000)"
 
 
 def test_ns_build_rejects_malformed_vector(capsys):

@@ -126,7 +126,9 @@ def test_parallelepiped_walk_is_refused_before_any_point_is_listed(
         return listed(*args)
 
     monkeypatch.setattr(cones, "_parallelepiped_points", counting_points)
-    with pytest.raises(WorkBudgetExceeded, match="covers more than"):
+    with pytest.raises(WorkBudgetExceeded,
+                       match=r" covers 16000000 squared group elements"
+                             r" \(budget 5000000\)$"):
         hilbert_basis(extreme_rays(RationalCone([(2000, 2000, -1, -1)], 4)))
     assert calls == []
     # Within budget, both simplices' points are listed.

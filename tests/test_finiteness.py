@@ -279,7 +279,9 @@ def test_genus_walk_over_the_disk_budget_is_refused(models, monkeypatch):
     (f,) = model.fundamentals()
     monkeypatch.setattr(finiteness, "GENUS_DISK_CAP", 19 * sum(f) - 1)
     monkeypatch.setattr(finiteness, "build_surface", None)
-    with pytest.raises(WorkBudgetExceeded):
+    with pytest.raises(WorkBudgetExceeded,
+                       match=r" disks in all \(budget %d\)$"
+                             % (19 * sum(f) - 1)):
         enumerate_genus(model, 20)
     monkeypatch.undo()
     monkeypatch.setattr(finiteness, "GENUS_DISK_CAP", 19 * sum(f))
@@ -293,7 +295,8 @@ def test_huge_genus_is_refused_before_the_walk_table(models):
     carries_nonneg_chi(model)
     tracemalloc.start()
     try:
-        with pytest.raises(WorkBudgetExceeded, match="3999999998 cells"):
+        with pytest.raises(WorkBudgetExceeded,
+                           match=r"3999999998 cells \(budget 2000000\)$"):
             enumerate_genus(model, 10 ** 9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

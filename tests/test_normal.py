@@ -12,7 +12,8 @@ from laminate.cones import (RationalCone, decompose_over, extreme_rays,
                             hilbert_basis)
 from laminate.errors import Inadmissible, IncompatibleQuads, LaminateError
 from laminate.normal import (ARC_DISKS, COORDS_PER_TET, DISK_EDGE_WEIGHTS,
-                             edge_weights, fundamental_solutions, haken_sum,
+                             chi_functional_coefficients, edge_weights,
+                             fundamental_solutions, haken_sum,
                              is_admissible, is_vertex_linking,
                              iter_orthant_supports,
                              matching_cone, matching_system, oct_index,
@@ -20,7 +21,8 @@ from laminate.normal import (ARC_DISKS, COORDS_PER_TET, DISK_EDGE_WEIGHTS,
                              vertex_solutions, vector_length, weight)
 from laminate.surfaces import build_surface
 from laminate.triangulation import Triangulation, parse_triangulation
-from tests.conftest import TRI_NAMES, every_orthant_support, fixture_path
+from tests.conftest import (TRI_NAMES, drawn_triangulation,
+                            every_orthant_support, fixture_path)
 
 DATA = Path(__file__).resolve().parent / "data"
 SOLUTIONS_GOLDEN = DATA / "solutions_golden.json"
@@ -241,6 +243,12 @@ def test_maximal_orthants_cover_every_orthant(triangulations, include_octs):
             assert not any(a < b for b in maximal)
 
 
+# Drawn triangulations: the number of draws and the tetrahedron counts
+# they pick from, weighted toward the cheap sizes.
+DRAWS = 10
+DRAWN_SIZES = (1, 2, 3, 1, 2, 3, 4)
+
+
 def _union_over_every_orthant(tri, include_octs, solve):
     out = set()
     for support in every_orthant_support(tri, include_octs):
@@ -256,16 +264,38 @@ def test_maximal_orthants_give_every_vertex_solution(triangulations,
             _union_over_every_orthant(tri, include_octs, extreme_rays)
 
 
+def _hilbert_of_cone(cone):
+    return hilbert_basis(extreme_rays(cone))
+
+
 def test_maximal_orthants_give_every_fundamental_solution(
         triangulations, fundamentals, plain_fundamentals):
-    def hilbert_of_cone(cone):
-        return hilbert_basis(extreme_rays(cone))
-
     for name, tri in triangulations.items():
         assert plain_fundamentals[name] == \
-            _union_over_every_orthant(tri, False, hilbert_of_cone)
+            _union_over_every_orthant(tri, False, _hilbert_of_cone)
         assert fundamentals[name] == \
-            _union_over_every_orthant(tri, True, hilbert_of_cone)
+            _union_over_every_orthant(tri, True, _hilbert_of_cone)
+
+
+@settings(derandomize=True, deadline=None, max_examples=DRAWS)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(DRAWN_SIZES))
+def test_drawn_triangulations_meet_the_orthant_oracles(seed, n):
+    # Inputs nobody chose: the maximal-orthant answers equal the union
+    # over every orthant, and the chi functional equals the cell-complex
+    # chi of each vertex solution with at most one octagon.
+    tri = drawn_triangulation(random.Random(seed), n)
+    coeffs = chi_functional_coefficients(tri)
+    for include_octs in (False, True):
+        rays = vertex_solutions(tri, include_octs)
+        assert rays == _union_over_every_orthant(tri, include_octs,
+                                                 extreme_rays)
+        assert fundamental_solutions(tri, include_octs) == \
+            _union_over_every_orthant(tri, include_octs, _hilbert_of_cone)
+        for v in rays:
+            if sum(v[oct_index(t, q)] for t in range(n)
+                   for q in range(3)) <= 1:
+                assert build_surface(tri, v).chi == \
+                    sum(c * x for c, x in zip(coeffs, v))
 
 
 def _golden_solution_cases():
@@ -394,6 +424,16 @@ def test_r7_vertex_solutions_are_pinned():
     for include_octs, key in ((False, "quads"), (True, "octagons")):
         assert [list(v) for v in vertex_solutions(tri, include_octs)] == \
             pinned[key]
+
+
+def test_r9_quad_solutions_are_pinned():
+    # A 9-tetrahedron pick with two vertices; its octagon answers are
+    # not pinned, as they take seconds.
+    tri = parse_triangulation((DATA / "r9.tri").read_text())
+    pinned = json.loads((DATA / "r9_quad_solutions.json").read_text())
+    assert [list(v) for v in vertex_solutions(tri)] == pinned["vertex"]
+    assert [list(v) for v in fundamental_solutions(tri)] == \
+        pinned["fundamental"]
 
 
 def test_fundamental_solutions_run_one_double_description(three_tet):
