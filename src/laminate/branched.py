@@ -11,6 +11,7 @@ Haken decompositions into the counting certificates used downstream.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .cones import (RationalCone, extreme_rays, hilbert_basis,
                     positive_integer_point)
@@ -22,21 +23,6 @@ from .normal import (COORDS_PER_TET, chi_functional_coefficients,
 from .surfaces import build_surface
 
 
-class ChiFunctional:
-    """
-    The linear functional whose value on any vector satisfying the
-    embedding constraints equals the Euler characteristic of the rebuilt
-    surface.  Coefficients are exact rationals per disk type.
-    """
-
-    def __init__(self, tri):
-        self.triangulation = tri
-        self.coefficients = chi_functional_coefficients(tri)
-
-    def value(self, v):
-        return dot(self.coefficients, v)
-
-
 class BranchedSurfaceModel:
     """
     A supported branch system over a triangulation.  Immutable; the
@@ -44,6 +30,8 @@ class BranchedSurfaceModel:
     verdict are each computed once, on first use.  Every cone
     computation of the model (fundamentals, full carrying, the zero-chi
     locus) runs under the coefficient budget max_coeff_bits, when given.
+    chi is the row of the linear Euler characteristic, one exact rational
+    per disk type: chi(S(v)) = dot(model.chi, v) for every carried v.
     """
 
     def __init__(self, tri, support, max_coeff_bits=None):
@@ -67,7 +55,7 @@ class BranchedSurfaceModel:
             raise InvalidSupport("more than one octagon sector in the support")
         self.oct_sector = oct_sectors[0] if oct_sectors else None
         self.cone = matching_cone(tri, self.support)
-        self.chi = ChiFunctional(tri)
+        self.chi = chi_functional_coefficients(tri)
         self.max_coeff_bits = max_coeff_bits
         self._rays = None
         self._fundamentals = None
@@ -94,9 +82,12 @@ class BranchedSurfaceModel:
         return self.cone.contains(v)
 
     def chi_augmented_cone(self):
-        """The branch system with the equation chi = 0 adjoined."""
-        return RationalCone(self.cone.matrix + (self.chi.coefficients,),
-                            self.cone.dim, self.cone.support)
+        """The branch system with the equation chi = 0 adjoined, its row
+        cleared of denominators by their lcm."""
+        scale = lcm(*(x.denominator for x in self.chi))
+        return RationalCone(
+            self.cone.matrix + (tuple(int(x * scale) for x in self.chi),),
+            self.cone.dim, self.cone.support)
 
     def to_json_dict(self):
         funds = self.fundamentals()
@@ -105,7 +96,7 @@ class BranchedSurfaceModel:
             "oct_sector": self.oct_sector,
             "fully_carrying": self.fully_carrying,
             "fundamentals": [list(f) for f in funds],
-            "chi": [str(self.chi.value(f)) for f in funds],
+            "chi": [str(dot(self.chi, f)) for f in funds],
             "verdict": carries_nonneg_chi(self).verdict,
         }
 
@@ -183,7 +174,7 @@ def carries_nonneg_chi(model):
 def _verdict(model):
     tri = model.triangulation
     funds = model.fundamentals()
-    chis = [model.chi.value(f) for f in funds]
+    chis = [dot(model.chi, f) for f in funds]
     if not funds:
         return CarryVerdict("all_negative_chi", None, chis)
     best = max(chis)

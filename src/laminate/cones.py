@@ -2,17 +2,17 @@
 Exact rational cones: extreme rays, Hilbert bases, strictly positive
 integer points.
 
-All arithmetic is in exact integers; Fraction rows are scaled to integer
-rows, and floating point is never used.  A cone is {x : Ax = 0, x >= 0}
-in N coordinates, optionally with a support restriction forcing the
-remaining coordinates to zero.  Such cones are pointed, so the double
-description method starting from the coordinate orthant applies.  Rows
-are inserted in a fixed order (by their last, then first, nonzero
-coordinate inside the support, ties in input order) and outputs are
-sorted, so equal inputs give identical outputs.
+All arithmetic is in exact integers: a cone's rows are integer tuples,
+kept as given, and floating point is never used.  A cone is
+{x : Ax = 0, x >= 0} in N coordinates, optionally with a support
+restriction forcing the remaining coordinates to zero.  Such cones are
+pointed, so the double description method starting from the coordinate
+orthant applies.  Rows are inserted in a fixed order (by their last,
+then first, nonzero coordinate inside the support, ties in input order)
+and outputs are sorted, so equal inputs give identical outputs.
 """
 
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .errors import CoefficientBudgetExceeded, check_work
@@ -38,19 +38,15 @@ class RationalCone:
     """
     {x in R^dim : matrix . x = 0, x >= 0, x_i = 0 for i outside support}.
 
-    Rows may hold ints or Fractions; each row is scaled by the least common
-    multiple of its denominators to an integer row.
+    Rows are integer tuples, kept as given: cones over one triangulation
+    share its matching rows.
     """
 
     def __init__(self, matrix, dim, support=None):
-        rows = []
-        for row in matrix:
+        self.matrix = tuple(matrix)
+        for row in self.matrix:
             if len(row) != dim:
                 raise ValueError("row length %d != dim %d" % (len(row), dim))
-            scale = lcm(*(x.denominator for x in row))
-            rows.append(tuple(x.numerator * (scale // x.denominator)
-                              for x in row))
-        self.matrix = tuple(rows)
         self.dim = dim
         self.support = (frozenset(range(dim)) if support is None
                         else frozenset(support))

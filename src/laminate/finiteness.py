@@ -26,6 +26,7 @@ from math import gcd
 from .branched import carries_nonneg_chi
 from .errors import (GenusTooSmall, InternalCheckFailed, UnboundedRefusal,
                      check_work)
+from .linalg import dot
 from .surfaces import build_surface
 
 # The most disks, summed over the multiplicity tuples of one genus, that
@@ -222,7 +223,7 @@ def brute_force_genus_list(model, genus):
     for v in points:
         if not any(v):
             continue
-        if model.chi.value(v) != 2 - 2 * genus:
+        if dot(model.chi, v) != 2 - 2 * genus:
             continue
         if _accepts(model, v, genus):
             out.append(v)
@@ -265,7 +266,7 @@ def antichain_certificate(enumeration):
             small, big = vectors[i], vectors[j]
             if all(a <= b for a, b in zip(small, big)):
                 diff = tuple(b - a for a, b in zip(small, big))
-                chi = model.chi.value(diff)
+                chi = dot(model.chi, diff)
                 normal = (model.oct_sector is None
                           or diff[model.oct_sector] == 0)
                 if not model.carries(diff):

@@ -36,6 +36,12 @@ from .errors import NotSplittable
 from .linalg import dot
 
 
+def _is_end(end):
+    return (isinstance(end, list) and len(end) == 2
+            and isinstance(end[0], str) and type(end[1]) is int
+            and end[1] in (0, 1))
+
+
 class TrainTrack:
     """
     branches: tuple of branch names.
@@ -101,11 +107,17 @@ class TrainTrack:
 
     @classmethod
     def from_json_dict(cls, data):
-        switches = [
-            ([tuple(e) for e in sw["side1"]], [tuple(e) for e in sw["side2"]])
-            for sw in data["switches"]
-        ]
-        return cls(data["branches"], switches)
+        """The track of to_json_dict's form: a list of branch names, and
+        switches whose sides list [name, 0|1] ends; ValueError otherwise."""
+        branches = data["branches"]
+        if not (isinstance(branches, list)
+                and all(isinstance(b, str) for b in branches)):
+            raise ValueError("branches must be a list of names")
+        switches = [(sw["side1"], sw["side2"]) for sw in data["switches"]]
+        if not all(isinstance(side, list) and all(map(_is_end, side))
+                   for sides in switches for side in sides):
+            raise ValueError("a switch side must list [name, 0|1] ends")
+        return cls(branches, switches)
 
 
 class CarriedTrack:

@@ -27,6 +27,7 @@ consistently; an edge identified with itself in reverse is rejected.
 """
 
 from functools import cached_property
+from itertools import combinations
 
 from .errors import (UnglueedFace, DoubleGluing, BadPermutation,
                      NonOrientable, InvalidEdge, NotClosedManifold,
@@ -36,17 +37,11 @@ from .errors import (UnglueedFace, DoubleGluing, BadPermutation,
 EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 EDGE_INDEX = {pair: i for i, pair in enumerate(EDGES)}
 
-_EVEN_PERMS = {
-    (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2),
-    (1, 0, 3, 2), (1, 2, 0, 3), (1, 3, 2, 0),
-    (2, 0, 1, 3), (2, 1, 3, 0), (2, 3, 0, 1),
-    (3, 0, 2, 1), (3, 1, 0, 2), (3, 2, 1, 0),
-}
-
 
 def perm_sign(p):
-    """Sign of a permutation of {0,1,2,3} given as a 4-tuple."""
-    return 1 if tuple(p) in _EVEN_PERMS else -1
+    """Sign of a permutation of {0,1,2,3} given as a 4-tuple: -1 to the
+    number of its inversions."""
+    return -1 if sum(a > b for a, b in combinations(p, 2)) % 2 else 1
 
 
 def perm_inverse(p):

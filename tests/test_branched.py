@@ -4,14 +4,14 @@ import pytest
 
 import laminate.branched
 import laminate.cones
-from laminate.branched import (ChiFunctional, carries_nonneg_chi,
-                               from_support, sub_branched_surface,
-                               zero_chi_locus)
+from laminate.branched import (carries_nonneg_chi, from_support,
+                               sub_branched_surface, zero_chi_locus)
 from laminate.cones import extreme_rays, positive_integer_point
 from laminate.errors import InvalidSupport, NotCarried
 from laminate.linalg import dot
-from laminate.normal import (is_admissible, matching_system, quad_index,
-                             tri_index, vector_length)
+from laminate.normal import (chi_functional_coefficients, is_admissible,
+                             matching_system, quad_index, tri_index,
+                             vector_length)
 from laminate.surfaces import build_surface
 from tests.conftest import load_model
 from tests.test_normal import all_triangles_one
@@ -74,25 +74,25 @@ def test_sub_branched_surface(two_tet, models):
 
 def test_chi_functional_on_vertex_links(triangulations):
     for tri in triangulations.values():
-        functional = ChiFunctional(tri)
+        coeffs = chi_functional_coefficients(tri)
         link = all_triangles_one(tri)
-        assert functional.value(link) == 2 * tri.vertex_count
-        assert functional.value(tuple(2 * x for x in link)) == \
-            2 * functional.value(link)
+        assert dot(coeffs, link) == 2 * tri.vertex_count
+        assert dot(coeffs, tuple(2 * x for x in link)) == \
+            2 * dot(coeffs, link)
 
 
 def test_chi_functional_equals_cell_complex(triangulations, fundamentals):
     for name, tri in triangulations.items():
-        functional = ChiFunctional(tri)
+        coeffs = chi_functional_coefficients(tri)
         for f in fundamentals[name]:
-            assert functional.value(f) == build_surface(tri, f).chi
+            assert dot(coeffs, f) == build_surface(tri, f).chi
 
 
 def test_verdict_positive_with_vertex_link_witness(models, two_tet):
     model = from_support(two_tet, triangle_support(two_tet))
     verdict = carries_nonneg_chi(model)
     assert verdict.verdict == "carries_positive_chi"
-    assert model.chi.value(verdict.witness) == 2
+    assert dot(model.chi, verdict.witness) == 2
 
 
 def test_verdict_all_negative(models):
@@ -141,12 +141,12 @@ def test_zero_chi_locus_of_mixed_sign_model(three_tet):
     support = (triangle_support(three_tet)
                | {quad_index(0, 0), quad_index(1, 1)})
     model = from_support(three_tet, support)
-    chis = [model.chi.value(f) for f in model.fundamentals()]
+    chis = [dot(model.chi, f) for f in model.fundamentals()]
     assert any(c > 0 for c in chis) and any(c < 0 for c in chis)
     locus = zero_chi_locus(model)
     assert locus
     for vertex in locus:
-        assert dot(model.chi.coefficients, vertex) == 0
+        assert dot(model.chi, vertex) == 0
         assert sum(vertex) == 1
         assert all(x >= 0 for x in vertex)
         assert not any(dot(row, vertex) for row in
@@ -184,7 +184,7 @@ def test_all_negative_verdict_bounds_every_carried_point(models):
         assert carries_nonneg_chi(model).all_negative
         for v in enumerate_solutions(model.triangulation, 10, model.support):
             if any(v):
-                assert model.chi.value(v) < 0
+                assert dot(model.chi, v) < 0
 
 
 def test_model_runs_one_double_description(three_tet, monkeypatch):

@@ -284,17 +284,36 @@ def test_parse_error_reports_kind(capsys, tmp_path):
     (("split", "traintrack", "--file", "{tmp}/no_switches.json"),
      "InputError"),
     (("split", "traintrack", "--file", "{tmp}/latin1"), "InputError"),
+    (("split", "traintrack", "--file", "{tmp}/string_branches.json"),
+     "InputError"),
+    (("split", "traintrack", "--file", "{tmp}/object_branches.json"),
+     "InputError"),
+    (("split", "traintrack", "--file", "{tmp}/float_end.json"), "InputError"),
+    (("split", "traintrack", "--file", "{tmp}/bool_end.json"), "InputError"),
     (("tri", "info", "--input", "{tmp}/latin1"), "InputError"),
     (("tri", "info", "--input", "{tmp}/empty.tri"), "UnglueedFace"),
     (("tri", "info", "--input", "{two_tet}", "--output",
       "{tmp}/missing/out.json"), "InputError"),
 ], ids=["support not integers", "support out of range", "missing track",
         "bad track JSON", "bad track structure", "track not UTF-8",
+        "track branches a string", "track branches an object",
+        "track end index a float", "track end index a bool",
         "triangulation not UTF-8", "empty triangulation",
         "output not writable"])
 def test_bad_input_is_a_typed_input_error(capsys, tmp_path, argv, kind):
     (tmp_path / "truncated.json").write_text('{"branches": [')
     (tmp_path / "no_switches.json").write_text('{"branches": ["b"]}')
+    # The figure's track with one field of the wrong JSON type.
+    figure = json.dumps(json.loads(
+        fixture_path("figure_sp1.json").read_text()))
+    for name, old, new in (
+            ("string_branches", '["p", "q", "r", "s", "b"]', '"pqrsb"'),
+            ("object_branches", '["p", "q", "r", "s", "b"]',
+             '{"p": 0, "q": 1, "r": 2, "s": 3, "b": 4}'),
+            ("float_end", '["p", 1]', '["p", 1.0]'),
+            ("bool_end", '["b", 0]', '["b", false]')):
+        assert old in figure
+        (tmp_path / (name + ".json")).write_text(figure.replace(old, new))
     (tmp_path / "latin1").write_bytes(b"\xff\xfe0:0 -> 0:1 perm=1023\n")
     (tmp_path / "empty.tri").write_text("")
     argv = [a.format(tmp=tmp_path, two_tet=fixture_path("two_tet.tri"))

@@ -1,5 +1,5 @@
-from fractions import Fraction
 from itertools import product
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -12,7 +12,8 @@ from laminate.cones import (RationalCone, decompose_over, extreme_rays,
                             hilbert_basis, positive_integer_point, primitive)
 from laminate.errors import CoefficientBudgetExceeded, WorkBudgetExceeded
 from laminate.linalg import det, dot
-from laminate.normal import fundamental_solutions, matching_cone
+from laminate.normal import (fundamental_solutions, matching_cone,
+                             matching_system)
 from laminate.triangulation import parse_triangulation
 from tests.test_normal import CENSUS
 
@@ -95,9 +96,24 @@ def test_determinism():
     assert hilbert_basis(a) == hilbert_basis(b)
 
 
-def test_fractional_rows_are_cleared():
-    cone = RationalCone([(Fraction(1, 2), Fraction(1, 2), -1)], 3)
-    assert extreme_rays(cone) == [(0, 2, 1), (2, 0, 1)]
+def test_chi_row_is_cleared_to_integers(models):
+    for model in models.values():
+        scale = lcm(*(c.denominator for c in model.chi))
+        row = model.chi_augmented_cone().matrix[-1]
+        assert all(type(x) is int for x in row)
+        assert row == tuple(c * scale for c in model.chi)
+    assert any(c.denominator > 1 for model in models.values()
+               for c in model.chi)
+
+
+def test_cones_share_the_matching_rows(models):
+    for model in models.values():
+        tri = model.triangulation
+        rows = matching_system(tri).rows
+        for cone in (model.cone, model.chi_augmented_cone(),
+                     matching_cone(tri, model.support)):
+            assert len(cone.matrix) >= len(rows)
+            assert all(a is b for a, b in zip(cone.matrix, rows))
 
 
 def test_coefficient_budget():

@@ -14,6 +14,7 @@ from laminate.errors import (GenusTooSmall, InternalCheckFailed,
                              UnboundedRefusal, WorkBudgetExceeded)
 from laminate.finiteness import (GenusEnumeration, antichain_certificate,
                                  brute_force_genus_list, enumerate_genus)
+from laminate.linalg import dot
 from laminate.normal import (MatchingSystem, fundamental_solutions,
                              is_admissible, quad_index, vector_length)
 from laminate.surfaces import build_surface
@@ -101,7 +102,7 @@ def test_enumeration_soundness(models):
             report = is_admissible(model.triangulation, v)
             assert not report.matching_failures
             assert not report.quad_violations
-            assert model.chi.value(v) == 2 - 2 * genus
+            assert dot(model.chi, v) == 2 - 2 * genus
             surface = build_surface(model.triangulation, v)
             assert surface.connected
             assert surface.components[0].orientable
@@ -360,7 +361,7 @@ def test_nonorientable_fundamental_model():
     model = from_support(tri, [5, 15, 24])
     funds = model.fundamentals()
     assert len(funds) == 1
-    assert model.chi.value(funds[0]) == -1
+    assert dot(model.chi, funds[0]) == -1
     base = build_surface(tri, funds[0])
     assert base.connected and not base.components[0].orientable
     assert base.components[0].genus_or_crosscap == 3

@@ -1,6 +1,9 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation
 
 from laminate.errors import (BadPermutation, DoubleGluing, InputError,
                              InvalidEdge, NonOrientable, NotClosedManifold,
@@ -195,6 +198,11 @@ def test_vertex_classes_of_doubled_tetrahedron():
     assert tri.vertex_count == 4
     assert tri.edge_count == 6
     assert all(len(cls) == 2 for cls in tri.vertex_classes)
+
+
+def test_perm_sign_matches_sympy():
+    for p in permutations(range(4)):
+        assert perm_sign(p) == Permutation(list(p)).signature()
 
 
 def test_orientation_assignment(triangulations):
