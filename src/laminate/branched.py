@@ -15,7 +15,7 @@ from math import lcm
 
 from .cones import (RationalCone, extreme_rays, hilbert_basis,
                     positive_integer_point)
-from .errors import InvalidSupport, NotCarried
+from .errors import InternalCheckFailed, InvalidSupport, NotCarried
 from .linalg import dot
 # matching_system: unused, kept for perfbench/spans.py.
 from .normal import (COORDS_PER_TET, chi_functional_coefficients,
@@ -126,14 +126,12 @@ class CarryVerdict:
     """
 
     def __init__(self, verdict, witness, fundamental_chis,
-                 torus_witness=None, klein_witness=None,
-                 klein_double_is_torus=None):
+                 torus_witness=None, klein_witness=None):
         self.verdict = verdict
         self.witness = witness
         self.fundamental_chis = fundamental_chis
         self.torus_witness = torus_witness
         self.klein_witness = klein_witness
-        self.klein_double_is_torus = klein_double_is_torus
 
     @property
     def all_negative(self):
@@ -148,7 +146,8 @@ class CarryVerdict:
                               if self.torus_witness else None),
             "klein_witness": (list(self.klein_witness)
                               if self.klein_witness else None),
-            "klein_double_is_torus": self.klein_double_is_torus,
+            # Always null: a torus witness is always found (_verdict).
+            "klein_double_is_torus": None,
         }
 
 
@@ -161,10 +160,9 @@ def carries_nonneg_chi(model):
     fundamental of chi >= 0 is itself a witness.
 
     For the chi = 0 verdict a connected orientable chi = 0 witness (a
-    torus) is searched among the chi = 0 fundamentals and their pairwise
-    sums; a Klein bottle witness is reported as such together with
-    whether its double is a torus.  The verdict is kept on the model, so
-    it is decided once per model.
+    torus) is searched among the chi = 0 fundamentals and then the double
+    of the first; a Klein bottle met before the torus is reported too.
+    The verdict is kept on the model, so it is decided once per model.
     """
     if model._verdict is None:
         model._verdict = _verdict(model)
@@ -184,31 +182,21 @@ def _verdict(model):
     if best < 0:
         return CarryVerdict("all_negative_chi", None, chis)
 
+    # A fundamental's surface is connected (its components would sum to
+    # it), so a chi = 0 one is a torus or a one-sided Klein bottle, whose
+    # double is a torus: the search ends at 2 f0 at the latest.
     zero_funds = [f for f, c in zip(funds, chis) if c == 0]
-    candidates = list(zero_funds)
-    for i in range(len(zero_funds)):
-        for j in range(i, len(zero_funds)):
-            candidates.append(tuple(a + b for a, b in
-                                    zip(zero_funds[i], zero_funds[j])))
-    torus = None
     klein = None
-    for v in candidates:
+    for v in zero_funds + [tuple(2 * x for x in zero_funds[0])]:
         s = build_surface(tri, v)
         if s.connected and s.chi == 0:
             if s.components[0].orientable:
-                torus = v
-                break
+                return CarryVerdict("carries_zero_chi", v, chis,
+                                    torus_witness=v, klein_witness=klein)
             if klein is None:
                 klein = v
-    witness = torus if torus is not None else (klein or zero_funds[0])
-    double_is_torus = None
-    if torus is None and klein is not None:
-        doubled = build_surface(tri, tuple(2 * x for x in klein))
-        double_is_torus = (doubled.connected and doubled.chi == 0
-                           and doubled.components[0].orientable)
-    return CarryVerdict("carries_zero_chi", witness, chis,
-                        torus_witness=torus, klein_witness=klein,
-                        klein_double_is_torus=double_is_torus)
+    raise InternalCheckFailed("no torus among the chi = 0 fundamentals "
+                              "and the double of the first")
 
 
 def zero_chi_locus(model):

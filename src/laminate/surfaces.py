@@ -18,23 +18,25 @@ resolved together, through the triangulation's gluing_table, to points
 along the class.  build_surface makes one gluing pass: it walks each
 face gluing overlap by overlap of its two sides' pieces and makes one
 union of a parity union-find per overlap, which decides components and
-orientability.  It asserts, raising InternalCheckFailed, that every
-tetrahedron edge sees as many points as its edge class; that the pieces
-of every slot tile its ranks; that the arc counts on the two sides of
-every face gluing agree; and that glued arcs end at the same points
-(checked at the first rank of an overlap and by the steps across it) with
-the same orientation relation at both ends (and on edges of one class,
-which gluing_table checks).  The point check exercises the entire frozen
-disk-type table.  A vector of more than SURFACE_DISK_CAP disks is refused
-(WorkBudgetExceeded) before any per-disk state is allocated.
+orientability: the union-find's twisted list is the one record of the
+disk pairs glued against their parity.  It asserts, raising
+InternalCheckFailed, that every tetrahedron edge sees as many points as
+its edge class; that the pieces of every slot tile its ranks; that the
+arc counts on the two sides of every face gluing agree; and that glued
+arcs end at the same points (checked at the first rank of an overlap and
+by the steps across it) with the same orientation relation at both ends
+(and on edges of one class, which gluing_table checks).  The point check
+exercises the entire frozen disk-type table.  A vector of more than
+SURFACE_DISK_CAP disks is refused (WorkBudgetExceeded) before any
+per-disk state is allocated.
 
 The surface it returns answers connected and orientable from that pass
 alone, so a rejected candidate has no cells counted.  The first read of
-a cell count completes the pass per disk: it finds the one-sided
-components, maps points to disks for the vertex counts, and asserts
-that every component has an even number of arc sides, that the vertex
-count equals the weight and the disk count the coordinate sum; the pass
-is then dropped.
+a cell count completes the pass per disk: it takes the one-sided
+components from the roots of the twisted disks, maps points to disks
+for the vertex counts, and asserts that every component has an even
+number of arc sides, that the vertex count equals the weight and the
+disk count the coordinate sum; the pass is then dropped.
 """
 
 from operator import mul
@@ -140,13 +142,13 @@ class NormalSurface:
     pass; the fields of _CELLS are counted on the first read of any.
     """
 
-    def __init__(self, tri, vector, admissibility, kinds, parity, conflicts):
+    def __init__(self, tri, vector, admissibility, kinds, parity):
         self.triangulation = tri
         self.vector = vector
         self.admissibility = admissibility
         self.connected = parity.classes == 1
-        self.orientable = not conflicts
-        self._pass = kinds, parity, conflicts
+        self.orientable = not parity.twisted
+        self._pass = kinds, parity
 
     def __getattr__(self, name):
         # Reached only while the cells are not counted yet.
@@ -223,9 +225,10 @@ def _disk_kinds(tri, v, ends):
 def _glue(tri, v):
     """
     The gluing pass of build_surface: (admissibility report, disk kinds
-    as listed by _disk_kinds, parity union-find over the disks,
-    conflicts), conflicts being the overlaps whose union met a pair of
-    disks already united against its parity, as union arguments.
+    as listed by _disk_kinds, parity union-find over the disks).  The
+    union-find's twisted list holds a disk of every glued pair met
+    already united against its parity, so the surface is orientable
+    exactly when it is empty.
 
     The copies of a disk kind fill one range of ranks, a piece, in each
     slot they have arcs in: the triangles of the cutoff type, then the
@@ -255,7 +258,7 @@ def _glue(tri, v):
                                      corners[b]),)
         disk += copies
 
-    parity, conflicts = ParityUnionFind(disk), []
+    parity = ParityUnionFind(disk)
     for slot1, slot2, crossed in glued:
         one, two = slots[slot1], slots[slot2]
         count = one[-1][0] if one else 0
@@ -283,11 +286,9 @@ def _glue(tri, v):
             if rel != (end1b[0] != end2b[0]):
                 raise InternalCheckFailed("orientation relation differs at "
                                           "the two ends of a glued arc")
-            d1, d2 = d1 + c1, d2 + c2
-            if not parity.union(d1, d2, rel, hi - lo, s1, s2):
-                conflicts.append((d1, d2, rel, hi - lo, s1, s2))
+            parity.union(d1 + c1, d2 + c2, rel, hi - lo, s1, s2)
             i, j, lo = i + (hi1 == hi), j + (hi2 == hi), hi
-    return report, kinds, parity, conflicts
+    return report, kinds, parity
 
 
 def build_surface(tri, v):
@@ -303,15 +304,9 @@ def build_surface(tri, v):
     return NormalSurface(tri, tuple(v), *_glue(tri, v))
 
 
-def _count_cells(tri, v, kinds, parity, conflicts):
+def _count_cells(tri, v, kinds, parity):
     """The values of _CELLS for the surface of v from its gluing pass."""
-    # Re-uniting a pair once all are united changes nothing and reports
-    # whether it is glued against its parity, as it was at its union.
-    one_sided = set()
-    for x, y, rel, count, dx, dy in conflicts:
-        for i in range(count):
-            if not parity.union(x + i * dx, y + i * dy, rel):
-                one_sided.add(parity.find(x + i * dx)[0])
+    one_sided = {parity.find(x)[0] for x in parity.twisted}
     # The point check chains the corners at a point around its edge, so
     # the point lies on the component of any disk with a corner there.
     k, disk, point_disk, disk_arcs = tri.edge_count, 0, {}, []

@@ -63,7 +63,10 @@ class ParityUnionFind:
     no find walks more than log2(n) links (Tarjan-van Leeuwen, J. ACM 31,
     1984).  Tetrahedra, tetrahedron edges and tetrahedron vertices are
     indexed t, 6t+e and 4t+v; surface disks by id.  ``classes`` counts the
-    classes and ``size`` holds each root's class size.
+    classes and ``size`` holds each root's class size.  ``twisted`` is the
+    one record of a gluing against parity: the first element of every
+    pair a union found already united with the opposite relative parity,
+    in the order met.
     """
 
     def __init__(self, n):
@@ -71,6 +74,7 @@ class ParityUnionFind:
         self.parity = [0] * n
         self.size = [1] * n
         self.classes = n
+        self.twisted = []
 
     def find(self, x):
         """(root of x, parity of x relative to that root)."""
@@ -83,13 +87,12 @@ class ParityUnionFind:
 
     def union(self, x, y, rel=0, count=1, dx=0, dy=0):
         """Unite x + i*dx and y + i*dy with parity(x + i*dx) ^
-        parity(y + i*dy) == rel for every i < count.
-
-        Returns False if any of the pairs was already united with the
-        opposite relative parity.
+        parity(y + i*dy) == rel for every i < count.  A pair already
+        united with the opposite relative parity appends x + i*dx to
+        twisted.
         """
         parent, parity, size = self.parent, self.parity, self.size
-        ok, merged = True, 0
+        merged = 0
         for _ in range(count):
             rx, px = x, 0
             while parent[rx] != rx:
@@ -101,7 +104,7 @@ class ParityUnionFind:
                 ry = parent[ry]
             if rx == ry:
                 if px ^ py != rel:
-                    ok = False
+                    self.twisted.append(x)
             else:
                 if size[rx] < size[ry]:
                     rx, ry = ry, rx
@@ -112,7 +115,6 @@ class ParityUnionFind:
             x += dx
             y += dy
         self.classes -= merged
-        return ok
 
     def groups(self):
         """{root: the elements of its class in increasing order}, the
@@ -203,7 +205,8 @@ class Triangulation:
         uf = ParityUnionFind(self.tet_count)
         for (side1, side2, perm) in self.face_classes:
             rel = 0 if perm_sign(perm) == -1 else 1
-            if not uf.union(side1[0], side2[0], rel):
+            uf.union(side1[0], side2[0], rel)
+            if uf.twisted:
                 raise NonOrientable("gluing %s -> %s is orientation-reversing"
                                     % (side1, side2))
         self.orientation = []
@@ -229,7 +232,8 @@ class Triangulation:
                     # such a gluing on their own, which
                     # test_edge_identified_with_itself_in_reverse_rejected
                     # checks with the orientation check skipped.
-                    if not uf.union(6 * t1 + e1, 6 * t2 + e2, flip):
+                    uf.union(6 * t1 + e1, 6 * t2 + e2, flip)
+                    if uf.twisted:
                         raise InvalidEdge(
                             "edge %s of tet %d is identified with itself "
                             "in reverse" % (EDGES[e1], t1))

@@ -145,7 +145,6 @@ def elementwise_surface(tri, v):
                 arcs[rank] = (first + k, pts[a], along_a, pts[b], along_b)
 
     parity = ParityUnionFind(len(disk_points))
-    conflicts = []                # disks glued against their parity
     arc_pair_count = 0
     for slot1, slot2, crossed in glued:
         one, two = slots.get(slot1, {}), slots.get(slot2, {})
@@ -165,10 +164,9 @@ def elementwise_surface(tri, v):
                 raise InternalCheckFailed(
                     "orientation relation differs at the two ends of a "
                     "glued arc")
-            if not parity.union(d1, d2, rel):
-                conflicts.append(d1)
+            parity.union(d1, d2, rel)
 
-    one_sided = {parity.find(d)[0] for d in conflicts}
+    one_sided = {parity.find(d)[0] for d in parity.twisted}
     total_vertices = set()
     components = []
     for root, group in parity.groups().items():

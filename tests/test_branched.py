@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,7 +8,7 @@ import laminate.cones
 from laminate.branched import (carries_nonneg_chi, from_support,
                                sub_branched_surface, zero_chi_locus)
 from laminate.cones import extreme_rays, positive_integer_point
-from laminate.errors import InvalidSupport, NotCarried
+from laminate.errors import InternalCheckFailed, InvalidSupport, NotCarried
 from laminate.linalg import dot
 from laminate.normal import (chi_functional_coefficients, is_admissible,
                              matching_system, quad_index, tri_index,
@@ -113,6 +114,30 @@ def test_verdict_zero_with_torus_witness(models):
     assert surface.chi == 0
     assert surface.components[0].orientable
     assert surface.components[0].genus_or_crosscap == 1
+    # The one chi = 0 fundamental is a Klein bottle, and its double the
+    # torus; no further double is built or reported.
+    assert verdict.torus_witness == tuple(2 * x
+                                          for x in verdict.klein_witness)
+    assert verdict.to_json_dict()["klein_double_is_torus"] is None
+
+
+def test_verdict_without_a_torus_is_a_bug(monkeypatch):
+    # The chi = 0 search builds the zero-chi fundamental and its double
+    # and nothing more; were both one-sided, that would be a bug, not a
+    # Klein bottle verdict.
+    model = load_model("two_tet_klein.json")
+    builds = []
+
+    def one_sided(tri, v):
+        builds.append(v)
+        return SimpleNamespace(connected=True, chi=0, components=[
+            SimpleNamespace(orientable=False)])
+
+    monkeypatch.setattr(laminate.branched, "build_surface", one_sided)
+    with pytest.raises(InternalCheckFailed, match="no torus"):
+        carries_nonneg_chi(model)
+    (f,) = model.fundamentals()
+    assert builds == [f, tuple(2 * x for x in f)]
 
 
 def test_zero_chi_locus_empty_for_all_negative(models):

@@ -239,7 +239,7 @@ def test_builder_agrees_with_the_elementwise_oracle(data, m):
 def test_one_sided_rescan_marks_only_the_klein_bottle():
     # Three Klein bottles are a torus (copies 0 and 2) and a Klein bottle
     # (copy 1).  One union run covers all three copies of a slot and
-    # reports the middle pair's conflict; only its component is one-sided.
+    # records the middle pair as twisted; only its component is one-sided.
     tri, (kb,) = KLEIN_SOURCE
     v = tuple(3 * x for x in kb)
     surface = build_surface(tri, v)

@@ -122,10 +122,12 @@ def test_union_find_closure(triangulations):
 
 def test_union_find_parity_conflict_detected():
     uf = ParityUnionFind(3)
-    assert uf.union(0, 1, 1)
-    assert uf.union(1, 2, 1)
-    assert uf.union(0, 2, 0)      # consistent: 1 ^ 1 == 0
-    assert not uf.union(0, 2, 1)  # reversal detected
+    uf.union(0, 1, 1)
+    uf.union(1, 2, 1)
+    uf.union(0, 2, 0)             # consistent: 1 ^ 1 == 0
+    assert uf.twisted == []
+    uf.union(0, 2, 1)             # reversal detected
+    assert uf.twisted == [0]
 
 
 @st.composite
@@ -150,22 +152,24 @@ def _runs(draw):
 def test_union_agrees_with_a_relabelling_oracle(case):
     # The oracle labels every element with (class label, parity relative
     # to the label) and relabels a whole class on each merge.  Same
-    # conflict answers, classes and relative parities, though the roots
+    # twisted elements, classes and relative parities, though the roots
     # may differ; every find walks at most log2(n) links.
     n, runs = case
     uf = ParityUnionFind(n)
     label = [(a, 0) for a in range(n)]
+    twisted = []
     for x, dx, y, dy, count, rel in runs:
-        ok = True
         for i in range(count):
             (lx, px), (ly, py) = label[x + i * dx], label[y + i * dy]
             if lx == ly:
-                ok &= px ^ py == rel
+                if px ^ py != rel:
+                    twisted.append(x + i * dx)
                 continue
             for a, (la, pa) in enumerate(label):
                 if la == ly:
                     label[a] = (lx, pa ^ py ^ px ^ rel)
-        assert uf.union(x, y, rel, count, dx, dy) == ok
+        assert uf.union(x, y, rel, count, dx, dy) is None
+        assert uf.twisted == twisted
     classes = {}
     for a in range(n):
         classes.setdefault(label[a][0], []).append(a)
