@@ -7,9 +7,9 @@ kept as given, and floating point is never used.  A cone is
 {x : Ax = 0, x >= 0} in N coordinates, optionally with a support
 restriction forcing the remaining coordinates to zero.  Such cones are
 pointed, so the double description method starting from the coordinate
-orthant applies.  Rows are inserted in a fixed order (by their last,
-then first, nonzero coordinate inside the support, ties in input order)
-and outputs are sorted, so equal inputs give identical outputs.
+orthant applies.  Rows are inserted in the order the cone gives them,
+skipping those that hold on every ray kept so far, and outputs are
+sorted, so equal inputs give identical outputs.
 """
 
 from math import gcd
@@ -24,6 +24,9 @@ PARALLELEPIPED_POINT_CAP = 5_000_000
 
 # The most (plus, minus) ray pairs one double description row may combine.
 DD_PAIR_CAP = 10_000_000
+
+# The most rays one double description may keep at once.
+DD_RAY_CAP = 1_000_000
 
 
 def primitive(vec):
@@ -82,34 +85,33 @@ def extreme_rays(cone, max_coeff_bits=None, exclusive=()):
     ``exclusive`` (a tuple of coordinate groups).
 
     Starts from the unit rays of the supported orthant and intersects with
-    each equation in turn.  Each row is read only at its nonzero entries
-    inside the support; a row with none there holds on every ray and is
-    skipped.  The rows are inserted by their last, then their first, such
-    entry (ties in input order), so on the tetrahedron-major normal
-    coordinates the tetrahedra join one at a time (Burton, "Optimizing
-    the double description method for normal surface enumeration", Math.
-    Comp. 79, 2010).  The intermediate rays, and so the coefficient
-    budget, depend on this order; the output does not.  A ray's zero set
-    is an int bitmask over the support positions; the zero set of a
-    combination of two rays is the meet of
-    theirs, since both are nonnegative.  Two rays are adjacent by the
-    standard combinatorial test: no third ray's zero set contains the meet
-    of theirs.  A pair whose combined support uses two coordinates of one
-    group is skipped before that test (Burton's filtered double
-    description), and the test stays exact: a ray whose zero set contains
-    the meet has its support inside the pair's, so it is kept too.  A row
-    that would combine more than DD_PAIR_CAP pairs is refused
-    (WorkBudgetExceeded) before its pairs are formed.  Output is sorted
-    lexicographically.
+    each equation in turn, in the order the cone gives them: the caller
+    owns the order, which decides the intermediate rays, and so the
+    coefficient budget and the work, but not the output.  Each row is
+    read only at its nonzero entries inside the support; a row with none
+    there holds on every ray and is skipped.  A ray's zero set is an int
+    bitmask over the support positions; the zero set of a combination of
+    two rays is the meet of theirs, since both are nonnegative.  A ray
+    whose zero set holds the row's support is valued 0 without summing,
+    and a row that is 0 on every kept ray (one in the span of the rows
+    before it) is skipped before the ray lists are rebuilt.  Two rays are
+    adjacent by the standard combinatorial test: no third ray's zero set
+    contains the meet of theirs.  A pair whose combined support uses two
+    coordinates of one group is skipped before that test (Burton's
+    filtered double description), and the test stays exact: a ray whose
+    zero set contains the meet has its support inside the pair's, so it
+    is kept too.  A row that would combine more than DD_PAIR_CAP pairs is
+    refused (WorkBudgetExceeded) before its pairs are formed, and so is a
+    new ray that would make more than DD_RAY_CAP kept rays, before it is
+    stored.  Output is sorted lexicographically.
     """
     support = sorted(cone.support)
+    position = {j: p for p, j in enumerate(support)}
     rows = []
     for row in cone.matrix:
         entries = [(j, row[j]) for j in support if row[j]]
         if entries:
-            rows.append(entries)
-    rows.sort(key=lambda entries: (entries[-1][0], entries[0][0]))
-    position = {j: p for p, j in enumerate(support)}
+            rows.append((entries, sum(1 << position[j] for j, _ in entries)))
     groups = []
     for group in exclusive:
         bits = [1 << position[j] for j in group if j in position]
@@ -123,10 +125,14 @@ def extreme_rays(cone, max_coeff_bits=None, exclusive=()):
         unit[j] = 1
         zero_sets[tuple(unit)] = full ^ (1 << p)
 
-    for entries in rows:
+    for entries, held in rows:
+        values = [0 if m & held == held
+                  else sum([c * r[j] for j, c in entries])
+                  for r, m in zero_sets.items()]
+        if not any(values):
+            continue
         rays = list(zero_sets)
         masks = list(zero_sets.values())
-        values = [sum([c * r[j] for j, c in entries]) for r in rays]
         zero = [i for i, x in enumerate(values) if x == 0]
         plus = [i for i, x in enumerate(values) if x > 0]
         minus = [i for i, x in enumerate(values) if x < 0]
@@ -163,6 +169,8 @@ def extreme_rays(cone, max_coeff_bits=None, exclusive=()):
                         if holders > 2:
                             break
                 if holders == 2:
+                    check_work(len(zero_sets) + 1, DD_RAY_CAP,
+                               "a double description keeps %d rays")
                     vm = values[im]
                     combo = [vp * b - vm * a for a, b in zip(rp, rays[im])]
                     zero_sets[primitive(combo)] = meet

@@ -42,8 +42,9 @@ two octagon types whose pairs separate f from v.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .cones import RationalCone, extreme_rays, hilbert_basis
@@ -152,6 +153,36 @@ class MatchingSystem:
         self.rows = tuple(rows)
         self.labels = tuple(labels)
         self._entries = tuple(entries)
+
+    @cached_property
+    def q_rows(self):
+        """
+        Tollefson's Q-matching rows (Pacific J. Math. 183, 1998), with
+        Burton's octagon terms (Exp. Math. 19, 2010): rows of the matching
+        row space that vanish on every triangle coordinate, spanning all
+        of them.  Integer elimination of the triangle columns out of the
+        rows, each pivot row dropped once used and each combination
+        divided by its gcd; the rows left, zero rows dropped, are these.
+        Built on first use.
+        """
+        rows = [dict(row) for row in self._entries]
+        for t in range(self.triangulation.tet_count):
+            for col in range(COORDS_PER_TET * t, COORDS_PER_TET * t + 4):
+                at = next((i for i, r in enumerate(rows) if col in r), None)
+                if at is None:
+                    continue
+                pivot = rows.pop(at)
+                p = pivot[col]
+                for i, row in enumerate(rows):
+                    a = row.get(col)
+                    if a:
+                        combo = {j: p * row.get(j, 0) - a * pivot.get(j, 0)
+                                 for j in row.keys() | pivot.keys()}
+                        g = gcd(*combo.values())
+                        rows[i] = {j: x // g for j, x in combo.items() if x}
+        n = vector_length(self.triangulation)
+        return tuple(tuple(row.get(j, 0) for j in range(n))
+                     for row in rows if row)
 
     def residual(self, v):
         # Plain loops: a comprehension per row costs a frame per row, and
@@ -355,6 +386,14 @@ def vertex_solutions(tri, include_octs=False, max_coeff_bits=None):
     tetrahedron's quads and octagons, and at most one octagon coordinate
     in all.  Each orthant cone is a face of the run's cone, so the run's
     admissible extreme rays are exactly the union of the orthants'.
+
+    The Q rows go in first, so the run first solves the quad(-oct)
+    equations with every triangle coordinate free, and the matching rows
+    then lift those solutions to standard coordinates (Burton, AGT 9,
+    2009).  Each group
+    goes in by its rows' last, then first, nonzero coordinate inside the
+    support (ties in order), so the tetrahedra join one at a time
+    (Burton, Math. Comp. 79, 2010).
     """
     n = tri.tet_count
     support = [j for j in range(vector_length(tri))
@@ -363,7 +402,15 @@ def vertex_solutions(tri, include_octs=False, max_coeff_bits=None):
                    + tuple(oct_index(t, q) for q in range(3))
                    for t in range(n))
     groups += (tuple(oct_index(t, q) for t in range(n) for q in range(3)),)
-    return extreme_rays(matching_cone(tri, support), max_coeff_bits, groups)
+
+    def key(row):
+        used = [j for j in support if row[j]]
+        return (used[-1], used[0]) if used else (-1, -1)
+
+    system = matching_system(tri)
+    rows = sorted(system.q_rows, key=key) + sorted(system.rows, key=key)
+    return extreme_rays(RationalCone(rows, vector_length(tri), support),
+                        max_coeff_bits, groups)
 
 
 def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):

@@ -122,6 +122,19 @@ def test_coefficient_budget():
         extreme_rays(cone, max_coeff_bits=8)
 
 
+def test_kept_ray_cap_is_refused(two_tet, monkeypatch):
+    # two_tet's quad run keeps at most 12 rays at once, so a cap of 11
+    # refuses the twelfth before it is stored, and 12 answers.
+    rays = normal.vertex_solutions(two_tet)
+    monkeypatch.setattr(cones, "DD_RAY_CAP", 11)
+    with pytest.raises(WorkBudgetExceeded,
+                       match=r"^a double description keeps 12 rays"
+                             r" \(budget 11\)$"):
+        normal.vertex_solutions(two_tet)
+    monkeypatch.setattr(cones, "DD_RAY_CAP", 12)
+    assert normal.vertex_solutions(two_tet) == rays
+
+
 def test_parallelepiped_walk_over_budget_is_refused():
     # Rays (1, 3000, 0) and (1, 0, 3000): a 3000^2 walk.
     with pytest.raises(WorkBudgetExceeded):

@@ -11,6 +11,7 @@ from laminate import cones, normal
 from laminate.cones import (RationalCone, decompose_over, extreme_rays,
                             hilbert_basis)
 from laminate.errors import Inadmissible, IncompatibleQuads, LaminateError
+from laminate.linalg import dot, rank
 from laminate.normal import (ARC_DISKS, COORDS_PER_TET, DISK_EDGE_WEIGHTS,
                              chi_functional_coefficients, edge_weights,
                              fundamental_solutions, haken_sum,
@@ -249,6 +250,19 @@ DRAWS = 10
 DRAWN_SIZES = (1, 2, 3, 1, 2, 3, 4)
 
 
+def _check_q_rows(tri, vertex_rays):
+    """The Q rows vanish on every triangle coordinate, lie in the matching
+    row space, have rank n and hold on every given vertex solution."""
+    system = matching_system(tri)
+    q_rows = system.q_rows
+    assert not any(row[tri_index(t, i)] for row in q_rows
+                   for t in range(tri.tet_count) for i in range(4))
+    assert rank(system.rows + q_rows) == rank(system.rows)
+    assert rank(q_rows) == tri.tet_count
+    for v in vertex_rays:
+        assert not any(dot(row, v) for row in q_rows)
+
+
 def _union_over_every_orthant(tri, include_octs, solve):
     out = set()
     for support in every_orthant_support(tri, include_octs):
@@ -281,12 +295,14 @@ def test_maximal_orthants_give_every_fundamental_solution(
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(DRAWN_SIZES))
 def test_drawn_triangulations_meet_the_orthant_oracles(seed, n):
     # Inputs nobody chose: the maximal-orthant answers equal the union
-    # over every orthant, and the chi functional equals the cell-complex
-    # chi of each vertex solution with at most one octagon.
+    # over every orthant, the chi functional equals the cell-complex chi
+    # of each vertex solution with at most one octagon, and the Q rows
+    # are Tollefson's.
     tri = drawn_triangulation(random.Random(seed), n)
     coeffs = chi_functional_coefficients(tri)
     for include_octs in (False, True):
         rays = vertex_solutions(tri, include_octs)
+        _check_q_rows(tri, rays)
         assert rays == _union_over_every_orthant(tri, include_octs,
                                                  extreme_rays)
         assert fundamental_solutions(tri, include_octs) == \
@@ -311,11 +327,16 @@ def _golden_solution_cases():
 def test_solutions_match_golden(text, case):
     # Recorded while every maximal orthant ran its own double description:
     # answers and budget refusals must be reproduced exactly.  The budget
-    # checks every intermediate ray, and those depend on the row order, so
-    # four budgeted vertex_solutions entries were edited by hand when the
-    # double description began inserting rows tetrahedron by tetrahedron:
-    # t4_0 and t4_1 with octagons at 2 bits and t4_2 with octagons at 3
-    # now answer, and t3_1 without octagons at 2 bits now refuses.
+    # checks every intermediate ray, and those depend on the rows and
+    # their order, so budgeted vertex_solutions entries were edited by
+    # hand twice.  When the double description began inserting rows
+    # tetrahedron by tetrahedron, t4_0 and t4_1 with octagons at 2 bits
+    # and t4_2 with octagons at 3 came to answer, and t3_1 without
+    # octagons at 2 bits to refuse.  When the Q rows began to go in
+    # first, five refusals came to answer, each with its unbudgeted
+    # listing: two_tet at 1 bit with and without octagons, t3_0 with
+    # octagons at 2, t3_1 without octagons at 2 and t4_2 without
+    # octagons at 3.  No answer came to refuse.
     solve = {"vertex_solutions": vertex_solutions,
              "fundamental_solutions": fundamental_solutions}[case["function"]]
     try:
@@ -340,8 +361,16 @@ def test_budget_only_refuses():
 
 
 def _load(name):
-    path = fixture_path(name) if name in TRI_NAMES else CENSUS / name
+    path = (fixture_path(name) if name in TRI_NAMES
+            else CENSUS / name if name in CENSUS_NAMES else DATA / name)
     return parse_triangulation(path.read_text())
+
+
+@pytest.mark.parametrize("name", TRI_NAMES + CENSUS_NAMES
+                         + ("r7.tri", "r9.tri"))
+def test_q_rows_are_tollefsons_rows(name):
+    tri = _load(name)
+    _check_q_rows(tri, vertex_solutions(tri) + vertex_solutions(tri, True))
 
 
 def _vertex_run(tri, include_octs):
@@ -362,9 +391,9 @@ def _vertex_run(tri, include_octs):
 @pytest.mark.parametrize("include_octs", [False, True])
 @pytest.mark.parametrize("name", TRI_NAMES + CENSUS_NAMES)
 def test_row_order_never_changes_the_vertex_solutions(name, include_octs):
-    # extreme_rays inserts rows by their last and first coordinates, so a
-    # shuffle of the rows alone changes only the order of ties; renaming
-    # the coordinates as well changes the insertion order itself.
+    # extreme_rays inserts rows in the order given, so each shuffle of the
+    # rows is a new insertion order, with other intermediate rays; the
+    # answer, renamed with the coordinates, must not change.
     cone, groups, rays = _vertex_run(_load(name), include_octs)
 
     @settings(derandomize=True, deadline=None, max_examples=10)
@@ -427,11 +456,16 @@ def test_r7_vertex_solutions_are_pinned():
 
 
 def test_r9_quad_solutions_are_pinned():
-    # A 9-tetrahedron pick with two vertices; its octagon answers are
-    # not pinned, as they take seconds.
+    # A 9-tetrahedron pick with two vertices.  Its 185 octagon vertex
+    # solutions are pinned too, as the run that inserted the matching rows
+    # alone gave them in about 5 s; with the Q rows first they take a
+    # tenth of a second.  Its octagon fundamentals are not pinned, as they
+    # take seconds, mostly in grouping the rays by orthant.
     tri = parse_triangulation((DATA / "r9.tri").read_text())
     pinned = json.loads((DATA / "r9_quad_solutions.json").read_text())
     assert [list(v) for v in vertex_solutions(tri)] == pinned["vertex"]
+    assert [list(v) for v in vertex_solutions(tri, True)] == \
+        pinned["octagon_vertex"]
     assert [list(v) for v in fundamental_solutions(tri)] == \
         pinned["fundamental"]
 
