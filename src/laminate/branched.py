@@ -3,11 +3,12 @@ Branched-surface models over disk-type coordinates.
 
 A model is a support: the set of disk types (branch sectors) the branched
 surface is glued from, with at most one quad/oct direction per
-tetrahedron and at most one octagon sector in total.  Its solution cone
-is the matching cone restricted to the support; surfaces carried by the
-model are the integer points of that cone, and the fundamental solutions
-are its Hilbert basis.  The linear Euler characteristic functional turns
-Haken decompositions into the counting certificates used downstream.
+tetrahedron and at most one octagon sector in total, which
+normal.quad_oct_clashes checks.  Its solution cone is the matching cone
+restricted to the support; surfaces carried by the model are the integer
+points of that cone, and the fundamental solutions are its Hilbert
+basis.  The linear Euler characteristic functional turns Haken
+decompositions into the counting certificates used downstream.
 """
 
 from fractions import Fraction
@@ -18,8 +19,8 @@ from .cones import (RationalCone, extreme_rays, hilbert_basis,
 from .errors import InternalCheckFailed, InvalidSupport, NotCarried
 from .linalg import dot
 # matching_system: unused, kept for perfbench/spans.py.
-from .normal import (COORDS_PER_TET, chi_functional_coefficients,
-                     matching_cone, matching_system, vector_length)
+from .normal import (chi_functional_coefficients, matching_cone,
+                     matching_system, quad_oct_clashes, vector_length)
 from .surfaces import build_surface
 
 
@@ -41,16 +42,11 @@ class BranchedSurfaceModel:
         for j in self.support:
             if not (0 <= j < n):
                 raise InvalidSupport("coordinate %d out of range" % j)
-        oct_sectors = []
-        for t in range(tri.tet_count):
-            base = COORDS_PER_TET * t
-            directions = [k for k in range(4, 10)
-                          if base + k in self.support]
-            if len(directions) > 1:
-                raise InvalidSupport(
-                    "tetrahedron %d has %d quad/oct sectors in the support"
-                    % (t, len(directions)))
-            oct_sectors.extend(base + k for k in directions if k >= 7)
+        clashes, oct_sectors = quad_oct_clashes(
+            tri, [int(j in self.support) for j in range(n)])
+        if clashes:
+            raise InvalidSupport("tetrahedron %d has more than one quad/oct "
+                                 "sector in the support" % clashes[0])
         if len(oct_sectors) > 1:
             raise InvalidSupport("more than one octagon sector in the support")
         self.oct_sector = oct_sectors[0] if oct_sectors else None

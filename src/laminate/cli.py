@@ -260,20 +260,18 @@ def build_parser():
 
     ns = sub.add_parser("ns", help="normal surface commands")
     ns_sub = ns.add_subparsers(dest="subcommand", required=True)
-    p = ns_sub.add_parser("vertex", help="vertex (extreme ray) solutions")
-    common(p)
-    p.add_argument("--bound", type=int, default=None,
-                   help="verify against brute-force enumeration up to this "
-                        "coordinate bound (>= 1)")
-    p.add_argument("--almost-normal", action="store_true",
-                   help="include octagon orthants")
-    p.set_defaults(func=cmd_ns_vertex)
-    p = ns_sub.add_parser("fundamental", help="fundamental (Hilbert basis) "
-                                              "solutions")
-    common(p)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--almost-normal", action="store_true")
-    p.set_defaults(func=cmd_ns_fundamental)
+    for name, func, what in (
+            ("vertex", cmd_ns_vertex, "vertex (extreme ray) solutions"),
+            ("fundamental", cmd_ns_fundamental,
+             "fundamental (Hilbert basis) solutions")):
+        p = ns_sub.add_parser(name, help=what)
+        common(p)
+        p.add_argument("--bound", type=int, default=None,
+                       help="verify against brute-force enumeration up to "
+                            "this coordinate bound (>= 1)")
+        p.add_argument("--almost-normal", action="store_true",
+                       help="include octagon orthants")
+        p.set_defaults(func=func)
     p = ns_sub.add_parser("build", help="rebuild the surface of a vector")
     common(p)
     p.add_argument("--vector", required=True,

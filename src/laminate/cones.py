@@ -230,21 +230,22 @@ def hilbert_basis(rays, max_coeff_bits=None):
 
     The candidates are the extreme rays and the nonzero integer points of
     the half-open parallelepipeds of one triangulation's simplices
-    (Bruns-Ichim, J. Algebra 324, 2010): an irreducible point that is not
-    a ray has every multiplier below 1 in a simplex that holds it.  A
-    simplex of minor delta walks delta group elements, and candidates are
-    reduced in pairs, so the walk is refused (WorkBudgetExceeded) before
-    any point is listed once the squared sum of the minors exceeds
-    PARALLELEPIPED_POINT_CAP.  Candidates are reduced in order of
-    coordinate sum to the irreducible elements, sorted.
+    (Bruns-Ichim, J. Algebra 324, 2010): an irreducible point that is not a
+    ray has every multiplier below 1 in a simplex that holds it.  Each
+    simplex spans the rays' row space, so its minor is taken on their pivot
+    columns.  A simplex of minor delta walks delta group elements, and
+    candidates are reduced in pairs, so the walk is refused
+    (WorkBudgetExceeded) before any point is listed once the squared sum of
+    the minors exceeds PARALLELEPIPED_POINT_CAP.  Candidates are reduced in
+    order of coordinate sum to the irreducible elements, sorted.
     """
     if len(rays) <= 1:
         return rays
     rays = tuple(sorted(rays))
     simplices = []
     walk = 0
+    pivots = pivot_columns(rays)
     for simplex in _triangulation(rays, rank(rays), {}):
-        pivots = pivot_columns(simplex)
         minor = [[r[i] for i in pivots] for r in simplex]
         delta = abs(det(minor))
         simplices.append((simplex, minor, delta))

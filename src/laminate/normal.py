@@ -110,13 +110,18 @@ def vector_length(tri):
     return COORDS_PER_TET * tri.tet_count
 
 
-def quad_oct_profile(v, t):
+def quad_oct_clashes(tri, v):
     """
-    The quad/oct usage of tetrahedron t in vector v: a list of local disk
-    indices 4..9 with nonzero weight.
+    The quad/oct constraint on a vector or a support's 0/1 vector: the
+    tetrahedra with two or more nonzero quad/oct coordinates, and the
+    nonzero octagon coordinates.  Its one check; vertex_solutions' groups
+    and iter_orthant_supports restate it for the enumerations.
     """
-    base = COORDS_PER_TET * t
-    return [k for k in range(4, 10) if v[base + k] != 0]
+    clashes = [base // COORDS_PER_TET
+               for base in range(0, vector_length(tri), COORDS_PER_TET)
+               if v[base + 4:base + 10].count(0) < 5]
+    return clashes, [j for j, x in enumerate(v)
+                     if x and j % COORDS_PER_TET >= 7]
 
 
 class MatchingSystem:
@@ -256,16 +261,11 @@ def is_admissible(tri, v):
     for label, value in zip(system.labels, system.residual(v)):
         if value != 0:
             matching_failures.append((label[0], label[1], value))
-    # Two or more of a tetrahedron's six quad/oct coordinates are nonzero.
-    quad_violations = [
-        t for t in range(tri.tet_count)
-        if v[COORDS_PER_TET * t + 4:COORDS_PER_TET * t + 10].count(0) < 5]
+    quad_violations, octs = quad_oct_clashes(tri, v)
     almost = []
-    octs = [(t, q, v[oct_index(t, q)]) for t in range(tri.tet_count)
-            for q in range(3) if v[oct_index(t, q)] != 0]
     if len(octs) > 1:
         almost.append("more than one octagon coordinate is nonzero")
-    if any(x > 1 for (_, _, x) in octs):
+    if any(v[j] > 1 for j in octs):
         almost.append("an octagon coordinate exceeds 1")
     return AdmissibilityReport(matching_failures, quad_violations, almost)
 
@@ -297,10 +297,9 @@ def haken_sum(tri, v, w):
     characteristic and weight are additive under this sum.
     """
     s = tuple(a + b for a, b in zip(v, w))
-    for t in range(tri.tet_count):
-        if len(quad_oct_profile(s, t)) > 1:
-            raise IncompatibleQuads(
-                "tetrahedron %d would receive two quad/oct directions" % t)
+    for t in quad_oct_clashes(tri, s)[0]:
+        raise IncompatibleQuads(
+            "tetrahedron %d would receive two quad/oct directions" % t)
     return s
 
 
@@ -318,9 +317,8 @@ def is_vertex_linking(tri, v):
     vectors: all quad and octagon coordinates vanish and the triangle
     weight is constant on each vertex class.
     """
-    for t in range(tri.tet_count):
-        if quad_oct_profile(v, t):
-            return False
+    if any(x for j, x in enumerate(v) if j % COORDS_PER_TET >= 4):
+        return False
     for cls in tri.vertex_classes:
         values = {v[tri_index(t, i)] for (t, i) in cls}
         if len(values) > 1:
@@ -328,14 +326,14 @@ def is_vertex_linking(tri, v):
     return True
 
 
-def parse_vector(text, tri=None):
+def parse_vector(text, tri):
     """Comma-separated integers -> coordinate tuple (validated length)."""
     try:
         v = tuple(int(part.strip()) for part in text.split(",")
                   if part.strip())
     except ValueError:
         raise Inadmissible("vector must be comma-separated integers")
-    if tri is not None and len(v) != vector_length(tri):
+    if len(v) != vector_length(tri):
         raise Inadmissible("vector has length %d, expected %d"
                            % (len(v), vector_length(tri)))
     return v

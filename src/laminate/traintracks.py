@@ -144,8 +144,6 @@ class CarriedTrack:
         the closed weight cone.
         """
         w = tuple(dot(row, v) for row in self.pinch_map)
-        if any(x < 0 for x in w):
-            return None
         if not self.track.weight_cone().contains(w):
             return None
         if self.image(w) != tuple(v):

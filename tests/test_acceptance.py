@@ -26,7 +26,7 @@ from laminate.finiteness import (antichain_certificate,
 from laminate.linalg import dot
 from laminate.normal import (chi_functional_coefficients, is_admissible,
                              is_vertex_linking, matching_cone,
-                             matching_system, quad_oct_profile, tri_index,
+                             matching_system, quad_oct_clashes, tri_index,
                              vector_length, weight)
 from laminate.surfaces import build_surface
 from laminate.traintracks import (cone_cover_check, figure_sp1_track,
@@ -96,8 +96,7 @@ def test_criterion_2_haken_sum_additivity(triangulations, fundamentals):
             done += 1
             try:
                 total = tuple(a + b for a, b in zip(v, w))
-                if any(len(quad_oct_profile(total, t)) > 1
-                       for t in range(tri.tet_count)):
+                if quad_oct_clashes(tri, total)[0]:
                     raise IncompatibleQuads("sampled outside one orthant")
             except IncompatibleQuads:
                 failures += 1

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -14,8 +15,9 @@ from laminate.normal import (chi_functional_coefficients, is_admissible,
                              matching_system, quad_index, tri_index,
                              vector_length)
 from laminate.surfaces import build_surface
-from tests.conftest import load_model
-from tests.test_normal import all_triangles_one
+from laminate.triangulation import parse_triangulation
+from tests.conftest import every_orthant_support, fixture_path, load_model
+from tests.test_normal import CENSUS, all_triangles_one
 
 
 def triangle_support(tri):
@@ -43,6 +45,34 @@ def test_invalid_support_two_oct_sectors(two_tet):
     bad = {10 * 0 + 7, 10 * 1 + 7}
     with pytest.raises(InvalidSupport):
         from_support(two_tet, bad)
+
+
+@pytest.mark.parametrize("path", [fixture_path("one_tet.tri"),
+                                  fixture_path("two_tet.tri"),
+                                  fixture_path("three_tet.tri"),
+                                  CENSUS / "t4_0.tri"])
+def test_from_support_accepts_exactly_the_allowed_supports(path):
+    # Seeded random supports: every triangle coordinate with probability
+    # 1/2, every quad/oct coordinate with a drawn, mostly small one.
+    tri = parse_triangulation(path.read_text())
+    allowed = list(every_orthant_support(tri, include_octs=True))
+    rng = random.Random(26)
+    outcomes = set()
+    for _ in range(200):
+        rate = rng.choice((0.05, 0.1, 0.2, 0.4))
+        support = frozenset(
+            j for j in range(vector_length(tri))
+            if rng.random() < (0.5 if j % 10 < 4 else rate))
+        if any(support <= s for s in allowed):
+            octs = [j for j in support if j % 10 >= 7]
+            assert from_support(tri, support).oct_sector == (
+                octs[0] if octs else None)
+            outcomes.add(bool(octs))
+        else:
+            with pytest.raises(InvalidSupport):
+                from_support(tri, support)
+            outcomes.add(None)
+    assert outcomes == {None, False, True}
 
 
 def test_fundamental_support_fully_carries_it(three_tet, fundamentals):

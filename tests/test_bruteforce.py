@@ -10,7 +10,7 @@ from laminate.bruteforce import (ARC_TYPES, _patterns, _quad_oct_patterns,
                                  hilbert_oracle, in_support)
 from laminate.errors import WorkBudgetExceeded
 from laminate.normal import (ARC_DISKS, COORDS_PER_TET, is_admissible,
-                             matching_system, quad_oct_profile, vector_length)
+                             matching_system, quad_oct_clashes, vector_length)
 from tests.conftest import load_triangulation
 
 
@@ -29,7 +29,7 @@ def test_join_matches_naive_enumeration(one_tet):
     for v in product(range(bound + 1), repeat=vector_length(one_tet)):
         if any(system.residual(v)):
             continue
-        if any(len(quad_oct_profile(v, t)) > 1 for t in range(1)):
+        if quad_oct_clashes(one_tet, v)[0]:
             continue
         naive.append(v)
     joined = sorted(enumerate_quad_oct_solutions(one_tet, bound))

@@ -152,6 +152,16 @@ def test_ns_fundamental(capsys):
     assert payload["count"] == 4
 
 
+@pytest.mark.parametrize("command", ["vertex", "fundamental"])
+def test_solution_listings_describe_their_options(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main(["ns", command, "--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "verify against brute-force enumeration up to this" in text
+    assert "include octagon orthants" in text
+
+
 def test_bs_verdict(capsys, models):
     support = ",".join(str(j) for j in sorted(
         models["three_tet_normal_genus2.json"].support))

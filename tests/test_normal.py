@@ -18,8 +18,9 @@ from laminate.normal import (ARC_DISKS, COORDS_PER_TET, DISK_EDGE_WEIGHTS,
                              is_admissible, is_vertex_linking,
                              iter_orthant_supports,
                              matching_cone, matching_system, oct_index,
-                             quad_index, tri_index, vertex_link_vector,
-                             vertex_solutions, vector_length, weight)
+                             quad_index, quad_oct_clashes, tri_index,
+                             vertex_link_vector, vertex_solutions,
+                             vector_length, weight)
 from laminate.surfaces import build_surface
 from laminate.triangulation import Triangulation, parse_triangulation
 from tests.conftest import (TRI_NAMES, drawn_triangulation,
@@ -197,6 +198,36 @@ def test_haken_sum_incompatible_quads(two_tet):
     w[quad_index(0, 1)] = 1
     with pytest.raises(IncompatibleQuads):
         haken_sum(two_tet, tuple(v), tuple(w))
+
+
+@pytest.mark.parametrize("name", TRI_NAMES + CENSUS_NAMES)
+def test_quad_oct_clashes_match_a_direct_count(name):
+    # Seeded random vectors with entries 0-3, sparse to dense, so that
+    # tetrahedra with none, one and several quad/oct disks all occur; each
+    # is read as a tuple and as a list, and its 0/1 vector too.
+    tri = _load(name)
+    rng = random.Random(26)
+    seen = set()
+    for _ in range(150):
+        density = rng.choice((0.05, 0.2, 0.5, 0.9))
+        v = tuple(rng.randrange(1, 4) if rng.random() < density else 0
+                  for _ in range(vector_length(tri)))
+        for w in (v, list(v), [int(x > 0) for x in v]):
+            clashes = []
+            for t in range(tri.tet_count):
+                used = 0
+                for q in range(3):
+                    used += (w[quad_index(t, q)] != 0)
+                    used += (w[oct_index(t, q)] != 0)
+                if used >= 2:
+                    clashes.append(t)
+            octs = [oct_index(t, q) for t in range(tri.tet_count)
+                    for q in range(3) if w[oct_index(t, q)] != 0]
+            assert quad_oct_clashes(tri, w) == (clashes, octs)
+            seen.add(("clash", bool(clashes)))
+            seen.add(("octagons", min(len(octs), 2)))
+    assert seen == {("clash", False), ("clash", True), ("octagons", 0),
+                    ("octagons", 1), ("octagons", 2)}
 
 
 def test_vertex_link_recognition(triangulations):

@@ -16,7 +16,7 @@ from laminate.finiteness import enumerate_genus
 from laminate.linalg import dot
 from laminate.normal import (chi_functional_coefficients, haken_sum,
                              iter_orthant_supports, matching_system,
-                             quad_oct_profile, quad_index, tri_index,
+                             quad_oct_clashes, quad_index, tri_index,
                              vector_length, vertex_solutions, weight)
 from laminate.surfaces import build_surface
 from laminate.triangulation import parse_triangulation
@@ -54,16 +54,14 @@ def golden_cases(triangulations, fundamentals, plain_fundamentals, models):
         for i, f in enumerate(funds):
             for g in funds[i:]:
                 s = tuple(a + b for a, b in zip(f, g))
-                if all(len(quad_oct_profile(s, t)) <= 1
-                       for t in range(tri.tet_count)):
+                if not quad_oct_clashes(tri, s)[0]:
                     cases.append((name, s))
         for _ in range(10):
             v = [0] * vector_length(tri)
             for f in rng.sample(funds, k=min(3, len(funds))):
                 c = rng.randrange(6)
                 v = [a + c * b for a, b in zip(v, f)]
-            if any(v) and all(len(quad_oct_profile(v, t)) <= 1
-                              for t in range(tri.tet_count)):
+            if any(v) and not quad_oct_clashes(tri, v)[0]:
                 cases.append((name, tuple(v)))
     kb = _klein_bottle(triangulations["two_tet.tri"])
     cases += [("two_tet.tri", kb), ("two_tet.tri", tuple(2 * x for x in kb))]
@@ -152,8 +150,7 @@ def _draw_sum(data, sources):
     v = (0,) * vector_length(tri)
     for ray, n in terms:
         w = tuple(a + n * b for a, b in zip(v, ray))
-        if all(len(quad_oct_profile(w, t)) <= 1
-               for t in range(tri.tet_count)):
+        if not quad_oct_clashes(tri, w)[0]:
             v = w
     return tri, v
 
@@ -359,8 +356,7 @@ def test_haken_sum_chi_additive_on_compatible_fundamentals(triangulations,
         for v in funds:
             for w in funds:
                 s = tuple(a + b for a, b in zip(v, w))
-                if any(len(quad_oct_profile(s, t)) > 1
-                       for t in range(tri.tet_count)):
+                if quad_oct_clashes(tri, s)[0]:
                     continue
                 pairs += 1
                 total = haken_sum(tri, v, w)
@@ -394,8 +390,7 @@ def test_chi_functional_on_large_random_combinations(triangulations,
             v = tuple(v)
             if not any(v):
                 continue
-            if any(len(quad_oct_profile(v, t)) > 1
-                   for t in range(tri.tet_count)):
+            if quad_oct_clashes(tri, v)[0]:
                 continue
             assert build_surface(tri, v).chi == dot(coeffs, v)
 
