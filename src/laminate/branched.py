@@ -12,27 +12,27 @@ decompositions into the counting certificates used downstream.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .cones import (RationalCone, extreme_rays, hilbert_basis,
                     positive_integer_point)
 from .errors import InternalCheckFailed, InvalidSupport, NotCarried
 from .linalg import dot
-# matching_system: unused, kept for perfbench/spans.py.
-from .normal import (chi_functional_coefficients, matching_cone,
-                     matching_system, quad_oct_clashes, vector_length)
+from .normal import (matching_cone, matching_system, quad_oct_clashes,
+                     vector_length)
 from .surfaces import build_surface
 
 
 class BranchedSurfaceModel:
     """
-    A supported branch system over a triangulation.  Immutable; the
-    extreme rays of its cone, the fundamental solutions and the chi
-    verdict are each computed once, on first use.  Every cone
+    A supported branch system over a triangulation.  Immutable; rays
+    (the cone's extreme rays), basis (the fundamental solutions) and
+    verdict (carries_nonneg_chi's) are cached properties.  Every cone
     computation of the model (fundamentals, full carrying, the zero-chi
     locus) runs under the coefficient budget max_coeff_bits, when given.
-    chi is the row of the linear Euler characteristic, one exact rational
-    per disk type: chi(S(v)) = dot(model.chi, v) for every carried v.
+    chi is the triangulation's row of the linear Euler characteristic:
+    chi(S(v)) = dot(model.chi, v) for every carried v.
     """
 
     def __init__(self, tri, support, max_coeff_bits=None):
@@ -51,28 +51,28 @@ class BranchedSurfaceModel:
             raise InvalidSupport("more than one octagon sector in the support")
         self.oct_sector = oct_sectors[0] if oct_sectors else None
         self.cone = matching_cone(tri, self.support)
-        self.chi = chi_functional_coefficients(tri)
+        self.chi = matching_system(tri).chi
         self.max_coeff_bits = max_coeff_bits
-        self._rays = None
-        self._fundamentals = None
-        self._verdict = None
 
-    def _extreme_rays(self):
-        if self._rays is None:
-            self._rays = extreme_rays(self.cone,
-                                      max_coeff_bits=self.max_coeff_bits)
-        return self._rays
+    @cached_property
+    def rays(self):
+        return extreme_rays(self.cone, max_coeff_bits=self.max_coeff_bits)
+
+    @cached_property
+    def basis(self):
+        return tuple(hilbert_basis(self.rays,
+                                   max_coeff_bits=self.max_coeff_bits))
+
+    @cached_property
+    def verdict(self):
+        return _verdict(self)
 
     def fundamentals(self):
-        if self._fundamentals is None:
-            self._fundamentals = tuple(hilbert_basis(
-                self._extreme_rays(), max_coeff_bits=self.max_coeff_bits))
-        return self._fundamentals
+        return self.basis
 
     @property
     def fully_carrying(self):
-        return positive_integer_point(self._extreme_rays(),
-                                      self.support) is not None
+        return positive_integer_point(self.rays, self.support) is not None
 
     def carries(self, v):
         return self.cone.contains(v)
@@ -93,7 +93,7 @@ class BranchedSurfaceModel:
             "fully_carrying": self.fully_carrying,
             "fundamentals": [list(f) for f in funds],
             "chi": [str(dot(self.chi, f)) for f in funds],
-            "verdict": carries_nonneg_chi(self).verdict,
+            "verdict": self.verdict.verdict,
         }
 
 
@@ -158,11 +158,9 @@ def carries_nonneg_chi(model):
     For the chi = 0 verdict a connected orientable chi = 0 witness (a
     torus) is searched among the chi = 0 fundamentals and then the double
     of the first; a Klein bottle met before the torus is reported too.
-    The verdict is kept on the model, so it is decided once per model.
+    The verdict is the model's cached property, decided once per model.
     """
-    if model._verdict is None:
-        model._verdict = _verdict(model)
-    return model._verdict
+    return model.verdict
 
 
 def _verdict(model):

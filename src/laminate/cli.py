@@ -148,7 +148,7 @@ def cmd_ns_fundamental(args):
 def cmd_ns_build(args):
     _load("parse_vector", "build_surface", "is_vertex_linking")
     tri = _load_triangulation(args)
-    v = parse_vector(args.vector, tri)
+    v = parse_vector(args.vector)
     surface = build_surface(tri, v)
     payload = surface.to_json_dict()
     payload["admissible"] = surface.admissibility.admissible

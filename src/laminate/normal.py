@@ -189,6 +189,31 @@ class MatchingSystem:
         return tuple(tuple(row.get(j, 0) for j in range(n))
                      for row in rows if row)
 
+    @cached_property
+    def chi(self):
+        """
+        Rational coefficients c with c . v = chi(surface of v) for every
+        vector v satisfying the embedding constraints.  Built on first use.
+
+        Per disk type: 1 (the disk) - arcs/2 (each boundary arc is shared
+        by two disks) + sum over edge intersections of 1/deg (each point on
+        an edge class of degree d is shared by d disk corners).  The terms
+        are summed as integer numerators over lcm(2, degrees).
+        """
+        tri = self.triangulation
+        degrees = tri.edge_degrees()
+        denom = lcm(2, *degrees)
+        coeffs = []
+        for t in range(tri.tet_count):
+            # denom / deg per edge of the tetrahedron.
+            shares = [denom // degrees[tri.edge_class_of[(t, e)][0]]
+                      for e in range(6)]
+            for arcs, meets in zip(ARC_COUNT_PER_DISK, DISK_EDGE_WEIGHTS):
+                coeffs.append(Fraction(
+                    denom - arcs * denom // 2
+                    + sum(map(mul, meets, shares)), denom))
+        return tuple(coeffs)
+
     def residual(self, v):
         # Plain loops: a comprehension per row costs a frame per row, and
         # every surface rebuild opens with this check.
@@ -326,17 +351,13 @@ def is_vertex_linking(tri, v):
     return True
 
 
-def parse_vector(text, tri):
-    """Comma-separated integers -> coordinate tuple (validated length)."""
+def parse_vector(text):
+    """Comma-separated integers -> coordinate tuple."""
     try:
-        v = tuple(int(part.strip()) for part in text.split(",")
-                  if part.strip())
+        return tuple(int(part.strip()) for part in text.split(",")
+                     if part.strip())
     except ValueError:
         raise Inadmissible("vector must be comma-separated integers")
-    if len(v) != vector_length(tri):
-        raise Inadmissible("vector has length %d, expected %d"
-                           % (len(v), vector_length(tri)))
-    return v
 
 
 def matching_cone(tri, support=None):
@@ -438,24 +459,5 @@ def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):
 
 
 def chi_functional_coefficients(tri):
-    """
-    Rational coefficients c with c . v = chi(surface of v) for every
-    vector v satisfying the embedding constraints.
-
-    Per disk type: 1 (the disk) - arcs/2 (each boundary arc is shared by
-    two disks) + sum over edge intersections of 1/deg (each point on an
-    edge class of degree d is shared by d disk corners).  The terms are
-    summed as integer numerators over lcm(2, degrees).
-    """
-    degrees = tri.edge_degrees()
-    denom = lcm(2, *degrees)
-    coeffs = []
-    for t in range(tri.tet_count):
-        # denom / deg per edge of the tetrahedron.
-        shares = [denom // degrees[tri.edge_class_of[(t, e)][0]]
-                  for e in range(6)]
-        for arcs, meets in zip(ARC_COUNT_PER_DISK, DISK_EDGE_WEIGHTS):
-            coeffs.append(Fraction(
-                denom - arcs * denom // 2
-                + sum(map(mul, meets, shares)), denom))
-    return tuple(coeffs)
+    """The triangulation's one chi row (MatchingSystem.chi)."""
+    return matching_system(tri).chi

@@ -206,13 +206,11 @@ def split(track, branch):
     tail, head = (branch, 0), (branch, 1)
     si_tail, far_tail = _far_side(track, tail)
     si_head, far_head = _far_side(track, head)
-    if si_tail == si_head:
-        raise NotSplittable("branch %r loops at a single switch" % branch)
+    # An end attaches once, so an end of b on a far side was refused: by
+    # its own call when the side holds two ends, by the other end's when
+    # it holds one.  So b joins two switches and is none of p, q, r, s.
     p, q = far_tail
     r, s = far_head
-    if branch in {p[0], q[0], r[0], s[0]}:
-        raise NotSplittable("branch %r meets its own splitting square"
-                            % branch)
 
     residue = branch + "'"
     while residue in track.branch_index:

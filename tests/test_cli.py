@@ -300,6 +300,12 @@ def test_parse_error_reports_kind(capsys, tmp_path):
      "InputError"),
     (("split", "traintrack", "--file", "{tmp}/float_end.json"), "InputError"),
     (("split", "traintrack", "--file", "{tmp}/bool_end.json"), "InputError"),
+    (("split", "traintrack", "--file", "{tmp}/duplicate_branch.json"),
+     "InputError"),
+    (("split", "traintrack", "--file", "{tmp}/unknown_branch.json"),
+     "InputError"),
+    (("split", "traintrack", "--file", "{tmp}/end_twice.json"),
+     "InputError"),
     (("tri", "info", "--input", "{tmp}/latin1"), "InputError"),
     (("tri", "info", "--input", "{tmp}/empty.tri"), "UnglueedFace"),
     (("tri", "info", "--input", "{two_tet}", "--output",
@@ -308,6 +314,8 @@ def test_parse_error_reports_kind(capsys, tmp_path):
         "bad track JSON", "bad track structure", "track not UTF-8",
         "track branches a string", "track branches an object",
         "track end index a float", "track end index a bool",
+        "track branch named twice", "track switch names no branch",
+        "track end attached twice",
         "triangulation not UTF-8", "empty triangulation",
         "output not writable"])
 def test_bad_input_is_a_typed_input_error(capsys, tmp_path, argv, kind):
@@ -321,7 +329,10 @@ def test_bad_input_is_a_typed_input_error(capsys, tmp_path, argv, kind):
             ("object_branches", '["p", "q", "r", "s", "b"]',
              '{"p": 0, "q": 1, "r": 2, "s": 3, "b": 4}'),
             ("float_end", '["p", 1]', '["p", 1.0]'),
-            ("bool_end", '["b", 0]', '["b", false]')):
+            ("bool_end", '["b", 0]', '["b", false]'),
+            ("duplicate_branch", '"s", "b"]', '"s", "s", "b"]'),
+            ("unknown_branch", '["s", 0]', '["u", 0]'),
+            ("end_twice", '["s", 0]', '["r", 0]')):
         assert old in figure
         (tmp_path / (name + ".json")).write_text(figure.replace(old, new))
     (tmp_path / "latin1").write_bytes(b"\xff\xfe0:0 -> 0:1 perm=1023\n")
@@ -419,10 +430,12 @@ def test_output_file(capsys, tmp_path):
 
 
 def test_thread_cap_validated(capsys, monkeypatch):
-    monkeypatch.setenv("LAMINATE_THREADS", "0")
-    code, out = run_cli(capsys, "tri", "info",
-                        "--input", str(fixture_path("one_tet.tri")))
-    assert code == 1
+    for bad in ("0", "x"):
+        monkeypatch.setenv("LAMINATE_THREADS", bad)
+        code, out = run_cli(capsys, "tri", "info",
+                            "--input", str(fixture_path("one_tet.tri")))
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "InputError"
     monkeypatch.setenv("LAMINATE_THREADS", "4")
     code, _ = run_cli(capsys, "tri", "info",
                       "--input", str(fixture_path("one_tet.tri")))
@@ -468,6 +481,16 @@ def test_ns_build_over_the_disk_cap_is_refused(capsys):
     assert error["kind"] == "WorkBudgetExceeded"
     assert error["message"] == \
         "the surface has 8000000000 disks (budget 200000)"
+
+
+def test_ns_build_rejects_wrong_length_vector(capsys):
+    # is_admissible's length check, the first that build_surface runs.
+    code, out = run_cli(capsys, "ns", "build",
+                        "--input", str(fixture_path("two_tet.tri")),
+                        "--vector", ",".join(["0"] * 19))
+    assert code == 1
+    assert out == ('{"error":{"kind":"Inadmissible","message":'
+                   '"vector has length 19, expected 20"}}\n')
 
 
 def test_ns_build_rejects_malformed_vector(capsys):

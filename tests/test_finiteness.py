@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laminate import finiteness, surfaces
-from laminate.branched import carries_nonneg_chi, from_support
+from laminate.branched import (carries_nonneg_chi, from_support,
+                               sub_branched_surface)
 from laminate.bruteforce import enumerate_quad_oct_solutions
 from laminate.cones import decompose_over
 from laminate.errors import (GenusTooSmall, InternalCheckFailed,
@@ -15,8 +16,9 @@ from laminate.errors import (GenusTooSmall, InternalCheckFailed,
 from laminate.finiteness import (GenusEnumeration, antichain_certificate,
                                  brute_force_genus_list, enumerate_genus)
 from laminate.linalg import dot
-from laminate.normal import (MatchingSystem, fundamental_solutions,
-                             is_admissible, quad_index, vector_length)
+from laminate.normal import (MatchingSystem, chi_functional_coefficients,
+                             fundamental_solutions, is_admissible,
+                             quad_index, vector_length)
 from laminate.surfaces import build_surface
 from laminate.triangulation import parse_triangulation
 from tests.conftest import load_model, load_triangulation
@@ -306,19 +308,34 @@ def test_huge_genus_is_refused_before_the_walk_table(models):
 
 
 def test_one_matching_system_per_triangulation(monkeypatch):
-    built = []
+    # One matching system and one chi row per triangulation, the row one
+    # object that every model of it and chi_functional_coefficients share.
+    built, chi_built = [], []
     init = MatchingSystem.__init__
+    chi = MatchingSystem.__dict__["chi"]
+    build_chi = chi.func
 
     def counting_init(self, tri):
         built.append(tri)
         init(self, tri)
 
+    def counting_chi(self):
+        chi_built.append(self.triangulation)
+        return build_chi(self)
+
     monkeypatch.setattr(MatchingSystem, "__init__", counting_init)
+    monkeypatch.setattr(chi, "func", counting_chi)
     model = load_model("three_tet_normal_genus2.json")    # from_support
-    fundamental_solutions(model.triangulation, include_octs=True)
+    tri = model.triangulation
+    fundamental_solutions(tri, include_octs=True)
     carries_nonneg_chi(model)
     assert len(enumerate_genus(model, 2)) == 1
-    assert built == [model.triangulation]
+    again = from_support(tri, model.support)
+    sub = sub_branched_surface(model, model.fundamentals()[0])
+    assert again.chi is model.chi and sub.chi is model.chi
+    assert chi_functional_coefficients(tri) is model.chi
+    assert built == [tri]
+    assert chi_built == [tri]
 
 
 def test_enumeration_stable_across_runs(models):

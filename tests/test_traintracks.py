@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -116,7 +117,7 @@ def test_not_splittable_wrong_valence():
         ["p", "q", "r", "s", "u", "b"],
         [([("p", 1), ("q", 1)], [("b", 0)]),
          ([("b", 1)], [("r", 0), ("s", 0), ("u", 0)])])
-    with pytest.raises(NotSplittable):
+    with pytest.raises(NotSplittable, match="has 3 ends, need 2"):
         split(track, "b")
 
 
@@ -125,7 +126,7 @@ def test_not_splittable_shared_side():
         ["p", "q", "r", "s", "b"],
         [([("p", 1), ("q", 1)], [("b", 0), ("r", 1)]),
          ([("b", 1)], [("r", 0), ("s", 0)])])
-    with pytest.raises(NotSplittable):
+    with pytest.raises(NotSplittable, match="not alone on its switch side"):
         split(track, "b")
 
 
@@ -134,14 +135,46 @@ def test_not_splittable_loop():
         ["p", "q", "b"],
         [([("b", 0)], [("p", 0), ("q", 0)]),
          ([("b", 1)], [("p", 1), ("q", 1)])])
-    # both ends of b attach to different switches here; make a loop case:
+    # Both ends of b on one side of one switch.
     loop = TrainTrack(
         ["x", "y", "b"],
         [([("b", 0), ("b", 1)], [("x", 0), ("y", 0)])])
-    with pytest.raises(NotSplittable):
+    with pytest.raises(NotSplittable, match="not alone on its switch side"):
         split(loop, "b")
-    with pytest.raises(NotSplittable):
+    with pytest.raises(NotSplittable, match="no branch named 'missing'"):
         split(track, "missing")
+
+
+# Each shape is refused by the first check it fails, with that check's
+# message.  An end of b on a far side is refused by a _far_side call: by
+# its own when the side holds two ends, by the other end's when it holds
+# one.
+@pytest.mark.parametrize("switches, message", [
+    ([([("p", 1), ("q", 1)], [("b", 0)])],
+     "branch end ('b', 1) is not attached"),
+    ([([("p", 1), ("q", 1)], [("b", 0)]), ([("b", 1)], [("r", 0)])],
+     "the far side of branch b has 1 ends, need 2"),
+    ([([("b", 0)], [("b", 1)])],
+     "the far side of branch b has 1 ends, need 2"),
+    ([([("b", 0)], [("b", 1), ("p", 0)])],
+     "branch b is not alone on its switch side"),
+], ids=["unattached end", "single far end", "far end is b, alone",
+        "far end is b"])
+def test_not_splittable_refused_by_its_first_check(switches, message):
+    track = TrainTrack(["p", "q", "r", "b"], switches)
+    with pytest.raises(NotSplittable, match="^%s$" % re.escape(message)):
+        split(track, "b")
+
+
+def test_residue_name_skips_taken_names():
+    # The square with p renamed b': the residue is b''.
+    track = TrainTrack(
+        ["b'", "q", "r", "s", "b"],
+        [([("b'", 1), ("q", 1)], [("b", 0)]),
+         ([("b", 1)], [("r", 0), ("s", 0)])])
+    result = split(track, "b")
+    assert result.left.new_branches == result.right.new_branches == ("b''",)
+    assert cone_cover_check(track, result.tracks())
 
 
 def test_degenerate_track_vacuously_covered():
