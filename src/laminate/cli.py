@@ -13,15 +13,15 @@ import os
 import sys
 
 from . import _HOME, __version__, _lazy_getattr
-from .errors import InputError, LaminateError, Refusal
+from .errors import Inadmissible, InputError, LaminateError, Refusal
 
 # An engine name the commands call is imported on first use, by _load or
 # by attribute access (PEP 562), and bound in this module's globals, where
 # the commands read it: a process loads only its command's modules, and a
 # name rebound here (a test's monkeypatch, a tracing wrapper) is the one
-# called.  The package's public names, and five that are not public.
+# called.  The package's public names, and four that are not public.
 __getattr__ = _lazy_getattr(globals(), dict(
-    _HOME, parse_vector="normal", vector_length="normal",
+    _HOME, vector_length="normal",
     enumerate_quad_oct_solutions="bruteforce",
     extreme_ray_oracle="bruteforce", hilbert_oracle="bruteforce"))
 
@@ -85,11 +85,12 @@ def _load_triangulation(args):
     return parse_triangulation(_read(args.input))
 
 
-def _parse_support(text):
+def _parse_ints(text, error, noun):
+    """Comma-separated integers, or error naming the noun."""
     try:
-        return frozenset(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise InputError("support must be comma-separated integers")
+        raise error("%s must be comma-separated integers" % noun)
 
 
 def cmd_tri_info(args):
@@ -146,9 +147,9 @@ def cmd_ns_fundamental(args):
 
 
 def cmd_ns_build(args):
-    _load("parse_vector", "build_surface", "is_vertex_linking")
+    _load("build_surface", "is_vertex_linking")
     tri = _load_triangulation(args)
-    v = parse_vector(args.vector)
+    v = _parse_ints(args.vector, Inadmissible, "vector")
     surface = build_surface(tri, v)
     payload = surface.to_json_dict()
     payload["admissible"] = surface.admissibility.admissible
@@ -160,7 +161,7 @@ def cmd_ns_build(args):
 def _model(args):
     _load("from_support")
     tri = _load_triangulation(args)
-    return from_support(tri, _parse_support(args.support),
+    return from_support(tri, _parse_ints(args.support, InputError, "support"),
                         max_coeff_bits=args.max_coeff_bits)
 
 

@@ -48,10 +48,14 @@ from math import gcd, lcm
 from operator import mul
 
 from .cones import RationalCone, extreme_rays, hilbert_basis
-from .errors import Inadmissible, IncompatibleQuads
+from .errors import Inadmissible, IncompatibleQuads, check_work
 from .triangulation import EDGES, EDGE_INDEX, edge_index
 
 COORDS_PER_TET = 10
+
+# The subset tests fundamental_solutions' orthant walk may make: orthants
+# times vertex solutions, about 70-135 ns each on a 2-core x86-64 VM.
+ORTHANT_WALK_CAP = 200_000_000
 
 QUAD_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
@@ -112,16 +116,14 @@ def vector_length(tri):
 
 def quad_oct_clashes(tri, v):
     """
-    The quad/oct constraint on a vector or a support's 0/1 vector: the
-    tetrahedra with two or more nonzero quad/oct coordinates, and the
-    nonzero octagon coordinates.  Its one check; vertex_solutions' groups
-    and iter_orthant_supports restate it for the enumerations.
+    The quad/oct rule, MatchingSystem.exclusive, on a vector or a support's
+    0/1 vector: the tetrahedra with two or more nonzero quad/oct
+    coordinates, and the nonzero octagon coordinates.
     """
-    clashes = [base // COORDS_PER_TET
-               for base in range(0, vector_length(tri), COORDS_PER_TET)
-               if v[base + 4:base + 10].count(0) < 5]
-    return clashes, [j for j, x in enumerate(v)
-                     if x and j % COORDS_PER_TET >= 7]
+    octs, *tets = tri.matching_system.exclusive
+    return ([t for t, group in enumerate(tets)
+             if [v[j] for j in group].count(0) < 5],
+            [j for j in octs if v[j]])
 
 
 class MatchingSystem:
@@ -213,6 +215,17 @@ class MatchingSystem:
                     denom - arcs * denom // 2
                     + sum(map(mul, meets, shares)), denom))
         return tuple(coeffs)
+
+    @cached_property
+    def exclusive(self):
+        """
+        The quad/oct rule: the coordinate groups of which an admissible
+        vector uses at most one coordinate each, all the octagons first,
+        then each tetrahedron's quads and octagons.  Built on first use.
+        """
+        tets = [tuple(range(COORDS_PER_TET * t + 4, COORDS_PER_TET * t + 10))
+                for t in range(self.triangulation.tet_count)]
+        return (tuple(j for group in tets for j in group[3:]), *tets)
 
     def residual(self, v):
         # Plain loops: a comprehension per row costs a frame per row, and
@@ -351,15 +364,6 @@ def is_vertex_linking(tri, v):
     return True
 
 
-def parse_vector(text):
-    """Comma-separated integers -> coordinate tuple."""
-    try:
-        return tuple(int(part.strip()) for part in text.split(",")
-                     if part.strip())
-    except ValueError:
-        raise Inadmissible("vector must be comma-separated integers")
-
-
 def matching_cone(tri, support=None):
     """The cone of nonnegative solutions of the matching equations."""
     return RationalCone(matching_system(tri).rows, vector_length(tri),
@@ -368,31 +372,22 @@ def matching_cone(tri, support=None):
 
 def iter_orthant_supports(tri, include_octs=False):
     """
-    The maximal supports allowed by the quad/oct constraint: all triangle
-    coordinates plus one quad direction in every tetrahedron, or, when
-    requested, one octagon direction in one tetrahedron and one quad
-    direction in each other: 3^n supports, or 3^n (1 + n) with octagons.
-    Every other allowed support, with some tetrahedron carrying neither a
-    quad nor an octagon, is a coordinate face of one of these, and a face's
-    extreme rays and Hilbert basis are among those of the larger cone.
-    Deterministic order.
+    The maximal supports allowed by MatchingSystem.exclusive: the
+    triangles plus one quad of each tetrahedron, or, when requested, one
+    octagon in one tetrahedron and a quad in each other: 3^n supports, or
+    3^n (1 + n) with octagons.  Every other allowed support, with some
+    tetrahedron carrying neither a quad nor an octagon, is a coordinate
+    face of one of these, and a face's extreme rays and Hilbert basis are
+    among those of the larger cone.  Deterministic order: one product of
+    the choices per octagon placement, none first.
     """
-    n = tri.tet_count
-    triangles = [tri_index(t, i) for t in range(n) for i in range(4)]
-    quad_choices = [4, 5, 6]
-    oct_placements = [None]
-    if include_octs:
-        oct_placements += [(t, k) for t in range(n) for k in (7, 8, 9)]
-    for placement in oct_placements:
-        free_tets = [t for t in range(n)
-                     if placement is None or t != placement[0]]
-        for combo in product(quad_choices, repeat=len(free_tets)):
-            support = set(triangles)
-            if placement is not None:
-                support.add(COORDS_PER_TET * placement[0] + placement[1])
-            for t, choice in zip(free_tets, combo):
-                support.add(COORDS_PER_TET * t + choice)
-            yield frozenset(support)
+    octs, *tets = tri.matching_system.exclusive
+    triangles = frozenset(range(vector_length(tri))).difference(*tets)
+    quads = [[j for j in group if j not in octs] for group in tets]
+    for placement in (None, *octs) if include_octs else (None,):
+        for combo in product(*[[placement] if placement in group else q
+                               for group, q in zip(tets, quads)]):
+            yield triangles.union(combo)
 
 
 def vertex_solutions(tri, include_octs=False, max_coeff_bits=None):
@@ -401,9 +396,8 @@ def vertex_solutions(tri, include_octs=False, max_coeff_bits=None):
     form, sorted: the union of the extreme rays of the maximal quad/oct
     orthants' matching cones, found by one filtered double description
     over the triangle and quad coordinates, and the octagon coordinates
-    when requested.  A ray may use at most one coordinate of each
-    tetrahedron's quads and octagons, and at most one octagon coordinate
-    in all.  Each orthant cone is a face of the run's cone, so the run's
+    when requested, whose exclusive groups are MatchingSystem.exclusive.
+    Each orthant cone is a face of the run's cone, so the run's
     admissible extreme rays are exactly the union of the orthants'.
 
     The Q rows go in first, so the run first solves the quad(-oct)
@@ -414,22 +408,17 @@ def vertex_solutions(tri, include_octs=False, max_coeff_bits=None):
     support (ties in order), so the tetrahedra join one at a time
     (Burton, Math. Comp. 79, 2010).
     """
-    n = tri.tet_count
+    system = matching_system(tri)
     support = [j for j in range(vector_length(tri))
-               if include_octs or j % COORDS_PER_TET < 7]
-    groups = tuple(tuple(quad_index(t, q) for q in range(3))
-                   + tuple(oct_index(t, q) for q in range(3))
-                   for t in range(n))
-    groups += (tuple(oct_index(t, q) for t in range(n) for q in range(3)),)
+               if include_octs or j not in system.exclusive[0]]
 
     def key(row):
         used = [j for j in support if row[j]]
         return (used[-1], used[0]) if used else (-1, -1)
 
-    system = matching_system(tri)
     rows = sorted(system.q_rows, key=key) + sorted(system.rows, key=key)
     return extreme_rays(RationalCone(rows, vector_length(tri), support),
-                        max_coeff_bits, groups)
+                        max_coeff_bits, system.exclusive)
 
 
 def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):
@@ -443,9 +432,14 @@ def fundamental_solutions(tri, include_octs=False, max_coeff_bits=None):
     spanned by the vertex solutions it supports, which are its extreme
     rays.  A face inside another is a face of it, whose Hilbert basis is
     the larger one's cut to it, so one Hilbert basis is computed per
-    distinct maximal face, on the coordinates its rays use.
+    distinct maximal face, on the coordinates its rays use.  A walk that
+    would make more than ORTHANT_WALK_CAP subset tests (orthants times
+    vertex solutions) is refused (WorkBudgetExceeded) before it starts.
     """
     rays = vertex_solutions(tri, include_octs, max_coeff_bits)
+    n = tri.tet_count
+    check_work(3 ** n * (1 + n if include_octs else 1) * len(rays),
+               ORTHANT_WALK_CAP, "the orthant walk makes %d subset tests")
     supports = [frozenset(j for j, x in enumerate(r) if x) for r in rays]
     faces = list(dict.fromkeys(
         frozenset(i for i, s in enumerate(supports) if s <= orthant)

@@ -8,6 +8,7 @@ import pytest
 
 import laminate.cli
 import laminate.cones
+import laminate.normal
 from laminate.cli import main
 from laminate.errors import InputError
 from tests.conftest import ROOT, child_env, fixture_path
@@ -121,6 +122,18 @@ def test_double_description_pair_cap_is_refused(capsys, monkeypatch):
     error = json.loads(out)["error"]
     assert error["kind"] == "WorkBudgetExceeded"
     assert error["message"].endswith(" ray pairs (budget 1)")
+
+
+def test_orthant_walk_cap_is_refused(capsys, monkeypatch):
+    # two_tet on quads: 9 orthants times 4 vertex solutions.
+    monkeypatch.setattr(laminate.normal, "ORTHANT_WALK_CAP", 35)
+    code, out = run_cli(capsys, "ns", "fundamental",
+                        "--input", str(fixture_path("two_tet.tri")))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "WorkBudgetExceeded"
+    assert error["message"] == \
+        "the orthant walk makes 36 subset tests (budget 35)"
 
 
 def test_oracle_bound_over_the_pattern_cap_is_refused(capsys):
@@ -498,7 +511,33 @@ def test_ns_build_rejects_malformed_vector(capsys):
                         "--input", str(fixture_path("one_tet.tri")),
                         "--vector", "1,x,3")
     assert code == 1
-    assert json.loads(out)["error"]["kind"] == "Inadmissible"
+    assert out == ('{"error":{"kind":"Inadmissible","message":'
+                   '"vector must be comma-separated integers"}}\n')
+
+
+def test_bs_rejects_malformed_support(capsys):
+    # The same parse as a vector's, with its own kind and noun.
+    code, out = run_cli(capsys, "bs", "from-support",
+                        "--input", str(fixture_path("one_tet.tri")),
+                        "--support", "1,x,3")
+    assert code == 1
+    assert out == ('{"error":{"kind":"InputError","message":'
+                   '"support must be comma-separated integers"}}\n')
+
+
+def test_integer_lists_skip_empty_parts_and_spaces(capsys):
+    # " 4, ,3," is the support {3, 4}: spaces around an entry and empty
+    # parts are skipped, for a vector and a support alike.
+    code, out = run_cli(capsys, "bs", "from-support",
+                        "--input", str(fixture_path("one_tet.tri")),
+                        "--support", " 4, ,3,")
+    assert code == 0
+    assert json.loads(out)["support"] == [3, 4]
+    code, out = run_cli(capsys, "ns", "build",
+                        "--input", str(fixture_path("one_tet.tri")),
+                        "--vector", " 0,0,0,0,1,, 0,0,0,0,0 ")
+    assert code == 0
+    assert json.loads(out)["admissible"] is True
 
 
 def test_max_coeff_bits_refusal(capsys):

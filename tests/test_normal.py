@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from laminate import cones, normal
 from laminate.cones import (RationalCone, decompose_over, extreme_rays,
                             hilbert_basis)
-from laminate.errors import Inadmissible, IncompatibleQuads, LaminateError
+from laminate.errors import (Inadmissible, IncompatibleQuads, LaminateError,
+                             WorkBudgetExceeded)
 from laminate.linalg import dot, rank
 from laminate.normal import (ARC_DISKS, COORDS_PER_TET, DISK_EDGE_WEIGHTS,
                              chi_functional_coefficients, edge_weights,
@@ -281,6 +282,84 @@ DRAWS = 10
 DRAWN_SIZES = (1, 2, 3, 1, 2, 3, 4)
 
 
+def _check_orthant_order(tri):
+    # The order of the walk decides which face's Hilbert basis meets a
+    # budget first, so the golden refusal messages rest on it: the full
+    # supports of the every-orthant oracle, in its order.
+    for include_octs in (False, True):
+        assert list(iter_orthant_supports(tri, include_octs)) == [
+            s for s in every_orthant_support(tri, include_octs)
+            if len(s) == 5 * tri.tet_count]
+
+
+@pytest.mark.parametrize("name", TRI_NAMES + CENSUS_NAMES)
+def test_orthant_walk_keeps_the_oracle_order(name):
+    _check_orthant_order(_load(name))
+
+
+@settings(derandomize=True, deadline=None, max_examples=DRAWS)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2, 3, 4)))
+def test_orthant_walk_keeps_the_oracle_order_when_drawn(seed, n):
+    _check_orthant_order(drawn_triangulation(random.Random(seed), n))
+
+
+def test_exclusive_is_the_quad_oct_rule(triangulations):
+    # All the octagons, then each tetrahedron's quads and octagons; built
+    # once per triangulation.
+    for tri in triangulations.values():
+        n = tri.tet_count
+        system = matching_system(tri)
+        assert system.exclusive == (
+            tuple(oct_index(t, q) for t in range(n) for q in range(3)),
+            *(tuple(quad_index(t, q) for q in range(3))
+              + tuple(oct_index(t, q) for q in range(3)) for t in range(n)))
+        assert system.exclusive is matching_system(tri).exclusive
+
+
+def test_quad_oct_check_reads_no_second_matching_system(three_tet):
+    # An admissibility check reads the matching system once, for its
+    # residuals; the quad/oct check reads the table through the
+    # triangulation, and a Haken sum reads it the same way.
+    calls = []
+
+    def counting(tri):
+        calls.append(tri)
+        return tri.matching_system
+
+    v = all_triangles_one(three_tet)
+    with mock.patch.object(normal, "matching_system", counting):
+        assert is_admissible(three_tet, v)
+        assert len(calls) == 1
+        haken_sum(three_tet, v, v)
+        assert len(calls) == 1
+
+
+def test_orthant_walk_over_its_cap_is_refused_before_it_starts(
+        two_tet, monkeypatch):
+    # two_tet with octagons: 3^2 (1 + 2) orthants times its vertex
+    # solutions.  One test over the cap refuses before the first orthant
+    # is listed; at the cap the answer is unchanged.
+    answer = fundamental_solutions(two_tet, True)
+    tests = 27 * len(vertex_solutions(two_tet, True))
+    walked = []
+
+    def walk(*args):
+        walked.append(args)
+        return iter_orthant_supports(*args)
+
+    monkeypatch.setattr(normal, "iter_orthant_supports", walk)
+    monkeypatch.setattr(normal, "ORTHANT_WALK_CAP", tests - 1)
+    with pytest.raises(WorkBudgetExceeded,
+                       match=r"^the orthant walk makes %d subset tests"
+                             r" \(budget %d\)$" % (tests, tests - 1)):
+        fundamental_solutions(two_tet, True)
+    assert walked == []
+    monkeypatch.setattr(normal, "ORTHANT_WALK_CAP", tests)
+    assert fundamental_solutions(two_tet, True) == answer
+    assert walked == [(two_tet, True)]
+
+
+
 def _check_q_rows(tri, vertex_rays):
     """The Q rows vanish on every triangle coordinate, lie in the matching
     row space, have rank n and hold on every given vertex solution."""
@@ -417,6 +496,13 @@ def _vertex_run(tri, include_octs):
         rays = vertex_solutions(tri, include_octs)
     [(cone, groups)] = calls
     return cone, groups, rays
+
+
+@pytest.mark.parametrize("include_octs", [False, True])
+def test_vertex_solutions_filter_by_the_exclusive_table(three_tet,
+                                                        include_octs):
+    _, groups, _ = _vertex_run(three_tet, include_octs)
+    assert groups is matching_system(three_tet).exclusive
 
 
 @pytest.mark.parametrize("include_octs", [False, True])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from laminate.cones import extreme_rays
 from laminate.errors import NotSplittable
-from laminate.traintracks import (TrainTrack, cone_cover_check,
+from laminate.traintracks import (CarriedTrack, TrainTrack, cone_cover_check,
                                   figure_sp1_track, is_subtrack, split)
 
 
@@ -109,6 +109,35 @@ def test_image_rays_lie_in_parent_cone(square, result):
     for ct in result.tracks():
         for ray in extreme_rays(ct.track.weight_cone()):
             assert cone.contains(ct.image(ray))
+
+
+def test_a_wrong_carrying_map_lets_a_ray_escape(square, result):
+    # The central track with its b row doubled: the image of a ray weighs
+    # b twice p + q, off the parent's switch equations, so the cover
+    # check names that image before it looks at the parent's rays.
+    central = result.central
+    carrying = [list(row) for row in central.carrying_map]
+    carrying[square.branch_index["b"]] = [2 * x for x in
+                                          carrying[square.branch_index["b"]]]
+    wrong = CarriedTrack("wrong", central.track, carrying, central.pinch_map,
+                         central.new_branches)
+    check = cone_cover_check(square, [result.left, wrong, result.right])
+    assert not check
+    assert check.uncovered_ray is None
+    p, q, r, s, b = check.escaped_ray
+    assert b == 2 * (p + q) > 0
+    assert check.to_json_dict()["escaped_ray"] == list(check.escaped_ray)
+
+
+def test_a_measure_outside_the_image_has_no_preimage(result):
+    # (1, 0, 1, 0, 5) pinches to the central weights (1, 0, 1, 0), which
+    # the central track carries, but their image weighs b at 1, not 5.
+    measure = (1, 0, 1, 0, 5)
+    w = result.central.pinch_map
+    assert result.central.track.weight_cone().contains(
+        tuple(sum(a * x for a, x in zip(row, measure)) for row in w))
+    assert result.central.pinch(measure) is None
+    assert result.carriers(measure) == []
 
 
 def test_not_splittable_wrong_valence():
