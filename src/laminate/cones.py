@@ -87,56 +87,61 @@ def extreme_rays(cone, max_coeff_bits=None, exclusive=()):
     Starts from the unit rays of the supported orthant and intersects with
     each equation in turn, in the order the cone gives them: the caller
     owns the order, which decides the intermediate rays, and so the
-    coefficient budget and the work, but not the output.  Each row is
-    read only at its nonzero entries inside the support; a row with none
-    there holds on every ray and is skipped.  A ray's zero set is an int
-    bitmask over the support positions; the zero set of a combination of
-    two rays is the meet of theirs, since both are nonnegative.  A ray
-    whose zero set holds the row's support is valued 0 without summing,
-    and a row that is 0 on every kept ray (one in the span of the rows
-    before it) is skipped before the ray lists are rebuilt.  Two rays are
-    adjacent by the standard combinatorial test: no third ray's zero set
-    contains the meet of theirs.  A pair whose combined support uses two
-    coordinates of one group is skipped before that test (Burton's
-    filtered double description), and the test stays exact: a ray whose
-    zero set contains the meet has its support inside the pair's, so it
-    is kept too.  A row that would combine more than DD_PAIR_CAP pairs is
-    refused (WorkBudgetExceeded) before its pairs are formed, and so is a
-    new ray that would make more than DD_RAY_CAP kept rays, before it is
-    stored.  Output is sorted lexicographically.
+    coefficient budget and the work, but not the output.  Rays are held
+    over the sorted support positions and expanded to cone.dim coordinates
+    once, at the end, with 0 elsewhere, so neither their order nor the
+    budget's first excess changes.  Each row is read as (position,
+    coefficient) pairs at its nonzero entries; a row with none holds on
+    every ray and is skipped.  A ray's zero set is an int bitmask over the
+    positions; the zero set of a combination of two rays is the meet of
+    theirs, since both are nonnegative.  A ray whose zero set holds the
+    row's support is valued 0 without summing, and a row that is 0 on
+    every kept ray (one in the span of the rows before it) is skipped
+    before the rays are split, in one pass, into zero, plus and minus.
+    Two rays are adjacent by the standard combinatorial test: no third
+    ray's zero set contains the meet of theirs.  A pair whose combined
+    support uses two coordinates of one group is skipped before that test
+    (Burton's filtered double description), and the test stays exact: a
+    ray whose zero set contains the meet has its support inside the
+    pair's, so it is kept too.  A row that would combine more than
+    DD_PAIR_CAP pairs is refused (WorkBudgetExceeded) before its pairs are
+    formed, and so is a new ray that would make more than DD_RAY_CAP kept
+    rays, before it is stored.  Output is sorted lexicographically.
     """
     support = sorted(cone.support)
     position = {j: p for p, j in enumerate(support)}
     rows = []
     for row in cone.matrix:
-        entries = [(j, row[j]) for j in support if row[j]]
+        entries = [(p, row[j]) for p, j in enumerate(support) if row[j]]
         if entries:
-            rows.append((entries, sum(1 << position[j] for j, _ in entries)))
+            rows.append((entries, sum(1 << p for p, _ in entries)))
     groups = []
     for group in exclusive:
         bits = [1 << position[j] for j in group if j in position]
         if len(bits) > 1:
             groups.append(sum(bits))
-    # Each ray, in insertion order, with its zero set.
+    # Each ray over the positions, in insertion order, with its zero set.
     zero_sets = {}
     full = (1 << len(support)) - 1
-    for p, j in enumerate(support):
-        unit = [0] * cone.dim
-        unit[j] = 1
+    for p in range(len(support)):
+        unit = [0] * len(support)
+        unit[p] = 1
         zero_sets[tuple(unit)] = full ^ (1 << p)
 
     for entries, held in rows:
         values = [0 if m & held == held
-                  else sum([c * r[j] for j, c in entries])
+                  else sum([c * r[p] for p, c in entries])
                   for r, m in zero_sets.items()]
         if not any(values):
             continue
-        rays = list(zero_sets)
-        masks = list(zero_sets.values())
-        zero = [i for i, x in enumerate(values) if x == 0]
-        plus = [i for i, x in enumerate(values) if x > 0]
-        minus = [i for i, x in enumerate(values) if x < 0]
-        zero_sets = {rays[i]: masks[i] for i in zero}
+        kept, zero_sets, plus, minus = zero_sets, {}, [], []
+        for (r, m), x in zip(kept.items(), values):
+            if x > 0:
+                plus.append((r, m, x))
+            elif x:
+                minus.append((r, m, x))
+            else:
+                zero_sets[r] = m
         if not plus or not minus:
             # Rays violating the equation on either side are cut off.
             continue
@@ -145,21 +150,21 @@ def extreme_rays(cone, max_coeff_bits=None, exclusive=()):
         # The coordinates a minus ray rules out: the others of each group
         # it uses.
         clashes = []
-        for im in minus:
-            used = full ^ masks[im]
+        for _, m, _ in minus:
+            used = full ^ m
             clash = 0
             for g in groups:
                 if used & g:
                     clash |= g & ~used
             clashes.append(clash)
 
-        for ip in plus:
-            rp, vp, zp = rays[ip], values[ip], masks[ip]
+        masks = list(kept.values())
+        for rp, zp, vp in plus:
             used = full ^ zp
-            for im, clash in zip(minus, clashes):
+            for (rm, zm, vm), clash in zip(minus, clashes):
                 if used & clash:
                     continue
-                meet = zp & masks[im]
+                meet = zp & zm
                 # rp and rm contain the meet; a third ray makes them
                 # non-adjacent.
                 holders = 0
@@ -171,12 +176,19 @@ def extreme_rays(cone, max_coeff_bits=None, exclusive=()):
                 if holders == 2:
                     check_work(len(zero_sets) + 1, DD_RAY_CAP,
                                "a double description keeps %d rays")
-                    vm = values[im]
-                    combo = [vp * b - vm * a for a, b in zip(rp, rays[im])]
+                    combo = [vp * b - vm * a for a, b in zip(rp, rm)]
                     zero_sets[primitive(combo)] = meet
         _check_budget(zero_sets, max_coeff_bits)
 
-    return sorted(zero_sets)
+    if len(support) == cone.dim:
+        return sorted(zero_sets)
+    out = []
+    for r in sorted(zero_sets):
+        ray = [0] * cone.dim
+        for j, x in zip(support, r):
+            ray[j] = x
+        out.append(tuple(ray))
+    return out
 
 
 def _triangulation(rays, d, memo):

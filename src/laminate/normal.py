@@ -163,14 +163,21 @@ class MatchingSystem:
 
     @cached_property
     def q_rows(self):
+        """The Q rows (_q_entries) over the full coordinate space."""
+        n = vector_length(self.triangulation)
+        return tuple(tuple(row.get(j, 0) for j in range(n))
+                     for row in map(dict, self._q_entries))
+
+    @cached_property
+    def _q_entries(self):
         """
         Tollefson's Q-matching rows (Pacific J. Math. 183, 1998), with
-        Burton's octagon terms (Exp. Math. 19, 2010): rows of the matching
-        row space that vanish on every triangle coordinate, spanning all
-        of them.  Integer elimination of the triangle columns out of the
-        rows, each pivot row dropped once used and each combination
-        divided by its gcd; the rows left, zero rows dropped, are these.
-        Built on first use.
+        Burton's octagon terms (Exp. Math. 19, 2010), as their nonzero
+        (index, coefficient) pairs: rows of the matching row space that
+        vanish on every triangle coordinate, spanning all of them.  Integer
+        elimination of the triangle columns out of the rows, each pivot row
+        dropped once used and each combination divided by its gcd; the rows
+        left, zero rows dropped, are these.  Built on first use.
         """
         rows = [dict(row) for row in self._entries]
         for t in range(self.triangulation.tet_count):
@@ -187,9 +194,7 @@ class MatchingSystem:
                                  for j in row.keys() | pivot.keys()}
                         g = gcd(*combo.values())
                         rows[i] = {j: x // g for j, x in combo.items() if x}
-        n = vector_length(self.triangulation)
-        return tuple(tuple(row.get(j, 0) for j in range(n))
-                     for row in rows if row)
+        return tuple(tuple(sorted(row.items())) for row in rows if row)
 
     @cached_property
     def chi(self):
@@ -403,20 +408,22 @@ def vertex_solutions(tri, include_octs=False, max_coeff_bits=None):
     The Q rows go in first, so the run first solves the quad(-oct)
     equations with every triangle coordinate free, and the matching rows
     then lift those solutions to standard coordinates (Burton, AGT 9,
-    2009).  Each group
-    goes in by its rows' last, then first, nonzero coordinate inside the
-    support (ties in order), so the tetrahedra join one at a time
-    (Burton, Math. Comp. 79, 2010).
+    2009).  Each group goes in by its rows' last, then first, nonzero
+    coordinate inside the support (ties in order), read from the rows'
+    nonzero entries, so the tetrahedra join one at a time (Burton, Math.
+    Comp. 79, 2010).
     """
     system = matching_system(tri)
-    support = [j for j in range(vector_length(tri))
-               if include_octs or j not in system.exclusive[0]]
+    outside = () if include_octs else frozenset(system.exclusive[0])
+    support = [j for j in range(vector_length(tri)) if j not in outside]
 
-    def key(row):
-        used = [j for j in support if row[j]]
+    def key(pair):
+        used = [j for j, _ in pair[1] if j not in outside]
         return (used[-1], used[0]) if used else (-1, -1)
 
-    rows = sorted(system.q_rows, key=key) + sorted(system.rows, key=key)
+    rows = [row for row, _ in
+            sorted(zip(system.q_rows, system._q_entries), key=key)
+            + sorted(zip(system.rows, system._entries), key=key)]
     return extreme_rays(RationalCone(rows, vector_length(tri), support),
                         max_coeff_bits, system.exclusive)
 

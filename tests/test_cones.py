@@ -309,6 +309,75 @@ def test_exclusive_groups_keep_the_admissible_extreme_rays(case):
     assert extreme_rays(cone, exclusive=groups) == admissible
 
 
+@st.composite
+def supported_grouped_cones(draw):
+    """Sparse rows, a support, and coordinate groups of two or three that
+    may overlap and reach outside the support."""
+    n = draw(st.integers(5, 8))
+    rows = [tuple(draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)))
+            for _ in range(draw(st.integers(1, 4)))]
+    support = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2,
+                                  max_size=n - 1)))
+    groups = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2,
+                                    max_size=3, unique=True).map(tuple),
+                           min_size=1, max_size=4))
+    return rows, support, tuple(groups)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(supported_grouped_cones())
+def test_exclusive_groups_on_a_support_keep_the_admissible_extreme_rays(
+        case):
+    # The double description holds its rays over the support positions
+    # only, so each group is cut to the support before it filters pairs.
+    rows, support, groups = case
+    n = len(rows[0])
+    cone = RationalCone(rows, n, support)
+    rays = extreme_rays(cone)
+    kept = extreme_rays(cone, exclusive=groups)
+    assert kept == [r for r in rays
+                    if all(sum(1 for j in g if r[j]) <= 1 for g in groups)]
+    for r in rays:
+        assert len(r) == n
+        assert not any(r[j] for j in range(n) if j not in support)
+
+
+def test_rational_cone_checks_its_input():
+    with pytest.raises(ValueError, match=r"^row length 2 != dim 3$"):
+        RationalCone([(1, 1, 0), (1, 2)], 3)
+    for j in (3, -1):
+        with pytest.raises(ValueError,
+                           match=r"^support index %d out of range$" % j):
+            RationalCone([], 3, support=[0, j])
+    cone = RationalCone([(1, -1, 0)], 3)
+    assert cone.contains((1, 1, 0))
+    assert not cone.contains((1, 1))
+    assert not cone.contains((1, 1, 0, 0))
+
+
+def test_decompose_over_reads_a_failed_search_from_its_memo(monkeypatch):
+    # h0 = h1 + h2, so picking h0 then h3 and picking h1, h2 then h3 leave
+    # the same residual (0, 0, 0, 1, 1) from index 3 on, and likewise with
+    # h4 for (0, 0, 1, 0, 1) from index 4.  The first search from each
+    # fails, and the second is read from the memo without searching below
+    # it again.
+    basis = [(1, 1, 0, 0, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0),
+             (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 2)]
+    searched, hits = [], []
+    least_picks = cones._least_picks
+
+    def recording(residual, start, basis, memo):
+        (hits if (residual, start) in memo else searched).append(
+            (residual, start))
+        return least_picks(residual, start, basis, memo)
+
+    monkeypatch.setattr(cones, "_least_picks", recording)
+    assert decompose_over((1, 1, 1, 1, 1), basis) is None
+    assert hits == [((0, 0, 0, 1, 1), 3), ((0, 0, 1, 0, 1), 4)]
+    assert len(searched) == len(set(searched))
+    assert decompose_over((1, 1, 1, 1, 2), basis) == (1, 0, 0, 1, 1, 1)
+
+
 def test_decompose_over_reports_least_tuple():
     basis = [(0, 2, 1), (1, 1, 1), (2, 0, 1)]
     counts = decompose_over((2, 2, 2), basis)

@@ -506,6 +506,33 @@ def test_vertex_solutions_filter_by_the_exclusive_table(three_tet,
 
 
 @pytest.mark.parametrize("include_octs", [False, True])
+@pytest.mark.parametrize("name", TRI_NAMES + CENSUS_NAMES
+                         + ("r7.tri", "r9.tri"))
+def test_vertex_solutions_insert_the_q_rows_then_the_matching_rows(
+        name, include_octs):
+    # The order decides the intermediate rays, so the coefficient budget
+    # and the work: each group is sorted by its rows' last, then first,
+    # nonzero coordinate inside the support, found here by a scan of the
+    # full rows.
+    tri = _load(name)
+    system = matching_system(tri)
+    cone, _, _ = _vertex_run(tri, include_octs)
+    support = [j for j in range(vector_length(tri))
+               if include_octs or j % COORDS_PER_TET < 7]
+    assert cone.support == frozenset(support)
+
+    def key(row):
+        used = [j for j in support if row[j]]
+        return (used[-1], used[0]) if used else (-1, -1)
+
+    assert cone.matrix == tuple(sorted(system.q_rows, key=key)
+                                + sorted(system.rows, key=key))
+    assert system._q_entries == tuple(
+        tuple((j, c) for j, c in enumerate(row) if c)
+        for row in system.q_rows)
+
+
+@pytest.mark.parametrize("include_octs", [False, True])
 @pytest.mark.parametrize("name", TRI_NAMES + CENSUS_NAMES)
 def test_row_order_never_changes_the_vertex_solutions(name, include_octs):
     # extreme_rays inserts rows in the order given, so each shuffle of the
