@@ -57,38 +57,28 @@ class TrainTrack:
         index = {b: i for i, b in enumerate(self.branches)}
         if len(index) != len(self.branches):
             raise ValueError("duplicate branch names")
-        seen = set()
-        for (s1, s2) in self.switches:
-            for (b, e) in s1 + s2:
-                if b not in index or e not in (0, 1):
-                    raise ValueError("unknown branch end (%s, %s)" % (b, e))
-                if (b, e) in seen:
-                    raise ValueError(
-                        "branch end (%s, %d) attached twice" % (b, e))
-                seen.add((b, e))
-        self.branch_index = index
-
-    def switch_rows(self):
+        # Each attached end's (switch, side), and each switch's row of the
+        # weight cone: its first side's weights minus its second's.
+        self._ends = {}
         rows = []
-        for (s1, s2) in self.switches:
-            row = [0] * len(self.branches)
-            for (b, _) in s1:
-                row[self.branch_index[b]] += 1
-            for (b, _) in s2:
-                row[self.branch_index[b]] -= 1
+        for i, sides in enumerate(self.switches):
+            row = [0] * len(index)
+            for side, sign in ((0, 1), (1, -1)):
+                for (b, e) in sides[side]:
+                    if b not in index or e not in (0, 1):
+                        raise ValueError(
+                            "unknown branch end (%s, %s)" % (b, e))
+                    if (b, e) in self._ends:
+                        raise ValueError(
+                            "branch end (%s, %d) attached twice" % (b, e))
+                    self._ends[b, e] = (i, side)
+                    row[index[b]] += sign
             rows.append(tuple(row))
-        return rows
+        self.branch_index = index
+        self._cone = RationalCone(rows, len(index))
 
     def weight_cone(self):
-        return RationalCone(self.switch_rows(), len(self.branches))
-
-    def switch_of_end(self, end):
-        for i, (s1, s2) in enumerate(self.switches):
-            if end in s1:
-                return i, 0
-            if end in s2:
-                return i, 1
-        return None
+        return self._cone
 
     def canonical_switches(self):
         return frozenset(
@@ -176,13 +166,10 @@ class SplitResult:
 
 
 def _far_side(track, end):
-    location = track.switch_of_end(end)
-    if location is None:
+    if end not in track._ends:
         raise NotSplittable("branch end %s is not attached" % (end,))
-    i, side = location
-    s1, s2 = track.switches[i]
-    own = s1 if side == 0 else s2
-    far = s2 if side == 0 else s1
+    i, side = track._ends[end]
+    own, far = track.switches[i][side], track.switches[i][1 - side]
     if own != (end,):
         raise NotSplittable(
             "branch %s is not alone on its switch side" % end[0])
@@ -248,18 +235,17 @@ def is_subtrack(a, b):
     shared branch labelling: b restricted to a's branches has exactly a's
     switch structure.
     """
-    if not set(a.branches) <= set(b.branches):
-        return False
     keep = set(a.branches)
+    if not keep <= set(b.branches):
+        return False
     restricted = []
     for (s1, s2) in b.switches:
         r1 = tuple(e for e in s1 if e[0] in keep)
         r2 = tuple(e for e in s2 if e[0] in keep)
         if r1 or r2:
             restricted.append((r1, r2))
-    canon_b = frozenset(frozenset((frozenset(r1), frozenset(r2)))
-                        for (r1, r2) in restricted)
-    return canon_b == a.canonical_switches()
+    return (TrainTrack(a.branches, restricted).canonical_switches()
+            == a.canonical_switches())
 
 
 class CoverResult:

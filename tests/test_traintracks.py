@@ -1,3 +1,4 @@
+import json
 import re
 from itertools import product
 
@@ -92,6 +93,53 @@ def test_the_crossing_pair_picks_the_carrier(v):
     p, _, r, _, _ = v
     expected = "left" if p > r else "right" if p < r else "central"
     assert split(figure_sp1_track(), "b").carriers(v) == [expected]
+
+
+def scanned_ends(track):
+    """Each attached end's (switch, side), found by scanning the switches."""
+    found = {}
+    for i, sides in enumerate(track.switches):
+        for side, ends in enumerate(sides):
+            for end in ends:
+                found[end] = (i, side)
+    return found
+
+
+@st.composite
+def ambient_squares(draw):
+    """The splitting square at b with up to three extra branches and up to
+    three extra switches, which attach free ends of p, q, r, s and of the
+    extra branches, each end at most once, in a drawn switch order."""
+    extra = ["o", "b'", "u"][:draw(st.integers(0, 3))]
+    free = [("p", 0), ("q", 0), ("r", 1), ("s", 1)]
+    free += [(x, e) for x in extra for e in (0, 1)]
+    free = draw(st.permutations(free))
+    switches = [([("p", 1), ("q", 1)], [("b", 0)]),
+                ([("b", 1)], [("r", 0), ("s", 0)])]
+    for n1, n2 in draw(st.lists(st.tuples(st.integers(0, 2),
+                                          st.integers(0, 2)), max_size=3)):
+        side1, side2 = free[:n1], free[n1:n1 + n2]
+        if side1 or side2:
+            switches.append((side1, side2))
+        free = free[n1 + n2:]
+    switches = draw(st.permutations(switches))
+    return TrainTrack(["p", "q", "r", "s", "b"] + extra, switches)
+
+
+@settings(derandomize=True, deadline=None)
+@given(ambient_squares())
+def test_splitting_a_drawn_ambient_square(track):
+    result = split(track, "b")
+    assert cone_cover_check(track, result.tracks())
+    assert is_subtrack(result.central.track, result.left.track)
+    assert is_subtrack(result.central.track, result.right.track)
+    data = track.to_json_dict()
+    again = TrainTrack.from_json_dict(json.loads(json.dumps(data)))
+    assert again.to_json_dict() == data
+    assert (again.branches, again.switches) == (track.branches,
+                                                track.switches)
+    for t in (track,) + tuple(ct.track for ct in result.tracks()):
+        assert t._ends == scanned_ends(t)
 
 
 def test_pinching_inverts_the_carrying_map(result):
@@ -193,6 +241,33 @@ def test_not_splittable_refused_by_its_first_check(switches, message):
     track = TrainTrack(["p", "q", "r", "b"], switches)
     with pytest.raises(NotSplittable, match="^%s$" % re.escape(message)):
         split(track, "b")
+
+
+# A track is refused at the first rule it breaks: branch names first,
+# then its ends in switch order, the first side before the second.
+@pytest.mark.parametrize("branches, switches, message", [
+    (["p", "q", "p"], [([("x", 0)], [])], "duplicate branch names"),
+    (["p"], [([("x", 0)], [])], "unknown branch end (x, 0)"),
+    (["p"], [([], [("p", 2)])], "unknown branch end (p, 2)"),
+    (["p", "q"], [([("p", 1)], [("q", 0)]), ([("p", 1)], [])],
+     "branch end (p, 1) attached twice"),
+    (["p"], [([("p", 1)], [("p", 1)]), ([("x", 0)], [])],
+     "branch end (p, 1) attached twice"),
+    (["p"], [([("x", 0)], [("p", 1)]), ([("p", 1)], [])],
+     "unknown branch end (x, 0)"),
+    (["p"], [([("p", 1)], [("x", 0), ("p", 1)])],
+     "unknown branch end (x, 0)"),
+], ids=["duplicate names", "unknown branch", "end index 2", "attached twice",
+        "twice before unknown", "unknown before twice",
+        "first side before second"])
+def test_track_refused_by_its_first_broken_rule(branches, switches, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        TrainTrack(branches, switches)
+
+
+def test_a_track_with_a_branch_b_lacks_is_no_subtrack(result):
+    # The left track has the residue b', which the central track lacks.
+    assert is_subtrack(result.left.track, result.central.track) is False
 
 
 def test_residue_name_skips_taken_names():
