@@ -112,9 +112,13 @@ def extreme_rays(cone, max_coeff_bits=None, exclusive=()):
     position = {j: p for p, j in enumerate(support)}
     rows = []
     for row in cone.matrix:
-        entries = [(p, row[j]) for p, j in enumerate(support) if row[j]]
+        entries, held = [], 0
+        for p, j in enumerate(support):
+            if row[j]:
+                entries.append((p, row[j]))
+                held |= 1 << p
         if entries:
-            rows.append((entries, sum(1 << p for p, _ in entries)))
+            rows.append((entries, held))
     groups = []
     for group in exclusive:
         bits = [1 << position[j] for j in group if j in position]

@@ -16,8 +16,9 @@ The copies of a disk kind fill one range of ranks, a piece, in each slot
 resolved together, through the triangulation's gluing_table, to points
 (edge class, position along it) and to whether the reference side points
 along the class.  build_surface makes one gluing pass: it walks each
-face gluing overlap by overlap of its two sides' pieces and makes one
-union of a parity union-find per overlap, which decides components and
+face gluing overlap by overlap of its two sides' pieces, checking each,
+and then makes one union of a parity union-find per distinct overlap
+run, in the order first met, which decides components and
 orientability: the union-find's twisted list is the one record of the
 disk pairs glued against their parity.  It asserts, raising
 InternalCheckFailed, that every tetrahedron edge sees as many points as
@@ -39,10 +40,10 @@ number of arc sides, that the vertex count equals the weight and the
 disk count the coordinate sum; the pass is then dropped.
 """
 
-from operator import mul
+from collections import Counter
 
 from .errors import Inadmissible, InternalCheckFailed, check_work
-from .normal import (COORDS_PER_TET, EDGE_DISK_WEIGHTS, QUAD_PAIRS,
+from .normal import (COORDS_PER_TET, DISK_EDGE_WEIGHTS, QUAD_PAIRS,
                      edge_weights, is_admissible, weight)
 from .triangulation import EDGES, ParityUnionFind
 
@@ -101,6 +102,9 @@ def _disk_template(kind):
 
 _DISK_TEMPLATES = tuple(_disk_template(kind)
                         for kind in range(COORDS_PER_TET))
+# Per disk kind, (edge, points) for each tetrahedron edge a disk meets.
+_DISK_EDGE_POINTS = tuple(tuple((e, w) for e, w in enumerate(row) if w)
+                          for row in DISK_EDGE_WEIGHTS)
 
 
 class SurfaceComponent:
@@ -200,8 +204,11 @@ def _disk_kinds(tri, v, ends):
     class_weights = edge_weights(tri, v)
     for t in range(tri.tet_count):
         counts = v[COORDS_PER_TET * t:COORDS_PER_TET * (t + 1)]
-        edge_counts = [sum(map(mul, counts, column))
-                       for column in EDGE_DISK_WEIGHTS]
+        edge_counts = [0] * 6
+        for edge_points, copies in zip(_DISK_EDGE_POINTS, counts):
+            if copies:
+                for e, points in edge_points:
+                    edge_counts[e] += copies * points
         for (x, y), count in zip(EDGES, edge_counts):
             cls = ends[16 * t + 4 * x + y][1]
             if count != class_weights[cls]:
@@ -226,20 +233,22 @@ def _glue(tri, v):
     """
     The gluing pass of build_surface: (admissibility report, disk kinds
     as listed by _disk_kinds, parity union-find over the disks).  The
-    union-find's twisted list holds a disk of every glued pair met
-    already united against its parity, so the surface is orientable
-    exactly when it is empty.
+    union-find's twisted list holds a disk of every glued pair of a
+    distinct run found already united against its parity, so the surface
+    is orientable exactly when it is empty.
 
     The copies of a disk kind fill one range of ranks, a piece, in each
     slot they have arcs in: the triangles of the cutoff type, then the
     tetrahedron's quad or octagon.  Where pieces of two glued slots
     overlap, one affine map takes disks to disks with one orientation
-    relation, so the overlap is checked and united once.  At each end of
-    an arc the position along the edge is affine in the copy, and the
-    copy in the rank, on either side: equal classes and positions at the
-    overlap's first rank and, unless it is one rank, equal steps per rank
-    give equal points at every rank, and unequal ones differ at its
-    second.
+    relation, so the overlap is checked once, as it is met, and is one
+    run.  Disks glued along more than one arc meet a run again, which a
+    second union would not change: after the walk each distinct run is
+    united once, in the order first met.  At each end of an arc the
+    position along the edge is affine in the copy, and the copy in the
+    rank, on either side: equal classes and positions at the overlap's
+    first rank and, unless it is one rank, equal steps per rank give
+    equal points at every rank, and unequal ones differ at its second.
     """
     report = _check_rebuildable(tri, v)
     ends, glued = tri.gluing_table
@@ -258,7 +267,9 @@ def _glue(tri, v):
                                      corners[b]),)
         disk += copies
 
-    parity = ParityUnionFind(disk)
+    # The distinct overlap runs, in the order first met: (first disk of
+    # each side, orientation relation, length, disk step of each side).
+    runs = {}
     for slot1, slot2, crossed in glued:
         one, two = slots[slot1], slots[slot2]
         count = one[-1][0] if one else 0
@@ -286,8 +297,11 @@ def _glue(tri, v):
             if rel != (end1b[0] != end2b[0]):
                 raise InternalCheckFailed("orientation relation differs at "
                                           "the two ends of a glued arc")
-            parity.union(d1 + c1, d2 + c2, rel, hi - lo, s1, s2)
+            runs[d1 + c1, d2 + c2, rel, hi - lo, s1, s2] = None
             i, j, lo = i + (hi1 == hi), j + (hi2 == hi), hi
+    parity = ParityUnionFind(disk)
+    for run in runs:
+        parity.union(*run)
     return report, kinds, parity
 
 
@@ -322,9 +336,7 @@ def _count_cells(tri, v, kinds, parity):
     for root, group in groups.items():
         for d in group:
             roots[d] = root
-    vertices = dict.fromkeys(groups, 0)
-    for d in point_disk.values():
-        vertices[roots[d]] += 1
+    vertices = Counter(map(roots.__getitem__, point_disk.values()))
     # Every arc side is glued to exactly one other: arc pairs are half
     # the arc sides.
     components, arc_count = [], 0

@@ -9,9 +9,10 @@ import pytest
 from laminate import surfaces
 from laminate.branched import from_support
 from laminate.errors import InputError, InternalCheckFailed
-from laminate.normal import (COORDS_PER_TET, fundamental_solutions, tri_index,
-                             weight)
-from laminate.triangulation import ParityUnionFind, parse_triangulation
+from laminate.normal import (COORDS_PER_TET, QUAD_PAIRS, QUAD_TYPE_OF_EDGE,
+                             fundamental_solutions, tri_index, weight)
+from laminate.triangulation import (ParityUnionFind, Triangulation,
+                                    edge_index, parse_triangulation)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -83,6 +84,42 @@ def drawn_triangulation(rng, n):
                 for t1, f1, t2, f2, perm in gluings))
         except InputError:
             continue
+
+
+def relabelled(tri, sigma, taus):
+    """
+    (tri with tetrahedron t renamed sigma[t] and its vertex i renamed
+    taus[t][i], the new index of each coordinate).  A gluing (t1, f1, t2,
+    f2, p) becomes (sigma t1, tau1 f1, sigma t2, tau2 f2, tau2 p tau1^-1).
+    Triangle type i moves to tau(i), and quad and octagon type q, with
+    (a, b) = QUAD_PAIRS[q][0], to QUAD_TYPE_OF_EDGE[edge_index(tau a,
+    tau b)].  The result is the same manifold, so every surface moves
+    with its coordinates.
+    """
+    gluings = []
+    for (t1, f1), (t2, f2), p in tri.face_classes:
+        tau1, tau2 = taus[t1], taus[t2]
+        perm = [0] * 4
+        for i in range(4):
+            perm[tau1[i]] = tau2[p[i]]
+        gluings.append((sigma[t1], tau1[f1], sigma[t2], tau2[f2], perm))
+    position = []
+    for t, tau in enumerate(taus):
+        types = [QUAD_TYPE_OF_EDGE[edge_index(tau[a], tau[b])]
+                 for (a, b), _ in QUAD_PAIRS]
+        position += [COORDS_PER_TET * sigma[t] + k
+                     for k in [*tau, *(4 + q for q in types),
+                               *(7 + q for q in types)]]
+    return Triangulation(tri.tet_count, gluings), position
+
+
+def moved(v, position):
+    """The coordinate vector v of a triangulation, moved to its
+    relabelling by the positions relabelled returns."""
+    out = [0] * len(v)
+    for j, x in zip(position, v):
+        out[j] = x
+    return tuple(out)
 
 
 def every_orthant_support(tri, include_octs=False):

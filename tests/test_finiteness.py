@@ -11,7 +11,7 @@ from laminate.branched import (carries_nonneg_chi, from_support,
                                sub_branched_surface)
 from laminate.bruteforce import enumerate_quad_oct_solutions
 from laminate.cones import decompose_over
-from laminate.errors import (GenusTooSmall, InternalCheckFailed,
+from laminate.errors import (GenusTooSmall, InternalCheckFailed, Refusal,
                              UnboundedRefusal, WorkBudgetExceeded)
 from laminate.finiteness import (GenusEnumeration, antichain_certificate,
                                  brute_force_genus_list, enumerate_genus)
@@ -21,12 +21,17 @@ from laminate.normal import (MatchingSystem, chi_functional_coefficients,
                              quad_index, vector_length)
 from laminate.surfaces import build_surface
 from laminate.triangulation import parse_triangulation
-from tests.conftest import load_model, load_triangulation
+from tests.conftest import (MODEL_NAMES, load_model, load_triangulation,
+                            moved, relabelled)
 from tests.test_normal import CENSUS
 
 # A t5_1 model of six fundamentals (chi -2, -4, -2, -4, -6, -6) whose
 # genus-5 list holds two doubles.
 T5_1_SUPPORT = [1, 3, 5, 10, 13, 16, 20, 22, 25, 31, 35, 41, 42, 46]
+# Its model of three fundamentals (chi -2, -4, -6), and a t4_0 model of two
+# (chi -4, -2).
+T5_1_3F_SUPPORT = [1, 3, 5, 10, 13, 16, 20, 22, 31, 35, 42, 46]
+T4_0_SUPPORT = [1, 3, 5, 11, 12, 16, 20, 23, 26, 30, 31, 32, 33, 35]
 
 
 def test_refusal_when_carrying_nonnegative_chi(models):
@@ -344,6 +349,60 @@ def test_enumeration_stable_across_runs(models):
     second = enumerate_genus(model, 3)
     assert first.vectors == second.vectors
     assert first.decompositions == second.decompositions
+
+
+def _genus_lists(model, genera):
+    """Per genus, the set of listed vectors, or the kind of the refusal."""
+    lists = []
+    for genus in genera:
+        try:
+            lists.append(set(enumerate_genus(model, genus).vectors))
+        except Refusal as exc:
+            lists.append(exc.kind)
+    return lists
+
+
+# (fixture model, or census pick and support; genera), each genus listing
+# at least one surface where the model is all negative.
+RELABELLED_MODELS = [(name, None, (2, 3, 4)) for name in MODEL_NAMES] + [
+    ("t5_1.tri", T5_1_3F_SUPPORT, (2, 8, 12)),
+    ("t5_1.tri", T5_1_SUPPORT, (3, 5, 8)),
+    ("t4_0.tri", T4_0_SUPPORT, (2, 3)),
+]
+
+
+@pytest.mark.parametrize("source, support, genera", RELABELLED_MODELS)
+def test_genus_lists_and_verdicts_follow_a_relabelling(source, support,
+                                                        genera):
+    # A relabelled triangulation renumbers the disks and reorders the
+    # overlap runs of every gluing pass, but its surfaces are today's
+    # moved by a coordinate permutation.
+    if support is None:
+        model = load_model(source)
+    else:
+        model = from_support(
+            parse_triangulation((CENSUS / source).read_text()), support)
+    tri, verdict = model.triangulation, carries_nonneg_chi(model)
+    lists = _genus_lists(model, genera)
+
+    @settings(derandomize=True, deadline=None, max_examples=8)
+    @given(st.permutations(range(tri.tet_count)),
+           st.lists(st.permutations(range(4)), min_size=tri.tet_count,
+                    max_size=tri.tet_count))
+    def check(sigma, taus):
+        tri2, position = relabelled(tri, sigma, taus)
+        model2 = from_support(tri2, [position[j] for j in model.support])
+        verdict2 = carries_nonneg_chi(model2)
+        assert verdict2.verdict == verdict.verdict
+        assert sorted(verdict2.fundamental_chis) == \
+            sorted(verdict.fundamental_chis)
+        assert set(model2.fundamentals()) == \
+            {moved(f, position) for f in model.fundamentals()}
+        assert _genus_lists(model2, genera) == [
+            found if isinstance(found, str)
+            else {moved(v, position) for v in found} for found in lists]
+
+    check()
 
 
 def test_antichain_holds_on_all_negative_models(models):

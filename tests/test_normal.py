@@ -23,9 +23,10 @@ from laminate.normal import (ARC_DISKS, COORDS_PER_TET, DISK_EDGE_WEIGHTS,
                              vertex_link_vector, vertex_solutions,
                              vector_length, weight)
 from laminate.surfaces import build_surface
-from laminate.triangulation import Triangulation, parse_triangulation
+from laminate.triangulation import parse_triangulation
 from tests.conftest import (TRI_NAMES, drawn_triangulation,
-                            every_orthant_support, fixture_path)
+                            every_orthant_support, fixture_path, moved,
+                            relabelled)
 
 DATA = Path(__file__).resolve().parent / "data"
 SOLUTIONS_GOLDEN = DATA / "solutions_golden.json"
@@ -559,31 +560,19 @@ def test_row_order_never_changes_the_vertex_solutions(name, include_octs):
     check()
 
 
-def _relabelled(tri, sigma):
-    """tri with tetrahedron t renamed sigma[t]."""
-    return Triangulation(tri.tet_count, [
-        (sigma[t1], f1, sigma[t2], f2, perm)
-        for (t1, f1), (t2, f2), perm in tri.face_classes])
-
-
 @pytest.mark.parametrize("name", CENSUS_NAMES[:6])    # t3_* and t4_*
 def test_vertex_solutions_follow_a_relabelling_of_the_tetrahedra(name):
     tri = _load(name)
     rays = vertex_solutions(tri, True)
 
     @settings(derandomize=True, deadline=None, max_examples=10)
-    @given(st.permutations(range(tri.tet_count)))
-    def check(sigma):
-        def moved(v):
-            out = [0] * len(v)
-            for t in range(tri.tet_count):
-                for k in range(COORDS_PER_TET):
-                    out[COORDS_PER_TET * sigma[t] + k] = \
-                        v[COORDS_PER_TET * t + k]
-            return tuple(out)
-
-        assert vertex_solutions(_relabelled(tri, sigma), True) == \
-            sorted(map(moved, rays))
+    @given(st.permutations(range(tri.tet_count)),
+           st.lists(st.permutations(range(4)), min_size=tri.tet_count,
+                    max_size=tri.tet_count))
+    def check(sigma, taus):
+        tri2, position = relabelled(tri, sigma, taus)
+        assert vertex_solutions(tri2, True) == \
+            sorted(moved(v, position) for v in rays)
 
     check()
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laminate import surfaces
-from laminate.branched import zero_chi_locus
+from laminate.branched import from_support, zero_chi_locus
 from laminate.errors import Inadmissible, InternalCheckFailed
 from laminate.finiteness import enumerate_genus
 from laminate.linalg import dot
@@ -19,9 +19,10 @@ from laminate.normal import (chi_functional_coefficients, haken_sum,
                              quad_oct_clashes, quad_index, tri_index,
                              vector_length, vertex_solutions, weight)
 from laminate.surfaces import build_surface
-from laminate.triangulation import parse_triangulation
+from laminate.triangulation import ParityUnionFind, parse_triangulation
 from tests.conftest import (MODEL_NAMES, elementwise_surface, load_model,
                             surface_fields)
+from tests.test_finiteness import T5_1_3F_SUPPORT
 from tests.test_normal import (CENSUS, CENSUS_NAMES, DATA, SOLUTIONS_GOLDEN,
                                all_triangles_one)
 
@@ -231,6 +232,33 @@ def test_builder_agrees_with_the_elementwise_oracle(data, m):
     v = tuple(m * x for x in v)
     assert surface_fields(build_surface(tri, v)) == \
         surface_fields(elementwise_surface(tri, v))
+
+
+def test_each_overlap_run_is_united_once(monkeypatch):
+    # The genus-30 list of a three-fundamental model of t5_1 (chi -2, -4,
+    # -6): in the gluing pass of each listed sum 5 of 23 overlaps, a
+    # quarter of the glued disk pairs, repeat a run (first disks, relation,
+    # length, steps) met before, which is checked again but not united
+    # again.
+    tri = parse_triangulation((CENSUS / "t5_1.tri").read_text())
+    model = from_support(tri, T5_1_3F_SUPPORT)
+    listed = enumerate_genus(model, 30).vectors
+    assert len(listed) == 9
+    union = ParityUnionFind.union
+    runs = []
+
+    def recording_union(self, x, y, rel=0, count=1, dx=0, dy=0):
+        runs.append((x, y, rel, count, dx, dy))
+        union(self, x, y, rel, count, dx, dy)
+
+    for v in listed:
+        runs.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ParityUnionFind, "union", recording_union)
+            surface = build_surface(tri, v)
+        assert runs and len(runs) == len(set(runs))
+        assert surface_fields(surface) == \
+            surface_fields(elementwise_surface(tri, v))
 
 
 def test_one_sided_rescan_marks_only_the_klein_bottle():
