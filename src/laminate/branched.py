@@ -79,11 +79,11 @@ class BranchedSurfaceModel:
 
     def chi_augmented_cone(self):
         """The branch system with the equation chi = 0 adjoined, its row
-        cleared of denominators by their lcm."""
+        chi's nonzero entries cleared of denominators by their lcm."""
         scale = lcm(*(x.denominator for x in self.chi))
-        return RationalCone(
-            self.cone.matrix + (tuple(int(x * scale) for x in self.chi),),
-            self.cone.dim, self.cone.support)
+        row = tuple((j, int(x * scale)) for j, x in enumerate(self.chi) if x)
+        return RationalCone(self.cone.matrix + (row,), self.cone.dim,
+                            self.cone.support)
 
     def to_json_dict(self):
         funds = self.fundamentals()

@@ -228,10 +228,14 @@ def extreme_ray_oracle(points, matrix, support):
     The primitive extreme rays among a set of enumerated cone points: p
     spans an extreme ray exactly when the face of the cone it lies in the
     relative interior of (equations plus the vanishing of its zero
-    coordinates) has dimension 1.
+    coordinates) has dimension 1, read off the rank of the columns of
+    its positive coordinates.  The rows are a cone's (index, coefficient)
+    pairs, each support coordinate's column made dense once.
     """
     rays = set()
     support = sorted(support)
+    rows = [dict(row) for row in matrix]
+    columns = {j: [row.get(j, 0) for row in rows] for j in support}
     checked = set()
     for p in points:
         if not any(p):
@@ -241,8 +245,7 @@ def extreme_ray_oracle(points, matrix, support):
         if prim in rays or (positive, prim) in checked:
             continue
         checked.add((positive, prim))
-        cols = [[row[j] for j in positive] for row in matrix]
-        if len(positive) - rank(cols) == 1:
+        if len(positive) - rank([columns[j] for j in positive]) == 1:
             rays.add(prim)
     return sorted(rays)
 

@@ -2,21 +2,22 @@
 Exact rational cones: extreme rays, Hilbert bases, strictly positive
 integer points.
 
-All arithmetic is in exact integers: a cone's rows are integer tuples,
-kept as given, and floating point is never used.  A cone is
-{x : Ax = 0, x >= 0} in N coordinates, optionally with a support
-restriction forcing the remaining coordinates to zero.  Such cones are
-pointed, so the double description method starting from the coordinate
-orthant applies.  Rows are inserted in the order the cone gives them,
-skipping those that hold on every ray kept so far, and outputs are
-sorted, so equal inputs give identical outputs.
+All arithmetic is in exact integers, and floating point is never used.
+A cone is {x : Ax = 0, x >= 0} in N coordinates, optionally with a
+support restriction forcing the remaining coordinates to zero.  Each row
+of A is the tuple of its nonzero (index, coefficient) pairs, indices
+increasing, kept as given.  Such cones are pointed, so the double
+description method starting from the coordinate orthant applies.  Rows
+are inserted in the order the cone gives them, skipping those that hold
+on every ray kept so far, and outputs are sorted, so equal inputs give
+identical outputs.
 """
 
 from math import gcd
 from operator import mul
 
 from .errors import CoefficientBudgetExceeded, check_work
-from .linalg import adjugate, det, dot, pivot_columns, rank
+from .linalg import adjugate, det, pivot_columns, rank
 
 # The square of the most group elements (delta per simplex) the
 # parallelepiped walk of one Hilbert basis may cover.
@@ -41,15 +42,16 @@ class RationalCone:
     """
     {x in R^dim : matrix . x = 0, x >= 0, x_i = 0 for i outside support}.
 
-    Rows are integer tuples, kept as given: cones over one triangulation
-    share its matching rows.
+    A row is its nonzero (index, coefficient) pairs, indices increasing,
+    kept as given: cones over one triangulation share its matching rows.
     """
 
     def __init__(self, matrix, dim, support=None):
         self.matrix = tuple(matrix)
         for row in self.matrix:
-            if len(row) != dim:
-                raise ValueError("row length %d != dim %d" % (len(row), dim))
+            for j, _ in row:
+                if not (0 <= j < dim):
+                    raise ValueError("row index %d out of range" % j)
         self.dim = dim
         self.support = (frozenset(range(dim)) if support is None
                         else frozenset(support))
@@ -64,7 +66,7 @@ class RationalCone:
             return False
         if any(v[i] != 0 for i in range(self.dim) if i not in self.support):
             return False
-        return all(dot(row, v) == 0 for row in self.matrix)
+        return all(sum(c * v[j] for j, c in row) == 0 for row in self.matrix)
 
 
 def _check_budget(vectors, max_coeff_bits):
@@ -90,14 +92,15 @@ def extreme_rays(cone, max_coeff_bits=None, exclusive=()):
     coefficient budget and the work, but not the output.  Rays are held
     over the sorted support positions and expanded to cone.dim coordinates
     once, at the end, with 0 elsewhere, so neither their order nor the
-    budget's first excess changes.  Each row is read as (position,
-    coefficient) pairs at its nonzero entries; a row with none holds on
-    every ray and is skipped.  A ray's zero set is an int bitmask over the
-    positions; the zero set of a combination of two rays is the meet of
-    theirs, since both are nonnegative.  A ray whose zero set holds the
-    row's support is valued 0 without summing, and a row that is 0 on
-    every kept ray (one in the span of the rows before it) is skipped
-    before the rays are split, in one pass, into zero, plus and minus.
+    budget's first excess changes.  Each row's (index, coefficient) pairs
+    are read as given, each index mapped to its support position; a row
+    with none inside the support holds on every ray and is skipped.  A
+    ray's zero set is an int bitmask over the positions; the zero set of a
+    combination of two rays is the meet of theirs, since both are
+    nonnegative.  A ray whose zero set holds the row's support is valued 0
+    without summing, and a row that is 0 on every kept ray (one in the
+    span of the rows before it) is skipped before the rays are split, in
+    one pass, into zero, plus and minus.
     Two rays are adjacent by the standard combinatorial test: no third
     ray's zero set contains the meet of theirs.  A pair whose combined
     support uses two coordinates of one group is skipped before that test
@@ -113,9 +116,10 @@ def extreme_rays(cone, max_coeff_bits=None, exclusive=()):
     rows = []
     for row in cone.matrix:
         entries, held = [], 0
-        for p, j in enumerate(support):
-            if row[j]:
-                entries.append((p, row[j]))
+        for j, c in row:
+            p = position.get(j)
+            if p is not None:
+                entries.append((p, c))
                 held |= 1 << p
         if entries:
             rows.append((entries, held))

@@ -130,56 +130,44 @@ class MatchingSystem:
     """
     The integer matrix of normal-arc matching equations of a triangulation.
 
-    rows[i] is a coefficient tuple over the full coordinate space; labels[i]
-    is (face_class_index, corner) where corner is the cut-off vertex on the
+    rows[i] is the tuple of a row's nonzero (index, coefficient) pairs over
+    the full coordinate space, indices increasing; labels[i] is
+    (face_class_index, corner) where corner is the cut-off vertex on the
     class's first side.  Coefficients are +1 for side-1 contributions and
-    -1 for side-2 contributions (they accumulate when both sides lie in the
-    same tetrahedron).  Each row's nonzero (index, coefficient) pairs are
-    kept too, so a residual reads only those.
+    -1 for side-2 contributions; a coordinate on both sides (both in one
+    tetrahedron) cancels and is left out.
     """
 
     def __init__(self, tri):
         self.triangulation = tri
-        n = vector_length(tri)
         rows = []
         labels = []
-        entries = []
         for idx, (side1, side2, perm) in enumerate(tri.face_classes):
             (t1, f1), (t2, f2) = side1, side2
             for v in range(4):
                 if v == f1:
                     continue
-                row = [0] * n
-                for k in ARC_DISKS[(f1, v)]:
-                    row[COORDS_PER_TET * t1 + k] += 1
-                for k in ARC_DISKS[(f2, perm[v])]:
-                    row[COORDS_PER_TET * t2 + k] -= 1
-                rows.append(tuple(row))
+                plus = {COORDS_PER_TET * t1 + k for k in ARC_DISKS[(f1, v)]}
+                minus = {COORDS_PER_TET * t2 + k
+                         for k in ARC_DISKS[(f2, perm[v])]}
+                rows.append(tuple(sorted([(j, 1) for j in plus - minus]
+                                         + [(j, -1) for j in minus - plus])))
                 labels.append((idx, v))
-                entries.append(tuple((j, c) for j, c in enumerate(row) if c))
         self.rows = tuple(rows)
         self.labels = tuple(labels)
-        self._entries = tuple(entries)
 
     @cached_property
     def q_rows(self):
-        """The Q rows (_q_entries) over the full coordinate space."""
-        n = vector_length(self.triangulation)
-        return tuple(tuple(row.get(j, 0) for j in range(n))
-                     for row in map(dict, self._q_entries))
-
-    @cached_property
-    def _q_entries(self):
         """
         Tollefson's Q-matching rows (Pacific J. Math. 183, 1998), with
-        Burton's octagon terms (Exp. Math. 19, 2010), as their nonzero
-        (index, coefficient) pairs: rows of the matching row space that
-        vanish on every triangle coordinate, spanning all of them.  Integer
-        elimination of the triangle columns out of the rows, each pivot row
-        dropped once used and each combination divided by its gcd; the rows
-        left, zero rows dropped, are these.  Built on first use.
+        Burton's octagon terms (Exp. Math. 19, 2010), in the form of rows:
+        rows of the matching row space that vanish on every triangle
+        coordinate, spanning all of them.  Integer elimination of the
+        triangle columns out of the rows, each pivot row dropped once used
+        and each combination divided by its gcd; the rows left, zero rows
+        dropped, are these.  Built on first use.
         """
-        rows = [dict(row) for row in self._entries]
+        rows = [dict(row) for row in self.rows]
         for t in range(self.triangulation.tet_count):
             for col in range(COORDS_PER_TET * t, COORDS_PER_TET * t + 4):
                 at = next((i for i, r in enumerate(rows) if col in r), None)
@@ -236,7 +224,7 @@ class MatchingSystem:
         # Plain loops: a comprehension per row costs a frame per row, and
         # every surface rebuild opens with this check.
         out = []
-        for row in self._entries:
+        for row in self.rows:
             total = 0
             for j, c in row:
                 total += c * v[j]
@@ -408,22 +396,19 @@ def vertex_solutions(tri, include_octs=False, max_coeff_bits=None):
     The Q rows go in first, so the run first solves the quad(-oct)
     equations with every triangle coordinate free, and the matching rows
     then lift those solutions to standard coordinates (Burton, AGT 9,
-    2009).  Each group goes in by its rows' last, then first, nonzero
-    coordinate inside the support (ties in order), read from the rows'
-    nonzero entries, so the tetrahedra join one at a time (Burton, Math.
-    Comp. 79, 2010).
+    2009).  Each group goes in by its rows' last, then first, index inside
+    the support (ties in order), so the tetrahedra join one at a time
+    (Burton, Math. Comp. 79, 2010).
     """
     system = matching_system(tri)
     outside = () if include_octs else frozenset(system.exclusive[0])
     support = [j for j in range(vector_length(tri)) if j not in outside]
 
-    def key(pair):
-        used = [j for j, _ in pair[1] if j not in outside]
+    def key(row):
+        used = [j for j, _ in row if j not in outside]
         return (used[-1], used[0]) if used else (-1, -1)
 
-    rows = [row for row, _ in
-            sorted(zip(system.q_rows, system._q_entries), key=key)
-            + sorted(zip(system.rows, system._entries), key=key)]
+    rows = sorted(system.q_rows, key=key) + sorted(system.rows, key=key)
     return extreme_rays(RationalCone(rows, vector_length(tri), support),
                         max_coeff_bits, system.exclusive)
 

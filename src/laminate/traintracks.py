@@ -62,7 +62,7 @@ class TrainTrack:
         self._ends = {}
         rows = []
         for i, sides in enumerate(self.switches):
-            row = [0] * len(index)
+            row = {}
             for side, sign in ((0, 1), (1, -1)):
                 for (b, e) in sides[side]:
                     if b not in index or e not in (0, 1):
@@ -72,8 +72,8 @@ class TrainTrack:
                         raise ValueError(
                             "branch end (%s, %d) attached twice" % (b, e))
                     self._ends[b, e] = (i, side)
-                    row[index[b]] += sign
-            rows.append(tuple(row))
+                    row[index[b]] = row.get(index[b], 0) + sign
+            rows.append(tuple(sorted((j, c) for j, c in row.items() if c)))
         self.branch_index = index
         self._cone = RationalCone(rows, len(index))
 

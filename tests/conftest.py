@@ -5,6 +5,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import strategies as st
 
 from laminate import surfaces
 from laminate.branched import from_support
@@ -113,12 +114,38 @@ def relabelled(tri, sigma, taus):
     return Triangulation(tri.tet_count, gluings), position
 
 
+def relabellings(n):
+    """
+    Hypothesis draws of (sigma, taus) for relabelled over n tetrahedra.
+    The identity, which Hypothesis would draw first, is never drawn, so
+    every draw is a relabelling.
+    """
+    identity = (list(range(n)), [list(range(4))] * n)
+    return st.tuples(st.permutations(range(n)),
+                     st.lists(st.permutations(range(4)), min_size=n,
+                              max_size=n)).filter(identity.__ne__)
+
+
 def moved(v, position):
     """The coordinate vector v of a triangulation, moved to its
     relabelling by the positions relabelled returns."""
     out = [0] * len(v)
     for j, x in zip(position, v):
         out[j] = x
+    return tuple(out)
+
+
+def sparse(row):
+    """A dense coefficient row in a cone's row form: its nonzero (index,
+    coefficient) pairs, indices increasing."""
+    return tuple((j, c) for j, c in enumerate(row) if c)
+
+
+def dense(row, dim):
+    """A cone row as the dense coefficient tuple of length dim."""
+    out = [0] * dim
+    for j, c in row:
+        out[j] = c
     return tuple(out)
 
 

@@ -16,7 +16,8 @@ from laminate.normal import (chi_functional_coefficients, is_admissible,
                              vector_length)
 from laminate.surfaces import build_surface
 from laminate.triangulation import parse_triangulation
-from tests.conftest import every_orthant_support, fixture_path, load_model
+from tests.conftest import (dense, every_orthant_support, fixture_path,
+                            load_model)
 from tests.test_normal import CENSUS, all_triangles_one
 
 
@@ -204,7 +205,7 @@ def test_zero_chi_locus_of_mixed_sign_model(three_tet):
         assert dot(model.chi, vertex) == 0
         assert sum(vertex) == 1
         assert all(x >= 0 for x in vertex)
-        assert not any(dot(row, vertex) for row in
+        assert not any(dot(dense(row, len(vertex)), vertex) for row in
                        matching_system(model.triangulation).rows)
 
 

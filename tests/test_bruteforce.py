@@ -11,7 +11,7 @@ from laminate.bruteforce import (ARC_TYPES, _patterns, _quad_oct_patterns,
 from laminate.errors import WorkBudgetExceeded
 from laminate.normal import (ARC_DISKS, COORDS_PER_TET, is_admissible,
                              matching_system, quad_oct_clashes, vector_length)
-from tests.conftest import load_triangulation
+from tests.conftest import load_triangulation, sparse
 
 
 def arc_count(v, t, f, w):
@@ -73,7 +73,7 @@ def test_support_enumeration(two_tet):
 
 def test_oracles_on_synthetic_cone():
     # {x1 + x2 = 2 x3}: rays (2,0,1),(0,2,1); Hilbert basis adds (1,1,1).
-    rows = [(1, 1, -2)]
+    rows = [sparse((1, 1, -2))]
     points = [(a, b, c) for a in range(9) for b in range(9) for c in range(9)
               if a + b == 2 * c]
     assert extreme_ray_oracle(points, rows, range(3)) == [(0, 2, 1), (2, 0, 1)]

@@ -11,6 +11,7 @@ import laminate.cones
 import laminate.normal
 from laminate.cli import main
 from laminate.errors import InputError
+from laminate.traintracks import TrainTrack
 from tests.conftest import ROOT, child_env, fixture_path
 
 LISTING_GOLDEN = (Path(__file__).resolve().parent / "data"
@@ -386,14 +387,19 @@ def test_split_traintrack_honours_max_coeff_bits(capsys):
 
 
 def test_split_not_splittable(capsys, tmp_path):
-    track = {"branches": ["x"],
-             "switches": [{"side1": [["x", 0], ["x", 1]], "side2": []}]}
-    path = tmp_path / "loop.json"
-    path.write_text(json.dumps(track))
-    code, out = run_cli(capsys, "split", "traintrack",
-                        "--file", str(path), "--branch", "x")
-    assert code == 1
-    assert json.loads(out)["error"]["kind"] == "NotSplittable"
+    # A one-switch loop, its two ends on one side (weight-cone row 2x = 0)
+    # or on opposite sides (x - x: an empty row, which every weight meets).
+    for sides, row in ((([["x", 0], ["x", 1]], []), ((0, 2),)),
+                       (([["x", 0]], [["x", 1]]), ())):
+        track = {"branches": ["x"],
+                 "switches": [{"side1": sides[0], "side2": sides[1]}]}
+        assert TrainTrack.from_json_dict(track).weight_cone().matrix == (row,)
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(track))
+        code, out = run_cli(capsys, "split", "traintrack",
+                            "--file", str(path), "--branch", "x")
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "NotSplittable"
 
 
 def test_byte_identical_reruns(capsys):

@@ -15,11 +15,12 @@ from laminate.linalg import det, dot
 from laminate.normal import (fundamental_solutions, matching_cone,
                              matching_system)
 from laminate.triangulation import parse_triangulation
+from tests.conftest import dense, sparse
 from tests.test_normal import CENSUS
 
 
 def test_extreme_rays_of_plane_cone():
-    cone = RationalCone([(1, 1, -1)], 3)
+    cone = RationalCone([sparse((1, 1, -1))], 3)
     assert extreme_rays(cone) == [(0, 1, 1), (1, 0, 1)]
 
 
@@ -29,7 +30,7 @@ def test_extreme_rays_of_orthant():
 
 
 def test_rays_are_primitive_and_satisfy_equations():
-    cone = RationalCone([(2, 2, -2), (0, 3, -3)], 3)
+    cone = RationalCone([sparse((2, 2, -2)), sparse((0, 3, -3))], 3)
     for r in extreme_rays(cone):
         assert primitive(r) == r
         assert 2 * r[0] + 2 * r[1] - 2 * r[2] == 0
@@ -38,7 +39,7 @@ def test_rays_are_primitive_and_satisfy_equations():
 
 
 def test_hilbert_basis_with_interior_generator():
-    cone = RationalCone([(1, 1, -2)], 3)
+    cone = RationalCone([sparse((1, 1, -2))], 3)
     assert hilbert_basis(extreme_rays(cone)) == [
         (0, 2, 1), (1, 1, 1), (2, 0, 1)]
 
@@ -51,7 +52,7 @@ def test_hilbert_basis_of_orthant_is_unit_vectors():
 
 def test_hilbert_basis_elements_irreducible_by_enumeration():
     # Exhaustively check irreducibility below a small box.
-    cone = RationalCone([(1, 1, -2)], 3)
+    cone = RationalCone([sparse((1, 1, -2))], 3)
     basis = hilbert_basis(extreme_rays(cone))
     points = [(a, b, c) for a in range(5) for b in range(5) for c in range(5)
               if a + b == 2 * c and any((a, b, c))]
@@ -65,19 +66,19 @@ def test_hilbert_basis_elements_irreducible_by_enumeration():
 
 
 def test_positive_integer_point_plane():
-    cone = RationalCone([(1, 1, -1)], 3)
+    cone = RationalCone([sparse((1, 1, -1))], 3)
     assert positive_integer_point(extreme_rays(cone),
                                   cone.support) == (1, 1, 2)
 
 
 def test_positive_integer_point_missing_coordinate():
     # x2 is identically zero on the cone.
-    cone = RationalCone([(0, 1, 0)], 3)
+    cone = RationalCone([sparse((0, 1, 0))], 3)
     assert positive_integer_point(extreme_rays(cone), cone.support) is None
 
 
 def test_positive_integer_point_empty():
-    cone = RationalCone([(1, 1, 1)], 3)
+    cone = RationalCone([sparse((1, 1, 1))], 3)
     assert positive_integer_point(extreme_rays(cone), cone.support) is None
 
 
@@ -89,7 +90,7 @@ def test_support_restriction():
 
 
 def test_determinism():
-    rows = [(1, 2, -1, 0), (0, 1, 1, -2)]
+    rows = [sparse((1, 2, -1, 0)), sparse((0, 1, 1, -2))]
     a = extreme_rays(RationalCone(rows, 4))
     b = extreme_rays(RationalCone(rows, 4))
     assert a == b
@@ -97,13 +98,18 @@ def test_determinism():
 
 
 def test_chi_row_is_cleared_to_integers(models):
+    # The adjoined row is chi's nonzero entries times the lcm of their
+    # denominators; two_tet's chi has six zero entries, left out.
     for model in models.values():
         scale = lcm(*(c.denominator for c in model.chi))
         row = model.chi_augmented_cone().matrix[-1]
-        assert all(type(x) is int for x in row)
-        assert row == tuple(c * scale for c in model.chi)
+        assert all(type(c) is int for _, c in row)
+        assert row == sparse(c * scale for c in model.chi)
     assert any(c.denominator > 1 for model in models.values()
                for c in model.chi)
+    klein = models["two_tet_klein.json"]
+    assert list(klein.chi).count(0) == 6
+    assert len(klein.chi_augmented_cone().matrix[-1]) == 20 - 6
 
 
 def test_cones_share_the_matching_rows(models):
@@ -117,7 +123,7 @@ def test_cones_share_the_matching_rows(models):
 
 
 def test_coefficient_budget():
-    cone = RationalCone([(1000000, -1, 0)], 3)
+    cone = RationalCone([sparse((1000000, -1, 0))], 3)
     with pytest.raises(CoefficientBudgetExceeded):
         extreme_rays(cone, max_coeff_bits=8)
 
@@ -138,7 +144,8 @@ def test_kept_ray_cap_is_refused(two_tet, monkeypatch):
 def test_parallelepiped_walk_over_budget_is_refused():
     # Rays (1, 3000, 0) and (1, 0, 3000): a 3000^2 walk.
     with pytest.raises(WorkBudgetExceeded):
-        hilbert_basis(extreme_rays(RationalCone([(3000, -1, -1)], 3)))
+        hilbert_basis(extreme_rays(
+            RationalCone([sparse((3000, -1, -1))], 3)))
 
 
 def test_parallelepiped_walk_is_refused_before_any_point_is_listed(
@@ -158,10 +165,12 @@ def test_parallelepiped_walk_is_refused_before_any_point_is_listed(
     with pytest.raises(WorkBudgetExceeded,
                        match=r" covers 16000000 squared group elements"
                              r" \(budget 5000000\)$"):
-        hilbert_basis(extreme_rays(RationalCone([(2000, 2000, -1, -1)], 4)))
+        hilbert_basis(extreme_rays(
+            RationalCone([sparse((2000, 2000, -1, -1))], 4)))
     assert calls == []
     # Within budget, both simplices' points are listed.
-    hilbert_basis(extreme_rays(RationalCone([(20, 20, -1, -1)], 4)))
+    hilbert_basis(extreme_rays(
+        RationalCone([sparse((20, 20, -1, -1))], 4)))
     assert len(calls) == 2
 
 
@@ -216,8 +225,9 @@ def test_hilbert_basis_does_not_depend_on_the_triangulation(name,
                     out[rename[j]] = x
                 return tuple(out)
 
-            renamed = RationalCone([moved(row) for row in cone.matrix],
-                                   cone.dim, [rename[j] for j in cone.support])
+            renamed = RationalCone(
+                [sparse(moved(dense(row, cone.dim))) for row in cone.matrix],
+                cone.dim, [rename[j] for j in cone.support])
             assert (hilbert_basis(extreme_rays(renamed))
                     == sorted(map(moved, basis)))
 
@@ -237,7 +247,7 @@ def small_cones(draw):
 @given(small_cones())
 def test_cone_engine_matches_oracles(rows):
     n = len(rows[0])
-    cone = RationalCone(rows, n)
+    cone = RationalCone(list(map(sparse, rows)), n)
     rays = extreme_rays(cone)
     # Every Hilbert basis element is a ray or lies in a half-open
     # parallelepiped of rays, so each coordinate is at most that of the
@@ -246,7 +256,7 @@ def test_cone_engine_matches_oracles(rows):
     assume((bound + 1) ** n <= 20_000)
     points = [p for p in product(range(bound + 1), repeat=n)
               if all(dot(row, p) == 0 for row in rows)]
-    assert rays == extreme_ray_oracle(points, rows, range(n))
+    assert rays == extreme_ray_oracle(points, cone.matrix, range(n))
     assert hilbert_basis(rays) == hilbert_oracle(points)
 
 
@@ -270,7 +280,8 @@ def supported_cones(draw):
 def test_cone_engine_matches_oracle_on_a_support(case):
     rows, support = case
     n = len(rows[0])
-    rays = extreme_rays(RationalCone(rows, n, support))
+    cone = RationalCone(list(map(sparse, rows)), n, support)
+    rays = extreme_rays(cone)
     bound = max((sum(col) for col in zip(*rays)), default=0)
     assume((bound + 1) ** len(support) <= 20_000)
     points = []
@@ -280,7 +291,7 @@ def test_cone_engine_matches_oracle_on_a_support(case):
             p[j] = x
         if all(dot(row, p) == 0 for row in rows):
             points.append(tuple(p))
-    assert rays == extreme_ray_oracle(points, rows, support)
+    assert rays == extreme_ray_oracle(points, cone.matrix, support)
 
 
 @st.composite
@@ -303,7 +314,7 @@ def grouped_cones(draw):
 @given(grouped_cones())
 def test_exclusive_groups_keep_the_admissible_extreme_rays(case):
     rows, groups = case
-    cone = RationalCone(rows, len(rows[0]))
+    cone = RationalCone(list(map(sparse, rows)), len(rows[0]))
     admissible = [r for r in extreme_rays(cone)
                   if all(sum(1 for j in g if r[j]) <= 1 for g in groups)]
     assert extreme_rays(cone, exclusive=groups) == admissible
@@ -332,7 +343,7 @@ def test_exclusive_groups_on_a_support_keep_the_admissible_extreme_rays(
     # only, so each group is cut to the support before it filters pairs.
     rows, support, groups = case
     n = len(rows[0])
-    cone = RationalCone(rows, n, support)
+    cone = RationalCone(list(map(sparse, rows)), n, support)
     rays = extreme_rays(cone)
     kept = extreme_rays(cone, exclusive=groups)
     assert kept == [r for r in rays
@@ -343,13 +354,15 @@ def test_exclusive_groups_on_a_support_keep_the_admissible_extreme_rays(
 
 
 def test_rational_cone_checks_its_input():
-    with pytest.raises(ValueError, match=r"^row length 2 != dim 3$"):
-        RationalCone([(1, 1, 0), (1, 2)], 3)
+    # A negative row index would read the last coordinate of a vector.
     for j in (3, -1):
+        with pytest.raises(ValueError,
+                           match=r"^row index %d out of range$" % j):
+            RationalCone([((0, 1), (1, 1)), ((j, 1),)], 3)
         with pytest.raises(ValueError,
                            match=r"^support index %d out of range$" % j):
             RationalCone([], 3, support=[0, j])
-    cone = RationalCone([(1, -1, 0)], 3)
+    cone = RationalCone([sparse((1, -1, 0))], 3)
     assert cone.contains((1, 1, 0))
     assert not cone.contains((1, 1))
     assert not cone.contains((1, 1, 0, 0))
@@ -388,7 +401,7 @@ def test_decompose_over_reports_least_tuple():
 def test_brute_force_completeness_small_systems():
     # Desk-scale completeness: compare against direct lattice reasoning on
     # a nontrivial system in 4 variables.
-    rows = [(1, 1, -1, -1), (2, 0, -1, -1)]
+    rows = [sparse((1, 1, -1, -1)), sparse((2, 0, -1, -1))]
     cone = RationalCone(rows, 4)
     rays = extreme_rays(cone)
     box = [(a, b, c, d)

@@ -22,7 +22,7 @@ from laminate.normal import (MatchingSystem, chi_functional_coefficients,
 from laminate.surfaces import build_surface
 from laminate.triangulation import parse_triangulation
 from tests.conftest import (MODEL_NAMES, load_model, load_triangulation,
-                            moved, relabelled)
+                            moved, relabelled, relabellings)
 from tests.test_normal import CENSUS
 
 # A t5_1 model of six fundamentals (chi -2, -4, -2, -4, -6, -6) whose
@@ -386,11 +386,9 @@ def test_genus_lists_and_verdicts_follow_a_relabelling(source, support,
     lists = _genus_lists(model, genera)
 
     @settings(derandomize=True, deadline=None, max_examples=8)
-    @given(st.permutations(range(tri.tet_count)),
-           st.lists(st.permutations(range(4)), min_size=tri.tet_count,
-                    max_size=tri.tet_count))
-    def check(sigma, taus):
-        tri2, position = relabelled(tri, sigma, taus)
+    @given(relabellings(tri.tet_count))
+    def check(drawn):
+        tri2, position = relabelled(tri, *drawn)
         model2 = from_support(tri2, [position[j] for j in model.support])
         verdict2 = carries_nonneg_chi(model2)
         assert verdict2.verdict == verdict.verdict

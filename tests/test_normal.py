@@ -24,9 +24,9 @@ from laminate.normal import (ARC_DISKS, COORDS_PER_TET, DISK_EDGE_WEIGHTS,
                              vector_length, weight)
 from laminate.surfaces import build_surface
 from laminate.triangulation import parse_triangulation
-from tests.conftest import (TRI_NAMES, drawn_triangulation,
+from tests.conftest import (TRI_NAMES, dense, drawn_triangulation,
                             every_orthant_support, fixture_path, moved,
-                            relabelled)
+                            relabelled, relabellings, sparse)
 
 DATA = Path(__file__).resolve().parent / "data"
 SOLUTIONS_GOLDEN = DATA / "solutions_golden.json"
@@ -56,13 +56,19 @@ def test_matching_system_is_built_once_per_triangulation(two_tet):
     assert matching_system(two_tet) is matching_system(two_tet)
 
 
-def test_coefficients_within_documented_range(triangulations):
-    # The contract allows {-1, 0, +1, +2}; with the connected octagon
-    # model a disk type never contributes two same-type arcs in one face,
-    # so the realized coefficients stay within {-1, 0, +1}.
-    for tri in triangulations.values():
-        for row in matching_system(tri).rows:
-            assert set(row) <= {-1, 0, 1}
+def test_coefficients_within_documented_range():
+    # A row is its nonzero (index, coefficient) pairs, indices strictly
+    # increasing.  With the connected octagon model a disk type never
+    # contributes two same-type arcs in one face, so a matching
+    # coefficient is -1 or +1 (a coordinate on both sides cancels).
+    for name in TRI_NAMES + CENSUS_NAMES + ("r7.tri", "r9.tri"):
+        system = matching_system(_load(name))
+        for row in system.rows + system.q_rows:
+            indices = [j for j, _ in row]
+            assert indices == sorted(set(indices))
+            assert all(c for _, c in row)
+        for row in system.rows:
+            assert {c for _, c in row} <= {-1, 1}
 
 
 def test_all_triangles_vector_matches(triangulations):
@@ -365,10 +371,12 @@ def _check_q_rows(tri, vertex_rays):
     """The Q rows vanish on every triangle coordinate, lie in the matching
     row space, have rank n and hold on every given vertex solution."""
     system = matching_system(tri)
-    q_rows = system.q_rows
+    n = vector_length(tri)
+    rows = [dense(row, n) for row in system.rows]
+    q_rows = [dense(row, n) for row in system.q_rows]
     assert not any(row[tri_index(t, i)] for row in q_rows
                    for t in range(tri.tet_count) for i in range(4))
-    assert rank(system.rows + q_rows) == rank(system.rows)
+    assert rank(rows + q_rows) == rank(rows)
     assert rank(q_rows) == tri.tet_count
     for v in vertex_rays:
         assert not any(dot(row, v) for row in q_rows)
@@ -523,14 +531,12 @@ def test_vertex_solutions_insert_the_q_rows_then_the_matching_rows(
     assert cone.support == frozenset(support)
 
     def key(row):
-        used = [j for j in support if row[j]]
+        full = dense(row, cone.dim)
+        used = [j for j in support if full[j]]
         return (used[-1], used[0]) if used else (-1, -1)
 
     assert cone.matrix == tuple(sorted(system.q_rows, key=key)
                                 + sorted(system.rows, key=key))
-    assert system._q_entries == tuple(
-        tuple((j, c) for j, c in enumerate(row) if c)
-        for row in system.q_rows)
 
 
 @pytest.mark.parametrize("include_octs", [False, True])
@@ -551,8 +557,9 @@ def test_row_order_never_changes_the_vertex_solutions(name, include_octs):
                 out[rename[j]] = x
             return tuple(out)
 
-        shuffled = RationalCone([moved(cone.matrix[i]) for i in order],
-                                cone.dim, [rename[j] for j in cone.support])
+        shuffled = RationalCone(
+            [sparse(moved(dense(cone.matrix[i], cone.dim))) for i in order],
+            cone.dim, [rename[j] for j in cone.support])
         assert extreme_rays(shuffled, exclusive=tuple(
             tuple(rename[j] for j in g) for g in groups)) == \
             sorted(map(moved, rays))
@@ -560,19 +567,46 @@ def test_row_order_never_changes_the_vertex_solutions(name, include_octs):
     check()
 
 
-@pytest.mark.parametrize("name", CENSUS_NAMES[:6])    # t3_* and t4_*
-def test_vertex_solutions_follow_a_relabelling_of_the_tetrahedra(name):
-    tri = _load(name)
-    rays = vertex_solutions(tri, True)
+def _relabelling_case(name, solve, include_octs, draws):
+    kind = "octagons" if include_octs else "quads"
+    # Vertex solutions with octagons on a census pick keep the pick's name
+    # as their id.
+    first = name in CENSUS_NAMES and solve is vertex_solutions and include_octs
+    return pytest.param(name, solve, include_octs, draws, id=name if first
+                        else "-".join((name, solve.__name__, kind)))
 
-    @settings(derandomize=True, deadline=None, max_examples=10)
-    @given(st.permutations(range(tri.tet_count)),
-           st.lists(st.permutations(range(4)), min_size=tri.tet_count,
-                    max_size=tri.tet_count))
-    def check(sigma, taus):
-        tri2, position = relabelled(tri, sigma, taus)
-        assert vertex_solutions(tri2, True) == \
-            sorted(moved(v, position) for v in rays)
+
+# Ten draws each on the t3_* and t4_* picks; fewer on r7 and r9, whose
+# fundamental solutions take a few tenths of a second a call.
+RELABELLING_CASES = [
+    _relabelling_case(name, solve, include_octs, 10)
+    for name in CENSUS_NAMES[:6]
+    for solve in (vertex_solutions, fundamental_solutions)
+    for include_octs in (False, True)] + [
+    _relabelling_case("r7.tri", vertex_solutions, False, 3),
+    _relabelling_case("r7.tri", vertex_solutions, True, 3),
+    _relabelling_case("r7.tri", fundamental_solutions, False, 3),
+    _relabelling_case("r7.tri", fundamental_solutions, True, 2),
+    _relabelling_case("r9.tri", vertex_solutions, False, 1),
+    _relabelling_case("r9.tri", fundamental_solutions, False, 1)]
+
+
+@pytest.mark.parametrize("name, solve, include_octs, draws",
+                         RELABELLING_CASES)
+def test_vertex_solutions_follow_a_relabelling_of_the_tetrahedra(
+        name, solve, include_octs, draws):
+    # A relabelling reorders the pairs of every row and the order the rows
+    # go in, and so the intermediate rays and the pulling triangulations:
+    # an independent path through the engine to the same answer, moved.
+    tri = _load(name)
+    answer = solve(tri, include_octs)
+
+    @settings(derandomize=True, deadline=None, max_examples=draws)
+    @given(relabellings(tri.tet_count))
+    def check(drawn):
+        tri2, position = relabelled(tri, *drawn)
+        assert solve(tri2, include_octs) == \
+            sorted(moved(v, position) for v in answer)
 
     check()
 
