@@ -17,10 +17,16 @@ resolved together, through the triangulation's gluing_table, to points
 (edge class, position along it) and to whether the reference side points
 along the class.  build_surface makes one gluing pass: it walks each
 face gluing overlap by overlap of its two sides' pieces, checking each,
-and then makes one union of a parity union-find per distinct overlap
-run, in the order first met, which decides components and
-orientability: the union-find's twisted list is the one record of the
-disk pairs glued against their parity.  It asserts, raising
+and then unites each distinct overlap run once, in the order first met,
+on one of two levels.  An overlap that covers every copy of both its
+kinds (both pieces start and end at the same rank) maps copy i to copy
+i, or to copy n - 1 - i when the copy steps differ: it is one union of
+a parity union-find over the disk kinds, labelled relation | reflection
+<< 1.  Every other overlap, and every kind-level cycle whose labels
+compose to a nonzero delta, is united per copy in a second parity
+union-find, over the copies of each kind class's root kind; that one
+decides components and orientability, and its twisted list is the one
+record of the copies glued against their parity.  It asserts, raising
 InternalCheckFailed, that every tetrahedron edge sees as many points as
 its edge class; that the pieces of every slot tile its ranks; that the
 arc counts on the two sides of every face gluing agree; and that glued
@@ -34,13 +40,14 @@ per-disk state is allocated.
 The surface it returns answers connected and orientable from that pass
 alone, so a rejected candidate has no cells counted.  The first read of
 a cell count completes the pass per disk: it takes the one-sided
-components from the roots of the twisted disks, maps points to disks
-for the vertex counts, and asserts that every component has an even
+components from the roots of the twisted copies, maps each kind's disks
+to copy roots with one slice, maps points to disks for the vertex
+counts, and asserts that every component has an even
 number of arc sides, that the vertex count equals the weight and the
 disk count the coordinate sum; the pass is then dropped.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 from .errors import Inadmissible, InternalCheckFailed, check_work
 from .normal import (COORDS_PER_TET, DISK_EDGE_WEIGHTS, QUAD_PAIRS,
@@ -146,13 +153,13 @@ class NormalSurface:
     pass; the fields of _CELLS are counted on the first read of any.
     """
 
-    def __init__(self, tri, vector, admissibility, kinds, parity):
+    def __init__(self, tri, vector, admissibility, kinds, places, parity):
         self.triangulation = tri
         self.vector = vector
         self.admissibility = admissibility
         self.connected = parity.classes == 1
         self.orientable = not parity.twisted
-        self._pass = kinds, parity
+        self._pass = kinds, places, parity
 
     def __getattr__(self, name):
         # Reached only while the cells are not counted yet.
@@ -232,44 +239,47 @@ def _disk_kinds(tri, v, ends):
 def _glue(tri, v):
     """
     The gluing pass of build_surface: (admissibility report, disk kinds
-    as listed by _disk_kinds, parity union-find over the disks).  The
-    union-find's twisted list holds a disk of every glued pair of a
-    distinct run found already united against its parity, so the surface
-    is orientable exactly when it is empty.
+    as listed by _disk_kinds, and the places and copy-level parity
+    union-find of _unite).  The union-find's classes are the surface's
+    components, and its twisted list is empty exactly when the surface
+    is orientable.
 
     The copies of a disk kind fill one range of ranks, a piece, in each
     slot they have arcs in: the triangles of the cutoff type, then the
     tetrahedron's quad or octagon.  Where pieces of two glued slots
     overlap, one affine map takes disks to disks with one orientation
     relation, so the overlap is checked once, as it is met, and is one
-    run.  Disks glued along more than one arc meet a run again, which a
-    second union would not change: after the walk each distinct run is
-    united once, in the order first met.  At each end of an arc the
-    position along the edge is affine in the copy, and the copy in the
-    rank, on either side: equal classes and positions at the overlap's
-    first rank and, unless it is one rank, equal steps per rank give
-    equal points at every rank, and unequal ones differ at its second.
+    run.  An overlap where both pieces start and end at the same rank
+    covers every copy of both kinds and is united once per kind pair;
+    every other overlap is united per copy (see _unite).  Disks glued
+    along more than one arc meet a run again, which a second union would
+    not change: after the walk each distinct run is united once, in the
+    order first met.  At each end of an arc the position along the edge
+    is affine in the copy, and the copy in the rank, on either side:
+    equal classes and positions at the overlap's first rank and, unless
+    it is one rank, equal steps per rank give equal points at every rank,
+    and unequal ones differ at its second.
     """
     report = _check_rebuildable(tri, v)
     ends, glued = tri.gluing_table
     kinds = list(_disk_kinds(tri, v, ends))
-    disk, slots = 0, [()] * len(ends)
-    # A slot's pieces by rank: (end rank, disk of copy 0, copy step per
-    # rank, copy at rank 0, corners of the arc's two ends).
-    for t, copies, shift, arc_plan, corners in kinds:
+    slots = [()] * len(ends)
+    # A slot's pieces by rank: (end rank, kind, copies, copy step per rank,
+    # copy at rank 0, corners of the arc's two ends).
+    for k, (t, copies, shift, arc_plan, corners) in enumerate(kinds):
         for f, w, base, rev, a, b in arc_plan:
             slot, lo = 16 * t + 4 * f + w, shift[base]
             pieces = slots[slot]
             if lo != (pieces[-1][0] if pieces else 0):
                 raise InternalCheckFailed("slot pieces overlap or leave gaps")
             s, c0 = (-1, copies - 1 + lo) if rev else (1, -lo)
-            slots[slot] = pieces + ((lo + copies, disk, s, c0, corners[a],
-                                     corners[b]),)
-        disk += copies
+            slots[slot] = pieces + ((lo + copies, k, copies, s, c0,
+                                     corners[a], corners[b]),)
 
-    # The distinct overlap runs, in the order first met: (first disk of
-    # each side, orientation relation, length, disk step of each side).
-    runs = {}
+    # The distinct whole-piece overlaps, (kind of each side, label), and
+    # the other overlaps, (kind and copy at the first rank of each side,
+    # orientation relation, length, copy step of each side).
+    whole, partial = {}, {}
     for slot1, slot2, crossed in glued:
         one, two = slots[slot1], slots[slot2]
         count = one[-1][0] if one else 0
@@ -279,8 +289,8 @@ def _glue(tri, v):
                 % (divmod(slot1 >> 2, 4), divmod(slot2 >> 2, 4)))
         i = j = lo = 0
         while lo < count:
-            hi1, d1, s1, c1, end1a, end1b = one[i]
-            hi2, d2, s2, c2, end2a, end2b = two[j]
+            hi1, k1, n1, s1, c1, end1a, end1b = one[i]
+            hi2, k2, n2, s2, c2, end2a, end2b = two[j]
             if crossed:
                 end2a, end2b = end2b, end2a
             hi = hi1 if hi1 < hi2 else hi2
@@ -297,12 +307,58 @@ def _glue(tri, v):
             if rel != (end1b[0] != end2b[0]):
                 raise InternalCheckFailed("orientation relation differs at "
                                           "the two ends of a glued arc")
-            runs[d1 + c1, d2 + c2, rel, hi - lo, s1, s2] = None
+            if hi1 == hi2 and n1 == n2:
+                whole[k1, k2, rel | (s1 != s2) << 1] = None
+            else:
+                partial[k1, c1, k2, c2, rel, hi - lo, s1, s2] = None
             i, j, lo = i + (hi1 == hi), j + (hi2 == hi), hi
-    parity = ParityUnionFind(disk)
+    return (report, kinds) + _unite([kind[1] for kind in kinds], whole,
+                                    partial)
+
+
+def _unite(sizes, whole, partial):
+    """
+    The two-level union of a gluing pass over disk kinds of sizes[k]
+    copies: (places, parity union-find over the copies of each class's
+    root kind), taking whole-piece overlaps (kind, kind, label) and other
+    overlaps (kind and copy of each side, relation, length, copy step of
+    each side).  A whole-piece overlap maps copy i to copy i, or to copy
+    n - 1 - i if its reflection bit (2) is set, so it is united once over
+    the kinds.  A kind-level cycle whose labels compose to a nonzero delta
+    pairs each copy i of its root kind with copy n - 1 - i if delta & 2,
+    with itself otherwise, with relation delta & 1.  Copy c of kind k is
+    element first + step * c, of parity p relative to it, where places[k]
+    is (first, step, p); every other overlap is united there, per copy.
+    """
+    kind_parity = ParityUnionFind(len(sizes))
+    for run in whole:
+        kind_parity.union(*run)
+    found = [kind_parity.find(k) for k in range(len(sizes))]
+    bases, size = [0] * len(sizes), 0
+    for k, (root, _) in enumerate(found):
+        if root == k:
+            bases[k], size = size, size + sizes[k]
+    places = [(bases[root] + n - 1, -1, label & 1) if label & 2 else
+              (bases[root], 1, label & 1)
+              for (root, label), n in zip(found, sizes)]
+    runs = {}
+    if kind_parity.twisted:
+        for k1, k2, label in whole:
+            (root, l1), (_, l2) = found[k1], found[k2]
+            delta, base, n = l1 ^ l2 ^ label, bases[root], sizes[root]
+            if delta & 2:
+                runs[base, base + n - 1, delta & 1, (n + 1) // 2, 1, -1] = None
+            elif delta:
+                runs[base, base, 1, n, 1, 1] = None
+    for k1, c1, k2, c2, rel, count, s1, s2 in partial:
+        first1, step1, p1 = places[k1]
+        first2, step2, p2 = places[k2]
+        runs[first1 + step1 * c1, first2 + step2 * c2, rel ^ p1 ^ p2, count,
+             step1 * s1, step2 * s2] = None
+    parity = ParityUnionFind(size)
     for run in runs:
         parity.union(*run)
-    return report, kinds, parity
+    return places, parity
 
 
 def build_surface(tri, v):
@@ -318,24 +374,30 @@ def build_surface(tri, v):
     return NormalSurface(tri, tuple(v), *_glue(tri, v))
 
 
-def _count_cells(tri, v, kinds, parity):
+def _count_cells(tri, v, kinds, places, parity):
     """The values of _CELLS for the surface of v from its gluing pass."""
     one_sided = {parity.find(x)[0] for x in parity.twisted}
+    parent, copy_roots = parity.parent, []
+    for x in range(len(parent)):
+        while parent[x] != x:
+            x = parent[x]
+        copy_roots.append(x)
     # The point check chains the corners at a point around its edge, so
     # the point lies on the component of any disk with a corner there.
-    k, disk, point_disk, disk_arcs = tri.edge_count, 0, {}, []
-    for _, copies, _, arc_plan, corners in kinds:
+    k, disk, point_disk, disk_arcs, roots = tri.edge_count, 0, {}, [], []
+    for (_, copies, _, arc_plan, corners), (first, step, _) in zip(kinds,
+                                                                    places):
         for _, cls, p, dp in corners:
             point_disk.update(zip(range(k * p + cls,
                                         k * (p + dp * copies) + cls, k * dp),
                                   range(disk, disk + copies)))
         disk_arcs += [len(arc_plan)] * copies
+        roots += copy_roots[first:first + copies] if step > 0 else \
+            copy_roots[first - copies + 1:first + 1][::-1]
         disk += copies
-    groups = parity.groups()
-    roots = [0] * disk
-    for root, group in groups.items():
-        for d in group:
-            roots[d] = root
+    groups = defaultdict(list)
+    for d, root in enumerate(roots):
+        groups[root].append(d)
     vertices = Counter(map(roots.__getitem__, point_disk.values()))
     # Every arc side is glued to exactly one other: arc pairs are half
     # the arc sides.

@@ -58,8 +58,10 @@ def edge_index(a, b):
 
 class ParityUnionFind:
     """
-    Union-find over 0..n-1 with a parity bit relative to the root, kept
-    list-indexed.  Each union links the smaller class under the larger, so
+    Union-find over 0..n-1 with a label relative to the root, kept
+    list-indexed.  A label is an element of a XOR group: the parity bit,
+    plus for disk kinds the reflection bit (2) of a copy map i -> n-1-i;
+    labels compose by XOR.  Each union links the smaller class under the larger, so
     no find walks more than log2(n) links (Tarjan-van Leeuwen, J. ACM 31,
     1984).  Tetrahedra, tetrahedron edges and tetrahedron vertices are
     indexed t, 6t+e and 4t+v; surface disks by id.  ``classes`` counts the

@@ -216,8 +216,10 @@ def test_hilbert_basis_does_not_depend_on_the_triangulation(name,
     for cone in _census_cones(name, include_octs):
         basis = hilbert_basis(extreme_rays(cone))
 
+        # The identity, which Hypothesis would draw first, is never drawn.
         @settings(derandomize=True, deadline=None, max_examples=10)
-        @given(st.permutations(range(cone.dim)))
+        @given(st.permutations(range(cone.dim)).filter(
+            list(range(cone.dim)).__ne__))
         def check(rename):
             def moved(vec):
                 out = [0] * cone.dim

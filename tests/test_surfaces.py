@@ -237,9 +237,10 @@ def test_builder_agrees_with_the_elementwise_oracle(data, m):
 def test_each_overlap_run_is_united_once(monkeypatch):
     # The genus-30 list of a three-fundamental model of t5_1 (chi -2, -4,
     # -6): in the gluing pass of each listed sum 5 of 23 overlaps, a
-    # quarter of the glued disk pairs, repeat a run (first disks, relation,
-    # length, steps) met before, which is checked again but not united
-    # again.
+    # quarter of the glued disk pairs, repeat a run met before, which is
+    # checked again but not united again: a whole-piece overlap (kinds,
+    # label) over the kinds, any other (first copies, relation, length,
+    # steps) over the copies.
     tri = parse_triangulation((CENSUS / "t5_1.tri").read_text())
     model = from_support(tri, T5_1_3F_SUPPORT)
     listed = enumerate_genus(model, 30).vectors
@@ -248,7 +249,7 @@ def test_each_overlap_run_is_united_once(monkeypatch):
     runs = []
 
     def recording_union(self, x, y, rel=0, count=1, dx=0, dy=0):
-        runs.append((x, y, rel, count, dx, dy))
+        runs.append((self, x, y, rel, count, dx, dy))
         union(self, x, y, rel, count, dx, dy)
 
     for v in listed:
@@ -256,6 +257,9 @@ def test_each_overlap_run_is_united_once(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(ParityUnionFind, "union", recording_union)
             surface = build_surface(tri, v)
+        # Both levels unite, the kinds' and the copies', each distinct
+        # run once.
+        assert len({run[0] for run in runs}) == 2
         assert runs and len(runs) == len(set(runs))
         assert surface_fields(surface) == \
             surface_fields(elementwise_surface(tri, v))
@@ -263,8 +267,9 @@ def test_each_overlap_run_is_united_once(monkeypatch):
 
 def test_one_sided_rescan_marks_only_the_klein_bottle():
     # Three Klein bottles are a torus (copies 0 and 2) and a Klein bottle
-    # (copy 1).  One union run covers all three copies of a slot and
-    # records the middle pair as twisted; only its component is one-sided.
+    # (copy 1).  The twist arrives as a kind-level cycle of delta 3, which
+    # pairs copy i with copy 2 - i against parity and so records the
+    # middle copy as twisted; only its component is one-sided.
     tri, (kb,) = KLEIN_SOURCE
     v = tuple(3 * x for x in kb)
     surface = build_surface(tri, v)
@@ -272,6 +277,84 @@ def test_one_sided_rescan_marks_only_the_klein_bottle():
         == [([0, 2, 3, 5], 0, True), ([1, 4], 0, False)]
     assert surface_fields(surface) == \
         surface_fields(elementwise_surface(tri, v))
+
+
+def _draw_runs(data):
+    """Kind sizes and overlap runs as _glue passes them to _unite: whole
+    and partial, both steps, both relations, repeats and runs from a kind
+    to itself."""
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    kind = st.integers(0, len(sizes) - 1)
+    whole, partial = [], []
+    for _ in range(data.draw(st.integers(0, 8))):
+        k1 = data.draw(kind)
+        if data.draw(st.booleans()):
+            k2 = data.draw(st.sampled_from(
+                [k for k, n in enumerate(sizes) if n == sizes[k1]]))
+            whole.append((k1, k2, data.draw(st.integers(0, 3))))
+            continue
+        k2 = data.draw(kind)
+        n1, n2 = sizes[k1], sizes[k2]
+        count = data.draw(st.integers(1, min(n1, n2)))
+        s1, s2 = data.draw(st.sampled_from([1, -1])), \
+            data.draw(st.sampled_from([1, -1]))
+        # The copies at the first rank, so that every copy is in range.
+        c1 = data.draw(st.integers(0, n1 - count)) + (count - 1) * (s1 < 0)
+        c2 = data.draw(st.integers(0, n2 - count)) + (count - 1) * (s2 < 0)
+        partial.append((k1, c1, k2, c2, data.draw(st.integers(0, 1)),
+                        count, s1, s2))
+    for runs in (whole, partial):
+        if runs:
+            runs += data.draw(st.lists(st.sampled_from(runs), max_size=2))
+    return sizes, whole, partial
+
+
+def test_two_level_union_agrees_with_per_pair_unions():
+    # The kind-level and copy-level unions of the gluing pass against one
+    # union per disk pair: the class count, whether anything is twisted,
+    # the partition of the disks and its one-sided classes.
+    deltas = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(st.data())
+    def check(data):
+        sizes, whole, partial = _draw_runs(data)
+        firsts = [sum(sizes[:k]) for k in range(len(sizes))]
+        pairs = ParityUnionFind(sum(sizes))
+        for k1, k2, label in whole:
+            n = sizes[k1]
+            for i in range(n):
+                pairs.union(firsts[k1] + i,
+                            firsts[k2] + (n - 1 - i if label & 2 else i),
+                            label & 1)
+        for k1, c1, k2, c2, rel, count, s1, s2 in partial:
+            pairs.union(firsts[k1] + c1, firsts[k2] + c2, rel, count, s1, s2)
+        kinds = ParityUnionFind(len(sizes))
+        for run in whole:
+            kinds.union(*run)
+        deltas.update(kinds.find(k1)[1] ^ kinds.find(k2)[1] ^ label
+                      for k1, k2, label in whole)
+
+        places, parity = surfaces._unite(sizes, whole, partial)
+        roots = [parity.find(first + step * c)[0]
+                 for (first, step, _), n in zip(places, sizes)
+                 for c in range(n)]
+        classes = {}
+        for d, root in enumerate(roots):
+            classes.setdefault(root, set()).add(d)
+        one_sided = {frozenset(classes[parity.find(x)[0]])
+                     for x in parity.twisted}
+        expected = {root: frozenset(group)
+                    for root, group in pairs.groups().items()}
+        assert parity.classes == pairs.classes == len(classes)
+        assert bool(parity.twisted) == bool(pairs.twisted)
+        assert set(map(frozenset, classes.values())) == \
+            set(expected.values())
+        assert one_sided == {expected[pairs.find(x)[0]]
+                             for x in pairs.twisted}
+
+    check()
+    assert {1, 2, 3} <= deltas
 
 
 def test_cells_are_counted_and_checked_on_first_read(monkeypatch, two_tet):
