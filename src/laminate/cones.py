@@ -301,23 +301,26 @@ def positive_integer_point(rays, support):
     return primitive(total)
 
 
-def _least_picks(residual, start, basis, memo):
-    """The lexicographically least nondecreasing index tuple of basis
-    elements from start onward summing to residual, or None."""
+def _greatest_counts(residual, start, basis, memo):
+    """The lexicographically greatest multiplicity tuple of the basis
+    elements from start onward summing to residual, or None; one level
+    of recursion per element, its multiplicities tried from the largest
+    down."""
     if not any(residual):
-        return ()
+        return (0,) * (len(basis) - start)
+    if start == len(basis):
+        return None
     key = (residual, start)
     if key in memo:
         return memo[key]
-    result = None
-    for i in range(start, len(basis)):
-        h = basis[i]
-        if all(a <= b for a, b in zip(h, residual)):
-            rest = _least_picks(tuple(b - a for a, b in zip(h, residual)), i,
-                                basis, memo)
-            if rest is not None:
-                result = (i,) + rest
-                break
+    h, result = basis[start], None
+    m = min((b // a for a, b in zip(h, residual) if a), default=0)
+    while result is None and m >= 0:
+        rest = _greatest_counts(tuple(b - m * a for a, b in zip(h, residual)),
+                                start + 1, basis, memo)
+        if rest is not None:
+            result = (m,) + rest
+        m -= 1
     memo[key] = result
     return result
 
@@ -326,9 +329,6 @@ def decompose_over(point, basis):
     """
     Express an integer cone point as a nonnegative integer combination of
     the given basis, by depth-first search with memoization.  Returns the
-    lexicographically least multiplicity tuple, or None.
+    lexicographically greatest multiplicity tuple, or None.
     """
-    picks = _least_picks(tuple(point), 0, basis, {})
-    if picks is None:
-        return None
-    return tuple(map(picks.count, range(len(basis))))
+    return _greatest_counts(tuple(point), 0, basis, {})

@@ -17,25 +17,16 @@ resolved together, through the triangulation's gluing_table, to points
 (edge class, position along it) and to whether the reference side points
 along the class.  build_surface makes one gluing pass: it walks each
 face gluing overlap by overlap of its two sides' pieces, checking each,
-and then unites each distinct overlap run once, in the order first met,
-on one of two levels.  An overlap that covers every copy of both its
-kinds (both pieces start and end at the same rank) maps copy i to copy
-i, or to copy n - 1 - i when the copy steps differ: it is one union of
-a parity union-find over the disk kinds, labelled relation | reflection
-<< 1.  Every other overlap, and every kind-level cycle whose labels
-compose to a nonzero delta, is united per copy in a second parity
-union-find, over the copies of each kind class's root kind; that one
-decides components and orientability, and its twisted list is the one
-record of the copies glued against their parity.  It asserts, raising
-InternalCheckFailed, that every tetrahedron edge sees as many points as
-its edge class; that the pieces of every slot tile its ranks; that the
-arc counts on the two sides of every face gluing agree; and that glued
-arcs end at the same points (checked at the first rank of an overlap and
-by the steps across it) with the same orientation relation at both ends
-(and on edges of one class, which gluing_table checks).  The point check
-exercises the entire frozen disk-type table.  A vector of more than
-SURFACE_DISK_CAP disks is refused (WorkBudgetExceeded) before any
-per-disk state is allocated.
+and then unites each distinct overlap run once, as _unite says.  It
+asserts, raising InternalCheckFailed, that every tetrahedron edge sees
+as many points as its edge class; that the pieces of every slot tile its
+ranks; that the arc counts on the two sides of every face gluing agree;
+and that glued arcs end at the same points (checked at the first rank of
+an overlap and by the steps across it) with the same orientation
+relation at both ends (and on edges of one class, which gluing_table
+checks).  The point check exercises the entire frozen disk-type table.
+A vector of more than SURFACE_DISK_CAP disks is refused
+(WorkBudgetExceeded) before any per-disk state is allocated.
 
 The surface it returns answers connected and orientable from that pass
 alone, so a rejected candidate has no cells counted.  The first read of
@@ -249,23 +240,19 @@ def _glue(tri, v):
     tetrahedron's quad or octagon.  Where pieces of two glued slots
     overlap, one affine map takes disks to disks with one orientation
     relation, so the overlap is checked once, as it is met, and is one
-    run.  An overlap where both pieces start and end at the same rank
-    covers every copy of both kinds and is united once per kind pair;
-    every other overlap is united per copy (see _unite).  Disks glued
-    along more than one arc meet a run again, which a second union would
-    not change: after the walk each distinct run is united once, in the
-    order first met.  At each end of an arc the position along the edge
-    is affine in the copy, and the copy in the rank, on either side:
-    equal classes and positions at the overlap's first rank and, unless
-    it is one rank, equal steps per rank give equal points at every rank,
-    and unequal ones differ at its second.
+    run, and after the walk each distinct run is united once (_unite).
+    At each end of an arc the position along the edge is affine in the
+    copy, and the copy in the rank, on either side: equal classes and
+    positions at the overlap's first rank and, unless it is one rank,
+    equal steps per rank give equal points at every rank, and unequal
+    ones differ at its second.
     """
     report = _check_rebuildable(tri, v)
     ends, glued = tri.gluing_table
     kinds = list(_disk_kinds(tri, v, ends))
     slots = [()] * len(ends)
-    # A slot's pieces by rank: (end rank, kind, copies, copy step per rank,
-    # copy at rank 0, corners of the arc's two ends).
+    # A slot's pieces by rank: (end rank, kind, copy step per rank, copy at
+    # rank 0, corners of the arc's two ends).
     for k, (t, copies, shift, arc_plan, corners) in enumerate(kinds):
         for f, w, base, rev, a, b in arc_plan:
             slot, lo = 16 * t + 4 * f + w, shift[base]
@@ -273,13 +260,12 @@ def _glue(tri, v):
             if lo != (pieces[-1][0] if pieces else 0):
                 raise InternalCheckFailed("slot pieces overlap or leave gaps")
             s, c0 = (-1, copies - 1 + lo) if rev else (1, -lo)
-            slots[slot] = pieces + ((lo + copies, k, copies, s, c0,
-                                     corners[a], corners[b]),)
+            slots[slot] = pieces + ((lo + copies, k, s, c0, corners[a],
+                                     corners[b]),)
 
-    # The distinct whole-piece overlaps, (kind of each side, label), and
-    # the other overlaps, (kind and copy at the first rank of each side,
+    # The distinct overlaps: (kind and copy at the first rank of each side,
     # orientation relation, length, copy step of each side).
-    whole, partial = {}, {}
+    runs = {}
     for slot1, slot2, crossed in glued:
         one, two = slots[slot1], slots[slot2]
         count = one[-1][0] if one else 0
@@ -289,8 +275,8 @@ def _glue(tri, v):
                 % (divmod(slot1 >> 2, 4), divmod(slot2 >> 2, 4)))
         i = j = lo = 0
         while lo < count:
-            hi1, k1, n1, s1, c1, end1a, end1b = one[i]
-            hi2, k2, n2, s2, c2, end2a, end2b = two[j]
+            hi1, k1, s1, c1, end1a, end1b = one[i]
+            hi2, k2, s2, c2, end2a, end2b = two[j]
             if crossed:
                 end2a, end2b = end2b, end2a
             hi = hi1 if hi1 < hi2 else hi2
@@ -307,31 +293,31 @@ def _glue(tri, v):
             if rel != (end1b[0] != end2b[0]):
                 raise InternalCheckFailed("orientation relation differs at "
                                           "the two ends of a glued arc")
-            if hi1 == hi2 and n1 == n2:
-                whole[k1, k2, rel | (s1 != s2) << 1] = None
-            else:
-                partial[k1, c1, k2, c2, rel, hi - lo, s1, s2] = None
+            runs[k1, c1, k2, c2, rel, hi - lo, s1, s2] = None
             i, j, lo = i + (hi1 == hi), j + (hi2 == hi), hi
-    return (report, kinds) + _unite([kind[1] for kind in kinds], whole,
-                                    partial)
+    return (report, kinds) + _unite([kind[1] for kind in kinds], runs)
 
 
-def _unite(sizes, whole, partial):
+def _unite(sizes, runs):
     """
-    The two-level union of a gluing pass over disk kinds of sizes[k]
-    copies: (places, parity union-find over the copies of each class's
-    root kind), taking whole-piece overlaps (kind, kind, label) and other
-    overlaps (kind and copy of each side, relation, length, copy step of
-    each side).  A whole-piece overlap maps copy i to copy i, or to copy
-    n - 1 - i if its reflection bit (2) is set, so it is united once over
-    the kinds.  A kind-level cycle whose labels compose to a nonzero delta
-    pairs each copy i of its root kind with copy n - 1 - i if delta & 2,
-    with itself otherwise, with relation delta & 1.  Copy c of kind k is
-    element first + step * c, of parity p relative to it, where places[k]
-    is (first, step, p); every other overlap is united there, per copy.
+    The union of a gluing pass over disk kinds of sizes[k] copies, from
+    its distinct overlap runs (kind and copy of each side, relation,
+    length, copy step of each side): (places, parity union-find over the
+    copies of each kind class's root kind).  A run maps copies to copies
+    with one relation, and the parity union-find of those maps has the
+    surface's components as classes and records each twist.  A run of
+    every copy of both kinds maps copy i to copy i, or to copy n - 1 - i
+    when its steps differ, so it is first united once over the kinds,
+    labelled relation | reflection << 1.  Copy c of kind k is element
+    first + step * c, of parity p relative to it, where places[k] is
+    (first, step, p); every run is mapped there and each distinct map is
+    united per copy, unless it takes each copy to itself at parity 0, as
+    a run within one kind class whose labels agree does.
     """
     kind_parity = ParityUnionFind(len(sizes))
-    for run in whole:
+    for run in {(k1, k2, rel | (s1 != s2) << 1): None
+                for k1, _, k2, _, rel, length, s1, s2 in runs
+                if length == sizes[k1] == sizes[k2]}:
         kind_parity.union(*run)
     found = [kind_parity.find(k) for k in range(len(sizes))]
     bases, size = [0] * len(sizes), 0
@@ -341,22 +327,16 @@ def _unite(sizes, whole, partial):
     places = [(bases[root] + n - 1, -1, label & 1) if label & 2 else
               (bases[root], 1, label & 1)
               for (root, label), n in zip(found, sizes)]
-    runs = {}
-    if kind_parity.twisted:
-        for k1, k2, label in whole:
-            (root, l1), (_, l2) = found[k1], found[k2]
-            delta, base, n = l1 ^ l2 ^ label, bases[root], sizes[root]
-            if delta & 2:
-                runs[base, base + n - 1, delta & 1, (n + 1) // 2, 1, -1] = None
-            elif delta:
-                runs[base, base, 1, n, 1, 1] = None
-    for k1, c1, k2, c2, rel, count, s1, s2 in partial:
+    maps = {}
+    for k1, c1, k2, c2, rel, length, s1, s2 in runs:
         first1, step1, p1 = places[k1]
         first2, step2, p2 = places[k2]
-        runs[first1 + step1 * c1, first2 + step2 * c2, rel ^ p1 ^ p2, count,
-             step1 * s1, step2 * s2] = None
+        x, y, rel = first1 + step1 * c1, first2 + step2 * c2, rel ^ p1 ^ p2
+        dx, dy = step1 * s1, step2 * s2
+        if x != y or dx != dy or rel:
+            maps[x, y, rel, length, dx, dy] = None
     parity = ParityUnionFind(size)
-    for run in runs:
+    for run in maps:
         parity.union(*run)
     return places, parity
 

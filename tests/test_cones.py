@@ -371,24 +371,23 @@ def test_rational_cone_checks_its_input():
 
 
 def test_decompose_over_reads_a_failed_search_from_its_memo(monkeypatch):
-    # h0 = h1 + h2, so picking h0 then h3 and picking h1, h2 then h3 leave
-    # the same residual (0, 0, 0, 1, 1) from index 3 on, and likewise with
-    # h4 for (0, 0, 1, 0, 1) from index 4.  The first search from each
+    # h0 = h1 + h2, so one h0 and one each of h1 and h2 leave the same
+    # residual (0, 0, 1, 1, 1) from index 3 on.  The first search from it
     # fails, and the second is read from the memo without searching below
     # it again.
     basis = [(1, 1, 0, 0, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0),
              (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 2)]
     searched, hits = [], []
-    least_picks = cones._least_picks
+    greatest_counts = cones._greatest_counts
 
     def recording(residual, start, basis, memo):
         (hits if (residual, start) in memo else searched).append(
             (residual, start))
-        return least_picks(residual, start, basis, memo)
+        return greatest_counts(residual, start, basis, memo)
 
-    monkeypatch.setattr(cones, "_least_picks", recording)
+    monkeypatch.setattr(cones, "_greatest_counts", recording)
     assert decompose_over((1, 1, 1, 1, 1), basis) is None
-    assert hits == [((0, 0, 0, 1, 1), 3), ((0, 0, 1, 0, 1), 4)]
+    assert hits == [((0, 0, 1, 1, 1), 3)]
     assert len(searched) == len(set(searched))
     assert decompose_over((1, 1, 1, 1, 2), basis) == (1, 0, 0, 1, 1, 1)
 
@@ -398,6 +397,14 @@ def test_decompose_over_reports_least_tuple():
     counts = decompose_over((2, 2, 2), basis)
     assert counts == (1, 0, 1)
     assert decompose_over((1, 0, 0), basis) is None
+
+
+def test_decompose_over_takes_thousands_of_copies_of_one_element():
+    # The search recurses once per basis element, not once per copy, so
+    # a point of 5,000 copies is no deeper than a point of one.
+    assert decompose_over((5000,), [(1,)]) == (5000,)
+    assert decompose_over((5000, 3), [(2, 0), (1, 1), (1, 0)]) == \
+        (2498, 3, 1)
 
 
 def test_brute_force_completeness_small_systems():

@@ -238,9 +238,11 @@ def test_each_overlap_run_is_united_once(monkeypatch):
     # The genus-30 list of a three-fundamental model of t5_1 (chi -2, -4,
     # -6): in the gluing pass of each listed sum 5 of 23 overlaps, a
     # quarter of the glued disk pairs, repeat a run met before, which is
-    # checked again but not united again: a whole-piece overlap (kinds,
-    # label) over the kinds, any other (first copies, relation, length,
-    # steps) over the copies.
+    # checked again but not united again.  A run of every copy of both its
+    # kinds is united over the kinds as (kinds, label); every run, mapped
+    # to the copies of its kind class's root kind, is united there as
+    # (first copies, relation, length, steps), each distinct map once,
+    # unless it takes every copy to itself at parity 0.
     tri = parse_triangulation((CENSUS / "t5_1.tri").read_text())
     model = from_support(tri, T5_1_3F_SUPPORT)
     listed = enumerate_genus(model, 30).vectors
@@ -267,9 +269,11 @@ def test_each_overlap_run_is_united_once(monkeypatch):
 
 def test_one_sided_rescan_marks_only_the_klein_bottle():
     # Three Klein bottles are a torus (copies 0 and 2) and a Klein bottle
-    # (copy 1).  The twist arrives as a kind-level cycle of delta 3, which
-    # pairs copy i with copy 2 - i against parity and so records the
-    # middle copy as twisted; only its component is one-sided.
+    # (copy 1).  The two quad kinds are glued by two runs of all three
+    # copies, with labels 0 and 3, so the second maps to the root kind's
+    # copies as a run pairing copy i with copy 2 - i against parity; it
+    # records the middle copy as twisted, and only its component is
+    # one-sided.
     tri, (kb,) = KLEIN_SOURCE
     v = tuple(3 * x for x in kb)
     surface = build_surface(tri, v)
@@ -279,63 +283,83 @@ def test_one_sided_rescan_marks_only_the_klein_bottle():
         surface_fields(elementwise_surface(tri, v))
 
 
+def _kind_classes(sizes, runs):
+    """The parity union-find over the kinds of the runs that cover every
+    copy of both kinds, each labelled relation | reflection << 1."""
+    kinds = ParityUnionFind(len(sizes))
+    for k1, _, k2, _, rel, count, s1, s2 in runs:
+        if count == sizes[k1] == sizes[k2]:
+            kinds.union(k1, k2, rel | (s1 != s2) << 1)
+    return kinds
+
+
 def _draw_runs(data):
-    """Kind sizes and overlap runs as _glue passes them to _unite: whole
-    and partial, both steps, both relations, repeats and runs from a kind
-    to itself."""
+    """Kind sizes and overlap runs as _glue passes them to _unite: runs of
+    every copy of both kinds, first copy 0 or n - 1, and partial runs,
+    both steps, both relations, repeats and runs from a kind to itself;
+    then runs within one kind class that glue copies as the kind labels
+    already do, which _unite maps to identities."""
     sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
     kind = st.integers(0, len(sizes) - 1)
-    whole, partial = [], []
+    step = st.sampled_from([1, -1])
+    runs = []
     for _ in range(data.draw(st.integers(0, 8))):
         k1 = data.draw(kind)
+        s1, s2, rel = data.draw(step), data.draw(step), data.draw(
+            st.integers(0, 1))
         if data.draw(st.booleans()):
             k2 = data.draw(st.sampled_from(
                 [k for k, n in enumerate(sizes) if n == sizes[k1]]))
-            whole.append((k1, k2, data.draw(st.integers(0, 3))))
+            n = sizes[k1]
+            runs.append((k1, (n - 1) * (s1 < 0), k2, (n - 1) * (s2 < 0), rel,
+                         n, s1, s2))
             continue
         k2 = data.draw(kind)
         n1, n2 = sizes[k1], sizes[k2]
         count = data.draw(st.integers(1, min(n1, n2)))
-        s1, s2 = data.draw(st.sampled_from([1, -1])), \
-            data.draw(st.sampled_from([1, -1]))
         # The copies at the first rank, so that every copy is in range.
         c1 = data.draw(st.integers(0, n1 - count)) + (count - 1) * (s1 < 0)
         c2 = data.draw(st.integers(0, n2 - count)) + (count - 1) * (s2 < 0)
-        partial.append((k1, c1, k2, c2, data.draw(st.integers(0, 1)),
-                        count, s1, s2))
-    for runs in (whole, partial):
-        if runs:
-            runs += data.draw(st.lists(st.sampled_from(runs), max_size=2))
-    return sizes, whole, partial
+        runs.append((k1, c1, k2, c2, rel, count, s1, s2))
+    kinds = _kind_classes(sizes, runs)
+    for _ in range(data.draw(st.integers(0, 2))):
+        k1 = data.draw(kind)
+        root, l1 = kinds.find(k1)
+        k2 = data.draw(st.sampled_from(
+            [k for k in range(len(sizes)) if kinds.find(k)[0] == root]))
+        label, n = l1 ^ kinds.find(k2)[1], sizes[k1]
+        count, s1 = data.draw(st.integers(1, n)), data.draw(step)
+        c1 = data.draw(st.integers(0, n - count)) + (count - 1) * (s1 < 0)
+        runs.append((k1, c1, k2, n - 1 - c1 if label & 2 else c1, label & 1,
+                     count, s1, -s1 if label & 2 else s1))
+    if runs:
+        runs += data.draw(st.lists(st.sampled_from(runs), max_size=2))
+    return sizes, runs
 
 
 def test_two_level_union_agrees_with_per_pair_unions():
     # The kind-level and copy-level unions of the gluing pass against one
     # union per disk pair: the class count, whether anything is twisted,
-    # the partition of the disks and its one-sided classes.
+    # the partition of the disks and its one-sided classes.  The deltas
+    # of the kind-level cycles, 1 (a twist on each copy), 2 (copy i
+    # against copy n - 1 - i) and 3, must each be drawn.
     deltas = set()
 
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(st.data())
     def check(data):
-        sizes, whole, partial = _draw_runs(data)
+        sizes, runs = _draw_runs(data)
         firsts = [sum(sizes[:k]) for k in range(len(sizes))]
         pairs = ParityUnionFind(sum(sizes))
-        for k1, k2, label in whole:
-            n = sizes[k1]
-            for i in range(n):
-                pairs.union(firsts[k1] + i,
-                            firsts[k2] + (n - 1 - i if label & 2 else i),
-                            label & 1)
-        for k1, c1, k2, c2, rel, count, s1, s2 in partial:
+        for k1, c1, k2, c2, rel, count, s1, s2 in runs:
             pairs.union(firsts[k1] + c1, firsts[k2] + c2, rel, count, s1, s2)
-        kinds = ParityUnionFind(len(sizes))
-        for run in whole:
-            kinds.union(*run)
-        deltas.update(kinds.find(k1)[1] ^ kinds.find(k2)[1] ^ label
-                      for k1, k2, label in whole)
+        kinds = _kind_classes(sizes, runs)
+        deltas.update(kinds.find(k1)[1] ^ kinds.find(k2)[1] ^ rel
+                      ^ (s1 != s2) << 1
+                      for k1, _, k2, _, rel, count, s1, s2 in runs
+                      if count == sizes[k1] == sizes[k2])
 
-        places, parity = surfaces._unite(sizes, whole, partial)
+        places, parity = surfaces._unite(sizes, runs)
         roots = [parity.find(first + step * c)[0]
                  for (first, step, _), n in zip(places, sizes)
                  for c in range(n)]
